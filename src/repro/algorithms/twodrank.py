@@ -40,6 +40,31 @@ __all__ = [
 ]
 
 
+#: Relative gap within which two scores are one tie when 2DRank reads the
+#: ranks ``K`` and ``K*``.  The batched and single-source kernels sum in
+#: different orders, so an exact tie can come out split by an ulp either way;
+#: reading that split as an order would make the two paths disagree.
+TIE_RTOL = 1e-9
+
+
+def _tie_aware_ranks(ranking: Ranking) -> np.ndarray:
+    """Return each node's 1-based rank, breaking near-ties by label then id.
+
+    Exact ties already follow that rule in :class:`Ranking`; scores within
+    :data:`TIE_RTOL` of each other are re-sorted the same way.
+    """
+    order = np.asarray(ranking.ordered_nodes(), dtype=np.int64)
+    ranks = np.empty(order.size, dtype=np.int64)
+    ordered = ranking.scores[order]
+    split = ~np.isclose(ordered[1:], ordered[:-1], rtol=TIE_RTOL, atol=0.0)
+    if not np.array_equal(split, ordered[1:] != ordered[:-1]):
+        group = np.concatenate(([0], np.cumsum(split)))
+        labels = np.asarray([ranking.label_of(int(node)) for node in order], dtype=str)
+        order = order[np.lexsort((order, labels, group))]
+    ranks[order] = np.arange(1, order.size + 1)
+    return ranks
+
+
 def two_dimensional_order(pagerank_ranking: Ranking, cheirank_ranking: Ranking) -> List[int]:
     """Return node ids in 2DRank order given a PageRank and a CheiRank ranking.
 
@@ -53,9 +78,11 @@ def two_dimensional_order(pagerank_ranking: Ranking, cheirank_ranking: Ranking) 
     n = len(pagerank_ranking)
     order: List[int] = []
     entries = []
+    pagerank_ranks = _tie_aware_ranks(pagerank_ranking).tolist()
+    cheirank_ranks = _tie_aware_ranks(cheirank_ranking).tolist()
     for node in range(n):
-        k = pagerank_ranking.rank_of(node)
-        k_star = cheirank_ranking.rank_of(node)
+        k = pagerank_ranks[node]
+        k_star = cheirank_ranks[node]
         r = max(k, k_star)
         if k == r and k_star == r:
             side, offset = 2, 0  # the corner of the square enters last

@@ -161,6 +161,10 @@ class DirectedGraph:
     def resolve(self, ref: NodeRef) -> int:
         """Resolve a node reference (id or label) to a node id.
 
+        A string is first looked up among the assigned labels; failing that,
+        ``"#<id>"`` names node ``<id>`` when that node is unlabelled — the
+        display label :meth:`label_of` and :meth:`labels` show for it.
+
         Raises
         ------
         NodeNotFoundError
@@ -169,9 +173,21 @@ class DirectedGraph:
         if isinstance(ref, str):
             node_id = self._label_index.get(ref)
             if node_id is None:
+                node_id = self._unlabelled_node(ref)
+            if node_id is None:
                 raise NodeNotFoundError(ref)
             return node_id
         return self._check_id(ref)
+
+    def _unlabelled_node(self, display_label: str) -> Optional[int]:
+        """Return the unlabelled node whose display label is ``"#<id>"``."""
+        digits = display_label[1:]
+        if not (display_label.startswith("#") and digits.isdecimal()):
+            return None
+        node_id = int(digits)
+        if display_label != f"#{node_id}" or node_id >= len(self._labels):
+            return None
+        return node_id if self._labels[node_id] is None else None
 
     def _check_id(self, node_id: int) -> int:
         if isinstance(node_id, bool) or not isinstance(node_id, int):

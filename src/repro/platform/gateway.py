@@ -112,8 +112,9 @@ class ApiGateway:
         kicks the read-repair drain if keys are queued, so self-healing
         continues through idle periods.
     max_finished_tasks:
-        Retention bound of the scheduler's terminal task table (old
-        permalinks fall back to the persisted result payloads).
+        Retention bound of the scheduler's terminal task table: beyond it
+        the earliest-finished tasks are evicted, at O(1) cost per finished
+        task (old permalinks fall back to the persisted result payloads).
     default_deadline_ms:
         Deadline applied to submissions that do not carry their own
         ``deadline_ms``: an expired job settles with a typed

@@ -23,9 +23,9 @@ that seam:
 
 :class:`JobRegistry`
     A bounded registry of job records keyed by the comparison id.  Active
-    jobs are never evicted; once the number of *terminal* jobs exceeds the
-    bound, the oldest terminal records are dropped (their results remain in
-    the datastore — only the live event stream is bounded).
+    jobs are never evicted; beyond the bound, the earliest-finished records
+    are dropped at O(1) cost (:class:`BoundedRecordTable`, which the task
+    table shares) — their results remain in the datastore.
 
 Cancellation is cooperative: :meth:`JobRecord.request_cancel` raises a flag
 and appends a ``cancelled`` event; the scheduler checks the flag at every
@@ -57,15 +57,17 @@ Event types
 from __future__ import annotations
 
 import enum
+import functools
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..exceptions import TaskNotFoundError
 
 __all__ = [
+    "BoundedRecordTable",
     "EVENT_TYPES",
     "JobEvent",
     "JobRecord",
@@ -207,6 +209,8 @@ class JobRecord:
         self._cancel_requested = False
         self._finished_at: Optional[float] = None
         self._callbacks: List[Callable[[JobEvent], None]] = []
+        #: Called once, outside the record lock, when ``task_done`` lands.
+        self.on_terminal: Optional[Callable[["JobRecord"], None]] = None
 
     # ------------------------------------------------------------------ #
     # appending
@@ -244,6 +248,9 @@ class JobRecord:
             callbacks = list(self._callbacks)
             for callback in callbacks:
                 callback(event)
+        # Appends after task_done are dropped above, so this runs once.
+        if event_type == "task_done" and self.on_terminal is not None:
+            self.on_terminal(self)
         return event
 
     def _apply(self, event: JobEvent) -> None:
@@ -456,28 +463,96 @@ class JobRecord:
         )
 
 
-class JobRegistry:
+class BoundedRecordTable:
+    """Records by id; beyond ``max_finished`` terminal ones, the earliest-finished go.
+
+    The base of :class:`JobRegistry` and of the scheduler's task table.  A
+    record calls its ``on_terminal`` attribute, outside its own lock, when
+    it becomes terminal, so eviction reads no record's state and costs O(1)
+    amortised.  ``lock`` guards ``records``; re-registering an id replaces
+    the stale record, whose later finish is ignored.
+    """
+
+    def __init__(self, max_finished: int, lock: Any, *, kind: str) -> None:
+        if max_finished < 1:
+            raise ValueError(
+                f"max_finished_{kind} must be a positive integer, got {max_finished}"
+            )
+        self.max_finished = max_finished
+        self.kind = kind
+        self.evicted = 0
+        self.records: "OrderedDict[str, Any]" = OrderedDict()
+        self._finish_order: "OrderedDict[str, None]" = OrderedDict()
+        self._lock = lock
+
+    def register(self, record_id: str, record: Any) -> None:
+        """Insert ``record`` under ``record_id``, newest last (lock held)."""
+        self.records.pop(record_id, None)
+        self._finish_order.pop(record_id, None)
+        self.records[record_id] = record
+        record.on_terminal = functools.partial(self._finished, record_id)
+
+    def _finished(self, record_id: str, record: Any) -> None:
+        with self._lock:
+            if self.records.get(record_id) is not record:
+                return
+            self._finish_order[record_id] = None
+            while len(self._finish_order) > self.max_finished:
+                evicted_id, _ = self._finish_order.popitem(last=False)
+                if self.records.pop(evicted_id, None) is not None:
+                    self.evicted += 1
+
+    def find(self, record_id: str) -> Optional[Any]:
+        """Return the record for ``record_id``, or ``None`` if absent/evicted."""
+        with self._lock:
+            return self.records.get(record_id)
+
+    def get(self, record_id: str) -> Any:
+        """Return the record for ``record_id`` (raises :class:`TaskNotFoundError`)."""
+        record = self.find(record_id)
+        if record is None:
+            raise TaskNotFoundError(record_id)
+        return record
+
+    def list_records(self) -> List[Any]:
+        """Return every registered record, oldest first."""
+        with self._lock:
+            return list(self.records.values())
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self.records)
+
+    def __contains__(self, record_id: str) -> bool:
+        return self.find(record_id) is not None
+
+    def stats(self) -> Dict[str, Any]:
+        """Return occupancy counters (for ``platform_stats()``)."""
+        records = self.list_records()
+        return {
+            self.kind: len(records),
+            "by_state": dict(Counter(record.state.value for record in records)),
+            "evicted": self.evicted,
+            f"max_finished_{self.kind}": self.max_finished,
+        }
+
+
+class JobRegistry(BoundedRecordTable):
     """A bounded, thread-safe registry of :class:`JobRecord`\\ s.
 
     Parameters
     ----------
     max_finished_jobs:
         How many *terminal* jobs to retain.  Active jobs are never evicted;
-        when a new job is created and the number of terminal records exceeds
-        the bound, the oldest terminal records (insertion order) are
-        dropped.  Their stored results stay in the datastore — eviction only
-        bounds the in-memory event streams.
+        once more than the bound are terminal, the earliest-finished records
+        are dropped at O(1) amortised cost (see :class:`BoundedRecordTable`).
+        Their stored results stay in the datastore — eviction only bounds
+        the in-memory event streams.
     """
 
     def __init__(self, *, max_finished_jobs: int = 256) -> None:
-        if max_finished_jobs < 1:
-            raise ValueError(
-                f"max_finished_jobs must be a positive integer, got {max_finished_jobs}"
-            )
-        self._max_finished = max_finished_jobs
-        self._jobs: "OrderedDict[str, JobRecord]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._evicted = 0
+        super().__init__(max_finished_jobs, threading.Lock(), kind="jobs")
+        self._jobs = self.records
 
     def create(
         self,
@@ -492,55 +567,5 @@ class JobRegistry:
             job_id, total_queries, description=description, trace_id=trace_id
         )
         with self._lock:
-            self._jobs.pop(job_id, None)
-            self._jobs[job_id] = record
-            self._evict_finished()
+            self.register(job_id, record)
         return record
-
-    def _evict_finished(self) -> None:
-        """Drop the oldest terminal records beyond the bound (lock held)."""
-        terminal = [
-            job_id for job_id, record in self._jobs.items() if record.state.is_terminal()
-        ]
-        for job_id in terminal[: max(0, len(terminal) - self._max_finished)]:
-            del self._jobs[job_id]
-            self._evicted += 1
-
-    def find(self, job_id: str) -> Optional[JobRecord]:
-        """Return the record for ``job_id``, or ``None`` if absent/evicted."""
-        with self._lock:
-            return self._jobs.get(job_id)
-
-    def get(self, job_id: str) -> JobRecord:
-        """Return the record for ``job_id`` (raises :class:`TaskNotFoundError`)."""
-        record = self.find(job_id)
-        if record is None:
-            raise TaskNotFoundError(job_id)
-        return record
-
-    def list_records(self) -> List[JobRecord]:
-        """Return every registered record, oldest first."""
-        with self._lock:
-            return list(self._jobs.values())
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._jobs)
-
-    def __contains__(self, job_id: str) -> bool:
-        return self.find(job_id) is not None
-
-    def stats(self) -> Dict[str, Any]:
-        """Return registry occupancy counters (for ``platform_stats()``)."""
-        with self._lock:
-            records = list(self._jobs.values())
-            evicted = self._evicted
-        by_state: Dict[str, int] = {}
-        for record in records:
-            by_state[record.state.value] = by_state.get(record.state.value, 0) + 1
-        return {
-            "jobs": len(records),
-            "by_state": by_state,
-            "evicted": evicted,
-            "max_finished_jobs": self._max_finished,
-        }

@@ -57,7 +57,7 @@ from ..ranking.result import Ranking
 from .cache import CacheKey, ResultCache, _canonical_parameters
 from .datastore import DataStore
 from .executor import ExecutorPool
-from .jobs import JobRecord, JobRegistry, JobState
+from .jobs import BoundedRecordTable, JobRecord, JobRegistry, JobState
 from .resilience import deadline_scope
 from .tasks import Query, QuerySet, Task, TaskState
 from .telemetry import add_span_event, child_span, trace_scope
@@ -89,16 +89,15 @@ class Scheduler:
         The registry job lifecycles and event logs live in; a fresh bounded
         :class:`~repro.platform.jobs.JobRegistry` is created when omitted.
     max_finished_tasks:
-        Retention bound of the task table, mirroring the job registry's:
-        active tasks are never evicted, but once the number of *terminal*
-        tasks exceeds the bound the oldest ones are dropped from memory.
-        Their permalinks keep resolving — results, rankings and status are
-        served from the result payload persisted in the datastore — so the
-        table no longer grows with lifetime submission count.
+        Retention bound of the task table, a
+        :class:`~repro.platform.jobs.BoundedRecordTable` like the job
+        registry: active tasks stay, and the earliest-finished beyond the
+        bound are dropped at O(1) amortised cost.  Their permalinks keep
+        resolving through the result payload persisted in the datastore.
     """
 
-    #: Default terminal-task retention (mirrors the job registry's bound at
-    #: a multiple that keeps weeks of permalinks hot in memory).
+    #: Default terminal-task retention (a multiple of the job registry's
+    #: bound; eviction costs O(1) whatever the bound).
     DEFAULT_MAX_FINISHED_TASKS = 1024
 
     def __init__(
@@ -112,18 +111,14 @@ class Scheduler:
     ) -> None:
         if max_finished_tasks is None:
             max_finished_tasks = self.DEFAULT_MAX_FINISHED_TASKS
-        if max_finished_tasks < 1:
-            raise ValueError(
-                f"max_finished_tasks must be a positive integer, got {max_finished_tasks}"
-            )
         self._datastore = datastore
         self._catalog = catalog
         self._pool = executor_pool
         self._cache = datastore.result_cache
         self.jobs = job_registry if job_registry is not None else JobRegistry()
-        self._max_finished_tasks = max_finished_tasks
-        self._tasks_evicted = 0
-        self._tasks: Dict[str, Task] = {}
+        self._lock = threading.RLock()
+        self._task_table = BoundedRecordTable(max_finished_tasks, self._lock, kind="tasks")
+        self._tasks: Dict[str, Task] = self._task_table.records
         #: Single-flight table: cache key -> future of the ranking being
         #: computed right now, so concurrent identical queries never compute
         #: twice.  Entries are published here before dispatch and moved into
@@ -145,7 +140,6 @@ class Scheduler:
         #: Callbacks run after each settled work unit (see
         #: :meth:`register_maintenance_hook`).
         self._maintenance_hooks: List[Callable[[], None]] = []
-        self._lock = threading.RLock()
         # Serialises first-use dataset materialisation so concurrent cold
         # starts don't double-store (store_dataset treats a re-store as a
         # re-upload and would needlessly invalidate fresh cache entries).
@@ -156,31 +150,11 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     def get_task(self, task_id: str) -> Task:
         """Return the task with identifier ``task_id`` (raises if unknown)."""
-        with self._lock:
-            task = self._tasks.get(task_id)
-        if task is None:
-            raise TaskNotFoundError(task_id)
-        return task
+        return self._task_table.get(task_id)
 
     def list_tasks(self) -> List[Task]:
         """Return every task still in the bounded table, newest last."""
-        with self._lock:
-            return list(self._tasks.values())
-
-    def _evict_finished_tasks(self) -> None:
-        """Drop the oldest terminal tasks beyond the bound (lock held).
-
-        Mirrors :meth:`~repro.platform.jobs.JobRegistry._evict_finished`:
-        active tasks are never evicted, and an evicted task's permalink still
-        resolves through the result payload the datastore persists (see
-        :meth:`rankings_for` / :meth:`stored_result`).
-        """
-        terminal = [
-            task_id for task_id, task in self._tasks.items() if task.state.is_terminal()
-        ]
-        for task_id in terminal[: max(0, len(terminal) - self._max_finished_tasks)]:
-            del self._tasks[task_id]
-            self._tasks_evicted += 1
+        return self._task_table.list_records()
 
     def stored_result(self, task_id: str) -> dict:
         """Return the persisted result payload of a task (permalink fallback).
@@ -235,10 +209,8 @@ class Scheduler:
         )
         groups = self._group_queries(task.query_set)
         with self._lock:
-            self._tasks.pop(task.task_id, None)
-            self._tasks[task.task_id] = task
+            self._task_table.register(task.task_id, task)
             self._outstanding[task.task_id] = len(groups)
-            self._evict_finished_tasks()
         job.append("submitted", total_queries=task.total_queries)
         task.mark_running()
         return job, groups
@@ -888,16 +860,4 @@ class Scheduler:
 
     def task_table_stats(self) -> Dict[str, Any]:
         """Return the bounded task table's occupancy (for ``platform_stats()``)."""
-        with self._lock:
-            tasks = list(self._tasks.values())
-            evicted = self._tasks_evicted
-        by_state: Dict[str, int] = {}
-        for task in tasks:
-            state = task.state.value
-            by_state[state] = by_state.get(state, 0) + 1
-        return {
-            "tasks": len(tasks),
-            "by_state": by_state,
-            "evicted": evicted,
-            "max_finished_tasks": self._max_finished_tasks,
-        }
+        return self._task_table.stats()

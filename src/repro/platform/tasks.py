@@ -20,7 +20,7 @@ import enum
 import threading
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..algorithms.registry import get_algorithm
 from ..datasets.catalog import DatasetCatalog
@@ -163,6 +163,8 @@ class Task:
         self._completed_queries = 0
         self._error: Optional[str] = None
         self._rankings: Dict[int, Ranking] = {}
+        #: Called once, outside the task lock, when the task becomes terminal.
+        self.on_terminal: Optional[Callable[["Task"], None]] = None
 
     # ------------------------------------------------------------------ #
     # state transitions (called by the scheduler / executors)
@@ -178,24 +180,34 @@ class Task:
         with self._lock:
             self._rankings[index] = ranking
             self._completed_queries += 1
-            if (
+            finished = (
                 self._completed_queries >= len(self.query_set)
                 and not self._state.is_terminal()
-            ):
+            )
+            if finished:
                 self._state = TaskState.COMPLETED
+        self._notify_terminal(finished)
 
     def mark_failed(self, error: str) -> None:
         """Transition to FAILED with an error message."""
         with self._lock:
+            finished = not self._state.is_terminal()
             if self._state is not TaskState.CANCELLED:
                 self._state = TaskState.FAILED
                 self._error = error
+        self._notify_terminal(finished)
 
     def mark_cancelled(self) -> None:
         """Transition to CANCELLED (a no-op once the task is terminal)."""
         with self._lock:
-            if not self._state.is_terminal():
+            finished = not self._state.is_terminal()
+            if finished:
                 self._state = TaskState.CANCELLED
+        self._notify_terminal(finished)
+
+    def _notify_terminal(self, finished: bool) -> None:
+        if finished and self.on_terminal is not None:
+            self.on_terminal(self)
 
     # ------------------------------------------------------------------ #
     # inspection

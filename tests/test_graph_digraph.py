@@ -105,6 +105,28 @@ class TestResolution:
         with pytest.raises(NodeNotFoundError):
             graph.resolve(3)
 
+    def test_resolve_accepts_the_display_label_of_an_unlabelled_node(self):
+        graph = DirectedGraph()
+        for _ in range(4):
+            graph.add_node()
+        assert graph.labels()[2] == "#2"
+        assert graph.resolve("#2") == 2
+        assert graph.resolve(graph.label_of(3)) == 3
+        for ref in ("#4", "#02", "#", "#-1", "#+1", "# 1", "2"):
+            with pytest.raises(NodeNotFoundError):
+                graph.resolve(ref)
+
+    def test_explicit_hash_label_keeps_priority(self):
+        graph = DirectedGraph()
+        for _ in range(3):
+            graph.add_node()
+        graph.set_label(0, "#2")
+        graph.set_label(1, "B")
+        assert graph.resolve("#2") == 0
+        # A labelled node is no longer reachable through "#<id>".
+        with pytest.raises(NodeNotFoundError):
+            graph.resolve("#1")
+
     def test_resolve_bool_is_rejected(self):
         graph = DirectedGraph()
         graph.add_node("A")

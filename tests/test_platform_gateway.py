@@ -7,6 +7,7 @@ import pytest
 from repro.datasets.catalog import DatasetCatalog
 from repro.exceptions import TaskError
 from repro.graph.digraph import DirectedGraph
+from repro.graph.generators import preferential_attachment_graph
 from repro.io.edgelist import write_edgelist
 from repro.platform.gateway import ApiGateway
 from repro.platform.tasks import TaskState
@@ -81,6 +82,17 @@ class TestUpload:
               "parameters": {"k": 3}}]
         )
         assert gateway.get_rankings(comparison)[0].reference == "c0-n0"
+
+    def test_generated_graph_runs_from_its_display_labels(self, gateway):
+        graph = preferential_attachment_graph(50, 3, seed=7)
+        gateway.upload_dataset("pa", graph)
+        source = graph.label_of(5)
+        assert source == "#5"
+        comparison = gateway.run_queries(
+            [{"dataset_id": "pa", "algorithm": "personalized-pagerank", "source": source}]
+        )
+        assert gateway.get_status(comparison).state is TaskState.COMPLETED
+        assert gateway.get_rankings(comparison)[0].reference == source
 
 
 class TestComparisons:

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.algorithms.cheirank import cheirank, personalized_cheirank
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.personalized_pagerank import personalized_pagerank
-from repro.algorithms.twodrank import personalized_twodrank, twodrank, two_dimensional_order
+from repro.algorithms.twodrank import (
+    personalized_twodrank,
+    personalized_twodrank_batch,
+    twodrank,
+    two_dimensional_order,
+)
 from repro.graph.digraph import DirectedGraph
 from repro.graph.generators import star_graph
 
@@ -49,6 +55,34 @@ class TestTwoDimensionalOrder:
         assert order[0] == 1
         # At r=3: node 2 (K=3, the vertical side) precedes node 0 (K*=3).
         assert order[1:] == [2, 0]
+
+    def test_ulp_split_ties_are_read_as_ties(self):
+        # Nodes 0 and 1 tie exactly in theory; kernels that sum in another
+        # order split the tie by an ulp either way, which must not reorder.
+        from repro.ranking.result import Ranking
+
+        pr_tie, chei_tie = 0.2580536346790024, 0.2451509529451092
+        labels = ["a", "b", "c"]
+        for direction in (1.0, 0.0):
+            pr = Ranking([pr_tie, np.nextafter(pr_tie, direction), 0.1], labels=labels)
+            chei = Ranking(
+                [chei_tie, np.nextafter(chei_tie, direction), 0.1], labels=labels
+            )
+            assert two_dimensional_order(pr, chei) == [0, 1, 2]
+
+    def test_batched_and_single_personalized_runs_agree_on_ties(self):
+        # Nodes 0 and 3 are symmetric here, and the batched and single-source
+        # kernels split their tie differently, by an ulp.
+        graph = DirectedGraph()
+        for node in range(4):
+            graph.add_node(f"node-{node}")
+        graph.add_edges_from(
+            [(1, 3), (0, 3), (3, 2), (2, 0), (0, 1), (2, 1),
+             (0, 2), (3, 0), (2, 3), (3, 1), (1, 0)]
+        )
+        [batched] = personalized_twodrank_batch(graph, ["node-1"])
+        single = personalized_twodrank(graph, "node-1")
+        assert batched.ordered_nodes() == single.ordered_nodes()
 
 
 class TestTwoDRank:
