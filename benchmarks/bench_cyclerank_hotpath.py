@@ -11,14 +11,14 @@ Times the three ways of answering the same 16-reference CycleRank workload
 * ``batch``  — one :func:`~repro.algorithms.cyclerank.cyclerank_batch` call
   sharing the compiled structures across the whole batch.
 
-A second section measures the ``K >= 4`` regime, where the closed-form
-counting kernel does not apply and the engine's bounded-BFS prunings carry
-the cost: seed walk vs engine, and the engine with the NumPy frontier-gather
-BFS against the per-node walk (isolating the gather's delta).
+A second section measures the ``K >= 5`` regime, where the closed-form
+counting kernel (``K <= 4``) does not apply and the engine's bounded-BFS
+prunings carry the cost: seed walk vs engine, and the engine with the NumPy
+frontier-gather BFS against the per-node walk (isolating the gather's delta).
 
 The measured trajectories are written to
-``benchmarks/output/BENCH_cyclerank.json`` and ``BENCH_cyclerank_k4.json``
-so future PRs have a perf baseline to diff against.  Set
+``benchmarks/output/BENCH_cyclerank.json`` and
+``BENCH_cyclerank_deep_k.json`` as a perf baseline to diff against.  Set
 ``REPRO_BENCH_NODES`` to shrink the graph (the CI smoke run uses 1000).
 """
 
@@ -159,17 +159,17 @@ def test_bench_cyclerank_hotpath_trajectory(hotpath_graph, hub_references):
 
 @pytest.mark.benchmark(group="cyclerank-hotpath")
 def test_bench_cyclerank_deep_k_frontier_gather(deep_k_graph, median_references):
-    """Measure the K>=4 engine path and the NumPy frontier-gather delta.
+    """Measure the K>=5 engine path and the NumPy frontier-gather delta.
 
-    ``K <= 3`` is answered by the closed-form counting kernel, so the
-    bounded-BFS prunings only matter from ``K = 4`` up.  This section times
+    ``K <= 4`` is answered by the closed-form counting kernel, so the
+    bounded-BFS prunings only matter from ``K = 5`` up.  This section times
     the seed dict walk against the engine, and the engine against itself
     with the frontier gather disabled (``FRONTIER_GATHER_MIN`` pushed above
     any frontier size), isolating what the concatenate-and-mask level
     expansion buys on the pruning-bound deep-K workload (mid-degree
     references; hub-rooted searches are enumeration-bound instead and gain
     from the engine itself, not the BFS).  Written to
-    ``BENCH_cyclerank_k4.json`` next to the K=3 trajectory.
+    ``BENCH_cyclerank_deep_k.json`` next to the K=3 trajectory.
     """
     import repro.algorithms.cycle_enumeration as cycle_enumeration
 
@@ -228,5 +228,5 @@ def test_bench_cyclerank_deep_k_frontier_gather(deep_k_graph, median_references)
             "frontier_gather_vs_walk": walk_best / gather_best if gather_best else None,
         },
     }
-    path = write_report("BENCH_cyclerank_k4.json", json.dumps(payload, indent=2))
+    path = write_report("BENCH_cyclerank_deep_k.json", json.dumps(payload, indent=2))
     assert path.exists()

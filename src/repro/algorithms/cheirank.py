@@ -126,7 +126,7 @@ def personalized_cheirank_batch(
         transition_t=compiled.folded_transition_transpose(alpha, reverse=True),
     )
     # One shared label array for the whole batch (Ranking reuses it as-is).
-    labels = np.asarray(graph.labels(), dtype=str)
+    labels = compiled.labels_array()
     return [
         Ranking(
             scores[:, column],

@@ -63,6 +63,22 @@ def _validate_max_length(max_length: int) -> None:
 FRONTIER_GATHER_MIN = 16
 
 
+def gather_csr_rows(
+    indptr: np.ndarray, indices: np.ndarray, owners: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenate the CSR rows of ``owners`` (a non-empty id array) in one sweep.
+
+    Returns ``(counts, neighbours)``: each owner's row length and the rows'
+    entries, owner by owner.  One repeat/arange gather generates every
+    owner's ``[start, start + count)`` index range.
+    """
+    starts = indptr[owners]
+    counts = indptr[owners + 1] - starts
+    ends = np.cumsum(counts)
+    gather = np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
+    return counts, indices[gather]
+
+
 class CycleSearchEngine:
     """Reusable CSR search state for rooted bounded-length cycle enumeration.
 
@@ -174,9 +190,9 @@ class CycleSearchEngine:
         up the whole next level is produced by one NumPy sweep — the
         frontier's adjacency rows are concatenated with a repeat/arange
         gather, masked against the alive and distance arrays, and
-        deduplicated with ``np.unique``.  That sweep is what lifts the
-        ``K >= 4`` prunings over large neighbourhoods the same way the
-        closed-form counting kernel lifted ``K <= 3``.
+        deduplicated with ``np.unique``.  That sweep carries the prunings
+        over large neighbourhoods for the ``K >= 5`` searches CycleRank
+        enumerates (``K <= 4`` is counted in closed form, with no search).
         """
         np_alive = self._np_alive
         dist[root] = 0
@@ -200,19 +216,9 @@ class CycleSearchEngine:
                     return
                 fresh = np.asarray(level, dtype=np.int64)
             else:
-                starts = np_indptr[frontier]
-                counts = np_indptr[frontier + 1] - starts
-                total = int(counts.sum())
-                if total == 0:
+                _, neighbours = gather_csr_rows(np_indptr, np_indices, frontier)
+                if neighbours.size == 0:
                     return
-                # Concatenate the frontier's adjacency rows without a
-                # Python-level loop: for each frontier node, generate its
-                # [start, start + count) index range.
-                ends = np.cumsum(counts)
-                gather = np.arange(total, dtype=np.int64) + np.repeat(
-                    starts - (ends - counts), counts
-                )
-                neighbours = np_indices[gather]
                 fresh = neighbours[np_alive[neighbours] & (dist[neighbours] < 0)]
                 if fresh.size == 0:
                     return

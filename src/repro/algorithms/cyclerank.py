@@ -17,20 +17,25 @@ relevant, and those are exactly the nodes lying on short cycles through the
 reference.  By construction the reference node participates in every counted
 cycle and therefore receives the maximum score.
 
-The enumeration runs on the CSR-native
-:class:`~repro.algorithms.cycle_enumeration.CycleSearchEngine`;
-:func:`cyclerank_batch` reuses one engine (and one shared label array) across
-a whole batch of references, so the per-graph conversion work is paid once
-per batch — per query group on the platform, whose scheduler feeds batches
-from its group-and-batch path.  A batched run produces bit-identical scores
-to per-reference :func:`cyclerank` calls: both walk the same engine in the
-same order.
+For ``K <= 4`` the per-node counts ``c_{r,n}(i)`` have a closed form over
+the rows of ``succ(r)`` and ``pred(r)`` (:func:`_cycle_counts_short`, the
+local form of cycle counting by adjacency products of Alon, Yuster & Zwick,
+"Finding and counting given length cycles", Algorithmica 1997), so no cycle
+is enumerated.  Longer cycles are enumerated on the CSR-native
+:class:`~repro.algorithms.cycle_enumeration.CycleSearchEngine` and tallied
+into the same integer counts.  Both kernels feed one weighted sum, so equal
+counts give bit-identical scores (nodes with equal count vectors tie
+exactly), and :func:`cyclerank_batch` — which shares the compiled arrays and
+one label array across a batch of references, per query group on the
+platform — is bit-identical to per-reference :func:`cyclerank` calls.  The
+scores follow Consonni, Laniado & Montresor, "Discovering topical contexts
+from links in Wikipedia" (2020).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +45,11 @@ from ..graph.compiled import compiled_of
 from ..graph.digraph import DirectedGraph, NodeRef
 from ..ranking.result import Ranking
 from ..scoring import ScoringFunction, get_scoring_function
-from .cycle_enumeration import CycleSearchEngine, enumerate_cycles_through_dict
+from .cycle_enumeration import (
+    CycleSearchEngine,
+    enumerate_cycles_through_dict,
+    gather_csr_rows,
+)
 
 __all__ = [
     "cyclerank",
@@ -95,55 +104,68 @@ def _validate_cyclerank_parameters(
 
 
 #: Up to this cycle length the per-reference counts come from the closed-form
-#: vectorised kernel instead of the DFS enumeration.
-_SHORT_KERNEL_MAX_K = 3
+#: counting kernel instead of the DFS enumeration.
+_SHORT_KERNEL_MAX_K = 4
 
 
-def _cyclerank_scores_short(
-    compiled,
-    root: int,
-    max_cycle_length: int,
-    weights: Dict[int, float],
-    *,
-    track_nodes: bool = False,
-) -> Tuple[np.ndarray, Dict[int, int], int]:
-    """Closed-form Equation 1 for ``K <= 3`` — no cycle enumeration at all.
+def _gather_rows(owners: np.ndarray, csr, neighbours_of) -> Tuple[np.ndarray, np.ndarray]:
+    """Return ``(owner, neighbour)`` pairs for every entry of the owners' rows.
 
-    For the paper's flagship setting the per-node cycle counts have direct
-    set-intersection forms, evaluated here with pure array operations over
-    the compiled CSR and its transpose:
+    ``csr`` is a compiled CSR (or its transpose) read with one vectorised
+    gather; without it the rows come from ``neighbours_of`` (the graph's
+    successor or predecessor sets), so a one-off query never pays an O(m)
+    conversion.  Both sources give the same pairs as multisets.
+    """
+    if csr is not None:
+        counts, neighbours = gather_csr_rows(csr.indptr, csr.indices, owners)
+    else:
+        rows = []
+        for owner in owners.tolist():
+            row = neighbours_of(owner)
+            rows.append(np.fromiter(row, dtype=np.int64, count=len(row)))
+        counts = [row.size for row in rows]
+        neighbours = np.concatenate(rows)
+    return np.repeat(owners, counts), neighbours
 
-    * a length-2 cycle through ``r`` is a reciprocated edge — one count per
-      node in ``succ(r) ∩ pred(r)``;
-    * a length-3 cycle ``r -> u -> v -> r`` pairs each ``u ∈ succ(r)`` with
-      ``v ∈ succ(u) ∩ pred(r)`` (``u``, ``v``, ``r`` pairwise distinct, which
-      already makes the cycle simple) — gathered for *all* ``u`` in one
-      concatenate/mask/bincount sweep.
 
-    Only local adjacency is needed: the formulas read ``succ(r)``, the rows
-    of its members, and ``pred(r)`` — never a full transpose.  When the
-    artifact's CSR is already compiled (a platform-cached artifact, or a
-    batch that built it once up front) rows come from the shared arrays;
-    otherwise they are gathered straight from the graph's adjacency sets, so
-    a one-off query never pays an O(m) conversion for an O(local) answer.
-    Both sources feed the same integer counting, so the resulting scores are
-    bit-identical either way.
+def _cycle_counts_short(compiled, root: int, max_cycle_length: int) -> Dict[int, np.ndarray]:
+    """Closed-form per-node cycle counts for ``K <= 4`` — no enumeration.
 
-    Scores are ``weights[length] * count`` per node, so a single multiply
-    replaces the per-cycle float accumulation; results agree with the
-    enumeration kernel to one rounding of each weight sum.
+    Returns ``{length: counts}`` where ``counts[i]`` is the number of simple
+    cycles of that length through ``root`` that contain ``i`` (the root's
+    entry is the total), for every length with at least one cycle.  With
+    ``S = succ(r) \\ {r}`` and ``P = pred(r) \\ {r}``, and every self-loop and
+    every other edge touching ``r`` dropped:
+
+    * length 2, ``r -> a -> r``: one count per node of ``S ∩ P``;
+    * length 3, ``r -> a -> b -> r``: the pairs ``a ∈ S``, ``b ∈ P`` with
+      ``a -> b`` (``a ≠ b``), counted at both ends;
+    * length 4, ``r -> a -> b -> c -> r``: with ``u_b = #{a ∈ S : a -> b}``,
+      ``v_b = #{c ∈ P : b -> c}``, ``R(a)`` the reciprocal neighbours of
+      ``a ∈ S ∩ P`` and ``ρ_b = #{a ∈ S ∩ P : b ∈ R(a)}`` (which removes the
+      non-simple ``a = c`` walks),
+
+      - ``mid_b = u_b·v_b − ρ_b``,
+      - ``first_a = Σ_{a -> b} v_b − |R(a)|`` for ``a ∈ S``,
+      - ``last_c = Σ_{b -> c} u_b − |R(c)|`` for ``c ∈ P``,
+
+      and the root's count is ``Σ mid``.  This is the local form of cycle
+      counting by adjacency products (Alon, Yuster & Zwick, "Finding and
+      counting given length cycles", Algorithmica 1997).
+
+    Everything is integer gathers over the rows of ``S`` (in the CSR) and of
+    ``P`` (in the transpose); ``R`` is found by matching ``(a, b)`` keys
+    between the two gathers.  A warmed artifact (``csr_ready``) serves rows
+    from its compiled arrays, a bare graph from its adjacency sets; both
+    yield identical counts.
     """
     num_nodes = compiled.number_of_nodes()
-    scores = np.zeros(num_nodes, dtype=np.float64)
-    cycles_by_length: Dict[int, int] = {}
-    on_cycle = np.zeros(num_nodes, dtype=bool) if track_nodes else None
-
-    use_csr = compiled.csr_ready
-    if use_csr:
+    counts: Dict[int, np.ndarray] = {}
+    if compiled.csr_ready:
         csr = compiled.to_csr()
-        indptr, indices = csr.indptr, csr.indices
-        successors_of_root = indices[indptr[root] : indptr[root + 1]]
+        successors_of_root = csr.indices[csr.indptr[root] : csr.indptr[root + 1]]
     else:
+        csr = None
         root_successors = compiled.successors(root)
         successors_of_root = np.sort(
             np.fromiter(root_successors, dtype=np.int64, count=len(root_successors))
@@ -152,107 +174,122 @@ def _cyclerank_scores_short(
     predecessors_of_root = np.sort(
         np.fromiter(root_predecessors, dtype=np.int64, count=len(root_predecessors))
     )
-    # Length 2: reciprocated edges with the root (rows are sorted and unique).
-    reciprocal = np.intersect1d(
-        successors_of_root, predecessors_of_root, assume_unique=True
-    )
-    reciprocal = reciprocal[reciprocal != root]
-    root_score = 0.0
+    first_nodes = successors_of_root[successors_of_root != root]
+    last_nodes = predecessors_of_root[predecessors_of_root != root]
+    if not (first_nodes.size and last_nodes.size):
+        return counts
+    in_last = np.zeros(num_nodes, dtype=bool)
+    in_last[last_nodes] = True
+
+    # Length 2: reciprocated edges with the root.
+    reciprocal = first_nodes[in_last[first_nodes]]
     if reciprocal.size:
-        weight = weights[2]
-        cycles_by_length[2] = int(reciprocal.size)
-        scores[reciprocal] = weight
-        root_score += weight * reciprocal.size
-        if on_cycle is not None:
-            on_cycle[reciprocal] = True
+        counts[2] = np.zeros(num_nodes, dtype=np.int64)
+        counts[2][reciprocal] = 1
+        counts[2][root] = reciprocal.size
+    if max_cycle_length < 3:
+        return counts
 
-    if max_cycle_length >= 3:
-        middles = successors_of_root[successors_of_root != root]
-        if middles.size:
-            predecessor_mask = np.zeros(num_nodes, dtype=bool)
-            predecessor_mask[predecessors_of_root] = True
-            if use_csr:
-                rows = [indices[indptr[u] : indptr[u + 1]] for u in middles.tolist()]
-                owners = np.repeat(middles, indptr[middles + 1] - indptr[middles])
-            else:
-                graph = compiled.graph
-                rows = []
-                for u in middles.tolist():
-                    row = graph.successors(u)
-                    rows.append(np.fromiter(row, dtype=np.int64, count=len(row)))
-                owners = np.repeat(middles, [row.size for row in rows])
-            closing = (
-                np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-            )
-            keep = predecessor_mask[closing] & (closing != root) & (closing != owners)
-            last_nodes = closing[keep]
-            middle_nodes = owners[keep]
-            if last_nodes.size:
-                weight = weights[3]
-                cycles_by_length[3] = int(last_nodes.size)
-                scores += weight * (
-                    np.bincount(middle_nodes, minlength=num_nodes)
-                    + np.bincount(last_nodes, minlength=num_nodes)
-                )
-                root_score += weight * last_nodes.size
-                if on_cycle is not None:
-                    on_cycle[middle_nodes] = True
-                    on_cycle[last_nodes] = True
+    # Edges a -> b out of S, without self-loops and edges into the root.
+    graph = compiled.graph
+    a_nodes, ab_nodes = _gather_rows(first_nodes, csr, graph.successors)
+    keep = (ab_nodes != root) & (ab_nodes != a_nodes)
+    a_nodes, ab_nodes = a_nodes[keep], ab_nodes[keep]
 
-    scores[root] = root_score
-    nodes_on_cycles = 0
-    if on_cycle is not None:
-        nodes_on_cycles = int(on_cycle.sum()) + (1 if cycles_by_length else 0)
-    return scores, cycles_by_length, nodes_on_cycles
+    # Length 3: the a -> b edges that land in P.
+    closing = in_last[ab_nodes]
+    triangles = int(np.count_nonzero(closing))
+    if triangles:
+        counts[3] = np.bincount(a_nodes[closing], minlength=num_nodes) + np.bincount(
+            ab_nodes[closing], minlength=num_nodes
+        )
+        counts[3][root] = triangles
+    if max_cycle_length < 4:
+        return counts
+
+    # Edges b -> c into P, without self-loops and edges out of the root.
+    transpose = compiled.transpose_csr() if csr is not None else None
+    c_nodes, bc_nodes = _gather_rows(last_nodes, transpose, graph.predecessors)
+    keep = (bc_nodes != root) & (bc_nodes != c_nodes)
+    c_nodes, bc_nodes = c_nodes[keep], bc_nodes[keep]
+
+    into = np.bincount(ab_nodes, minlength=num_nodes)  # u_b
+    out_of = np.bincount(bc_nodes, minlength=num_nodes)  # v_b
+    # Reciprocal pairs a <-> b for a ∈ S ∩ P: an a -> b edge of the S gather
+    # whose (a, b) key also appears as a b -> a edge of the P gather.
+    in_first = np.zeros(num_nodes, dtype=bool)
+    in_first[first_nodes] = True
+    from_both = in_last[a_nodes]
+    to_both = in_first[c_nodes]
+    matched = np.intersect1d(
+        a_nodes[from_both] * num_nodes + ab_nodes[from_both],
+        c_nodes[to_both] * num_nodes + bc_nodes[to_both],
+        assume_unique=True,
+    )
+    reciprocal_owner, reciprocal_other = np.divmod(matched, num_nodes)
+    reciprocal_count = np.bincount(reciprocal_owner, minlength=num_nodes)  # |R(a)|
+    middle = into * out_of - np.bincount(reciprocal_other, minlength=num_nodes)
+    quadrilaterals = int(middle.sum())
+    if quadrilaterals:
+        # Weighted bincounts sum integers far below 2**53, so the float64
+        # round trip is exact.
+        first = np.bincount(a_nodes, weights=out_of[ab_nodes], minlength=num_nodes)
+        last = np.bincount(c_nodes, weights=into[bc_nodes], minlength=num_nodes)
+        counts[4] = (
+            first.astype(np.int64) + last.astype(np.int64) - 2 * reciprocal_count + middle
+        )
+        counts[4][root] = quadrilaterals
+    return counts
 
 
-def _cyclerank_scores(
-    cycles: Iterable[Tuple[int, ...]],
-    num_nodes: int,
-    weights: Dict[int, float],
-    *,
-    track_nodes: bool = False,
-) -> Tuple[np.ndarray, Dict[int, int], int]:
-    """Accumulate Equation 1 over a stream of cycles.
+def _cycle_counts(cycles: Iterable[Tuple[int, ...]], num_nodes: int) -> Dict[int, np.ndarray]:
+    """Per-node integer cycle counts, by length, over a stream of cycles.
 
     The stream may come from a shared :class:`CycleSearchEngine` (batches,
     warmed artifacts) or from the dictionary walk (one-off queries on a bare
-    graph); both enumerate the identical cycle sequence, so the accumulated
-    floats are bit-identical either way.  ``track_nodes`` additionally counts
-    the distinct nodes seen on cycles (for :class:`CycleRankStatistics`); it
-    costs one set insertion per cycle node, so the batch path leaves it off.
+    graph); both enumerate the same cycles.  The result has the shape of
+    :func:`_cycle_counts_short`, which agrees with it exactly for ``K <= 4``.
     """
-    scores = np.zeros(num_nodes, dtype=np.float64)
-    cycles_by_length: Dict[int, int] = {}
-    touched: Set[int] = set()
-    if track_nodes:
-        for cycle in cycles:
-            length = len(cycle)
-            weight = weights[length]
-            cycles_by_length[length] = cycles_by_length.get(length, 0) + 1
-            for node in cycle:
-                scores[node] += weight
-                touched.add(node)
-    else:
-        for cycle in cycles:
-            length = len(cycle)
-            weight = weights[length]
-            cycles_by_length[length] = cycles_by_length.get(length, 0) + 1
-            for node in cycle:
-                scores[node] += weight
-    return scores, cycles_by_length, len(touched)
+    members: Dict[int, List[int]] = {}
+    for cycle in cycles:
+        nodes = members.get(len(cycle))
+        if nodes is None:
+            nodes = members[len(cycle)] = []
+        nodes.extend(cycle)
+    return {
+        length: np.bincount(np.asarray(nodes, dtype=np.int64), minlength=num_nodes)
+        for length, nodes in sorted(members.items())
+    }
+
+
+def _weighted_scores(
+    counts: Dict[int, np.ndarray], weights: Dict[int, float], num_nodes: int
+) -> np.ndarray:
+    """Equation 1: ``Σ_n sigma(n) * c_n``, summed in increasing length order.
+
+    Both kernels go through this one sum, so equal counts give bit-identical
+    scores, and nodes with equal count vectors tie exactly.
+    """
+    if not counts:
+        return np.zeros(num_nodes, dtype=np.float64)
+    lengths = sorted(counts)
+    scores = weights[lengths[0]] * counts[lengths[0]]
+    for length in lengths[1:]:
+        scores += weights[length] * counts[length]
+    return scores
 
 
 def _fill_statistics(
-    statistics: Optional[CycleRankStatistics],
-    cycles_by_length: Dict[int, int],
-    nodes_on_cycles: int,
+    statistics: Optional[CycleRankStatistics], counts: Dict[int, np.ndarray], root: int
 ) -> None:
     if statistics is None:
         return
-    statistics.cycles_by_length = dict(sorted(cycles_by_length.items()))
-    statistics.total_cycles = sum(cycles_by_length.values())
-    statistics.nodes_on_cycles = nodes_on_cycles
+    # The root lies on every counted cycle, so its entries are the totals.
+    statistics.cycles_by_length = {
+        length: int(per_node[root]) for length, per_node in counts.items()
+    }
+    statistics.total_cycles = sum(statistics.cycles_by_length.values())
+    statistics.nodes_on_cycles = int(np.count_nonzero(sum(counts.values())))
 
 
 def cyclerank(
@@ -291,11 +328,9 @@ def cyclerank(
     scoring_function, weights = _validate_cyclerank_parameters(max_cycle_length, scoring)
     compiled = compiled_of(graph)
     root = compiled.resolve(reference)
-    track_nodes = statistics is not None
+    num_nodes = compiled.number_of_nodes()
     if max_cycle_length <= _SHORT_KERNEL_MAX_K:
-        scores, cycles_by_length, nodes_on_cycles = _cyclerank_scores_short(
-            compiled, root, max_cycle_length, weights, track_nodes=track_nodes
-        )
+        counts = _cycle_counts_short(compiled, root, max_cycle_length)
     else:
         if compiled.csr_ready:
             # A warmed artifact (platform cache): reuse its compiled arrays.
@@ -309,10 +344,9 @@ def cyclerank(
             cycles = enumerate_cycles_through_dict(
                 compiled.graph, root, max_cycle_length
             )
-        scores, cycles_by_length, nodes_on_cycles = _cyclerank_scores(
-            cycles, compiled.number_of_nodes(), weights, track_nodes=track_nodes
-        )
-    _fill_statistics(statistics, cycles_by_length, nodes_on_cycles)
+        counts = _cycle_counts(cycles, num_nodes)
+    _fill_statistics(statistics, counts, root)
+    scores = _weighted_scores(counts, weights, num_nodes)
     return Ranking(
         scores,
         labels=compiled.labels(),
@@ -335,12 +369,11 @@ def cyclerank_batch(
 ) -> List[Ranking]:
     """Compute CycleRank for many references against one graph.
 
-    The candidate-subgraph machinery — CSR adjacency and transpose in
-    flat-list form, the search engine's preallocated distance/on-path arrays,
-    and the shared label array — is built once and reused by every reference;
-    between references only the entries the previous search touched are
-    reset.  Scores are bit-identical to per-reference :func:`cyclerank`
-    calls.
+    The graph-shaped structures — the CSR and its transpose (read by the
+    closed-form kernel for ``K <= 4``), the search engine with its
+    preallocated scratch arrays (``K >= 5``), and the shared label array —
+    are built once and reused by every reference.  Scores are bit-identical
+    to per-reference :func:`cyclerank` calls.
 
     Parameters
     ----------
@@ -374,14 +407,12 @@ def cyclerank_batch(
     rankings: List[Ranking] = []
     for root in roots:
         if short_kernel:
-            scores, _, _ = _cyclerank_scores_short(compiled, root, max_cycle_length, weights)
+            counts = _cycle_counts_short(compiled, root, max_cycle_length)
         else:
-            scores, _, _ = _cyclerank_scores(
-                engine.cycles_from(root, max_cycle_length), num_nodes, weights
-            )
+            counts = _cycle_counts(engine.cycles_from(root, max_cycle_length), num_nodes)
         rankings.append(
             Ranking(
-                scores,
+                _weighted_scores(counts, weights, num_nodes),
                 labels=labels,
                 algorithm="CycleRank",
                 parameters={

@@ -177,7 +177,7 @@ def personalized_pagerank_batch(
         transition_t=compiled.folded_transition_transpose(alpha),
     )
     # One shared label array for the whole batch (Ranking reuses it as-is).
-    labels = np.asarray(graph.labels(), dtype=str)
+    labels = compiled.labels_array()
     return [
         Ranking(
             scores[:, column],

@@ -21,6 +21,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .._validation import require_positive_int, require_probability
+from ..graph.compiled import compiled_of
 from ..graph.digraph import DirectedGraph
 from ..ranking.result import Ranking
 from .personalized_pagerank import (
@@ -161,7 +162,7 @@ def ppr_montecarlo_batch(
     require_positive_int(max_walk_length, "max_walk_length")
 
     successor_lists = graph.successor_lists()
-    labels = np.asarray(graph.labels(), dtype=str)
+    labels = compiled_of(graph).labels_array()
     results = []
     for reference in references:
         teleport = teleport_vector_for(graph, reference)

@@ -25,6 +25,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .._validation import require_positive_float, require_positive_int, require_probability
+from ..graph.compiled import compiled_of
 from ..graph.digraph import DirectedGraph
 from ..ranking.result import Ranking
 from .personalized_pagerank import (
@@ -183,7 +184,7 @@ def ppr_push_batch(
 
     out_degrees = np.asarray(graph.out_degrees(), dtype=np.float64)
     successor_lists = graph.successor_lists()
-    labels = np.asarray(graph.labels(), dtype=str)
+    labels = compiled_of(graph).labels_array()
     results = []
     for reference in references:
         teleport = teleport_vector_for(graph, reference)

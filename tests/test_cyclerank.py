@@ -67,6 +67,23 @@ class TestBasicProperties:
         for node in range(1, 4):
             assert ranking.score_of(node) == pytest.approx(math.exp(-2) + 4 * math.exp(-3))
 
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_equal_cycle_counts_tie_exactly(self, k):
+        # x and y are mirror images: each lies on one 3-cycle and two
+        # 4-cycles through r, met in a different order by the DFS.  Equal
+        # counts must give equal scores, so the label tie-break applies.
+        graph = DirectedGraph(name="mirror")
+        for label in ["r", "x", "y", "z"]:
+            graph.add_node(label)
+        graph.add_edges_from(
+            [("r", "x"), ("r", "y"), ("x", "y"), ("y", "x"),
+             ("x", "z"), ("y", "z"), ("z", "r")]
+        )
+        ranking = cyclerank(graph, "r", max_cycle_length=k)
+        assert ranking.score_of("x") == ranking.score_of("y")
+        assert ranking.score_of("r") == ranking.score_of("z")
+        assert ranking.top_labels(4) == ["r", "z", "x", "y"]
+
 
 class TestParameters:
     def test_scores_monotonically_non_decreasing_in_k(self, community_graph):

@@ -134,9 +134,9 @@ class TestBatchExactlyEqualsSingle:
         in_degrees = np.asarray(small_graph.in_degrees())
         return [int(node) for node in np.argsort(in_degrees)[::-1][:8]]
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_cyclerank_batch_equals_singles(self, small_graph, references, k):
-        # k <= 3 exercises the counting kernel, k = 4 the shared DFS engine.
+        # k <= 4 exercises the counting kernel, k = 5 the shared DFS engine.
         batched = cyclerank_batch(small_graph, references, max_cycle_length=k)
         singles = [
             cyclerank(small_graph, reference, max_cycle_length=k)
