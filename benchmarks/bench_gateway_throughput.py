@@ -33,7 +33,7 @@ from repro.graph.generators import preferential_attachment_graph
 from repro.platform.gateway import ApiGateway
 from repro.version import __version__
 
-from _harness import output_directory, write_report
+from _harness import write_report
 
 NUM_NODES = int(os.environ.get("REPRO_BENCH_NODES", "5000"))
 NUM_COMPARISONS = 12
@@ -42,14 +42,6 @@ NUM_WORKERS = 4
 #: Fraction of comparisons whose sources repeat an earlier comparison's
 #: (served from the result cache — the "hot" half of the mixed workload).
 HOT_EVERY = 2
-
-#: Saturation curve: worker counts swept for each executor mode.  The point
-#: of the process tier is to saturate *cores*, so the sweep includes the
-#: machine's core count when it exceeds the fixed rungs.
-SATURATION_WORKER_COUNTS = sorted({1, 2, 4, os.cpu_count() or 1})
-#: Independent single-query comparisons per saturation run.  Each one forms
-#: its own batch group, so they spread across the pool's workers.
-SATURATION_COMPARISONS = 8
 
 
 def _labelled_bench_graph():
@@ -218,194 +210,6 @@ def test_bench_gateway_throughput_trajectory(bench_graph):
             ),
         },
     }
-    path = _merge_into_report(payload)
+    path = write_report("BENCH_gateway_throughput.json", json.dumps(payload, indent=2))
     assert path.exists()
 
-
-def _merge_into_report(payload):
-    """Merge ``payload`` into BENCH_gateway_throughput.json, keeping other keys.
-
-    The trajectory test and the saturation test each own a slice of the same
-    report file; whichever runs second must not clobber the first's numbers.
-    """
-    path = output_directory() / "BENCH_gateway_throughput.json"
-    existing = {}
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            existing = {}
-    existing.update(payload)
-    return write_report(
-        "BENCH_gateway_throughput.json", json.dumps(existing, indent=2)
-    )
-
-
-# --------------------------------------------------------------------------- #
-# saturation: thread vs process executor tier across worker counts
-# --------------------------------------------------------------------------- #
-
-def _saturation_workload(graph):
-    """CycleRank-heavy mix: independent single-query comparisons, cold sources.
-
-    CycleRank's bounded-depth cycle enumeration is a pure-Python kernel, so a
-    thread pool serialises on the GIL while the process tier runs one kernel
-    per core over the shared-memory CSR.  Each comparison carries one query
-    with a distinct hub source: distinct groups spread across the pool and
-    nothing repeats, so the result cache never hides executor time.
-    """
-    in_degrees = np.asarray(graph.in_degrees())
-    hubs = [int(node) for node in np.argsort(in_degrees)[::-1]]
-    return [
-        [
-            {
-                "dataset_id": "bench",
-                "algorithm": "cyclerank",
-                "source": graph.label_of(hubs[index]),
-                "parameters": {"k": 3},
-            }
-        ]
-        for index in range(SATURATION_COMPARISONS)
-    ]
-
-
-def _segment_private_dirty_kb(pid):
-    """KiB of *private dirty* memory a worker holds in repro shm mappings.
-
-    Zero-copy means attaching the CSR adds shared (page-cache backed) pages,
-    not private ones — a worker that copied the arrays into its heap would
-    show up here.  Returns ``None`` when smaps is unavailable (non-Linux,
-    restricted /proc).
-    """
-    try:
-        text = open(f"/proc/{pid}/smaps", "r", encoding="utf-8").read()
-    except OSError:
-        return None
-    total_kb = 0
-    in_segment = False
-    for line in text.splitlines():
-        if "-" in line.split(" ", 1)[0] and ":" not in line.split(" ", 1)[0]:
-            # Mapping header line: /dev/shm segments show as "/repro-…".
-            in_segment = "/repro-" in line
-        elif in_segment and line.startswith("Private_Dirty:"):
-            total_kb += int(line.split()[1])
-    return total_kb
-
-
-def _run_saturation(graph, mode, workers, comparisons):
-    catalog = DatasetCatalog()
-    catalog.register_graph("bench", graph, description="gateway saturation bench")
-    with ApiGateway(
-        catalog=catalog, executor_mode=mode, num_workers=workers
-    ) as gateway:
-        # Warm the artifact (and, in process mode, fork the workers and
-        # export the shared segment) so the timed run measures kernels.
-        gateway.run_queries(
-            [{"dataset_id": "bench", "algorithm": "pagerank"}], synchronous=True
-        )
-        began = time.perf_counter()
-        ids = [
-            gateway.run_queries(queries, synchronous=False)
-            for queries in comparisons
-        ]
-        for comparison_id in ids:
-            gateway.wait_for(comparison_id, timeout_seconds=600.0)
-        wall = time.perf_counter() - began
-        for comparison_id in ids:
-            assert gateway.get_status(comparison_id).state.value == "completed"
-        rankings = [gateway.get_rankings(comparison_id)[0] for comparison_id in ids]
-
-        memory = None
-        if mode == "process":
-            handles = gateway.executor_pool.artifacts.active_handles()
-            csr_bytes = sum(handle.csr_bytes for handle in handles)
-            worker_pids = list(gateway.executor_pool._process_pool._processes)
-            private_kb = [
-                kb
-                for kb in (_segment_private_dirty_kb(pid) for pid in worker_pids)
-                if kb is not None
-            ]
-            memory = {
-                "csr_bytes": csr_bytes,
-                "shared_bytes": sum(handle.total_bytes for handle in handles),
-                "workers_sampled": len(private_kb),
-                "segment_private_dirty_kb": private_kb,
-            }
-            # Zero-copy check: workers must not have copied the CSR into
-            # private pages — their private-dirty footprint *inside the
-            # segment mappings* stays a rounding error next to the CSR.
-            if private_kb and csr_bytes > 0:
-                assert max(private_kb) * 1024 < max(csr_bytes // 8, 64 * 1024), (
-                    f"worker private-dirty {max(private_kb)} KiB inside shared "
-                    f"segments rivals the {csr_bytes}-byte CSR — not zero-copy"
-                )
-    return wall, rankings, memory
-
-
-@pytest.mark.benchmark(group="gateway-throughput")
-def test_bench_gateway_saturation_curve(bench_graph):
-    """Sweep worker counts across both executor tiers; extend the report.
-
-    Writes the ``saturation`` section of BENCH_gateway_throughput.json: wall
-    clock and comparisons/second for every (mode, workers) cell, the
-    process-over-thread speedup at each rung, and the zero-copy memory
-    numbers for the process tier.  The ≥2.5x speedup acceptance gate only
-    arms on machines with at least 4 cores — on smaller runners the curve is
-    still recorded, there is just no parallelism to claim.
-    """
-    comparisons = _saturation_workload(bench_graph)
-    cells = {}
-    baseline_rankings = None
-    for mode in ("thread", "process"):
-        for workers in SATURATION_WORKER_COUNTS:
-            wall, rankings, memory = _run_saturation(
-                bench_graph, mode, workers, comparisons
-            )
-            cell = {
-                "wall_seconds": wall,
-                "comparisons_per_second": SATURATION_COMPARISONS / wall,
-            }
-            if memory is not None:
-                cell["memory"] = memory
-            cells[f"{mode}-{workers}"] = cell
-            # Every cell must agree bit-for-bit with the first one measured.
-            if baseline_rankings is None:
-                baseline_rankings = rankings
-            else:
-                for ours, reference in zip(rankings, baseline_rankings):
-                    assert np.array_equal(ours.scores, reference.scores), (
-                        f"{mode} x{workers} diverged from the baseline rankings"
-                    )
-
-    speedups = {
-        workers: cells[f"thread-{workers}"]["wall_seconds"]
-        / cells[f"process-{workers}"]["wall_seconds"]
-        for workers in SATURATION_WORKER_COUNTS
-    }
-    cores = os.cpu_count() or 1
-    payload = {
-        "saturation": {
-            "workload": {
-                "comparisons": SATURATION_COMPARISONS,
-                "algorithm": "cyclerank",
-                "parameters": {"k": 3},
-                "worker_counts": SATURATION_WORKER_COUNTS,
-            },
-            "cores": cores,
-            "cells": cells,
-            "process_over_thread_speedup": {
-                str(workers): value for workers, value in speedups.items()
-            },
-        }
-    }
-    path = _merge_into_report(payload)
-    assert path.exists()
-
-    if cores >= 4 and 4 in speedups:
-        # The acceptance gate: with four real cores, four process workers
-        # must beat four GIL-bound threads by a wide margin on this
-        # pure-Python kernel mix.
-        assert speedups[4] >= 2.5, (
-            f"process tier speedup at 4 workers is {speedups[4]:.2f}x "
-            f"(< 2.5x) on a {cores}-core machine"
-        )

@@ -15,11 +15,7 @@ Drives the full system the way the web demo does:
    marked back up — no manual intervention at any step;
 7. follow one comparison through the observability layer: submit it,
    reconstruct its span waterfall from the recorded trace, and scrape the
-   Prometheus ``/metrics`` exposition the gateway serves;
-8. run the same comparison on the cross-process compute tier
-   (``executor_mode="process"``): batch kernels execute in worker
-   processes sharing one zero-copy CSR through shared memory, so heavy
-   pure-Python mixes scale with cores instead of queueing on the GIL.
+   Prometheus ``/metrics`` exposition the gateway serves.
 
 Run with::
 
@@ -160,39 +156,6 @@ def observability_walkthrough() -> None:
             print(f"  {line}")
 
 
-def multicore_walkthrough() -> None:
-    """Step 8: the same comparison on the cross-process compute tier."""
-    print("=" * 72)
-    print("Multi-core serving: batch kernels in worker processes")
-    print("=" * 72)
-
-    # executor_mode="process" swaps the thread pool for worker processes
-    # that map each dataset's compiled CSR zero-copy from shared memory —
-    # a CycleRank-heavy mix scales with cores instead of queueing on the
-    # GIL.  Everything else (submission, events, caching, tracing) is
-    # identical.
-    with ApiGateway(executor_mode="process", num_workers=2) as gateway:
-        comparison_id = gateway.run_queries(
-            [
-                {"dataset_id": "enwiki-2018", "algorithm": "cyclerank",
-                 "source": "Fake news", "parameters": {"k": 3}},
-                {"dataset_id": "enwiki-2018", "algorithm": "pagerank"},
-            ],
-            synchronous=True,
-        )
-        rankings = gateway.get_rankings(comparison_id)
-        print(f"comparison {comparison_id} finished: "
-              f"{len(rankings)} rankings, bit-identical to the thread tier\n")
-
-        executors = gateway.get_platform_stats()["executors"]
-        print(f"executor tier: mode={executors['mode']} "
-              f"workers={executors['num_workers']} "
-              f"executed={executors['executed_queries']}")
-        print(f"shared segments: {executors['segments']} "
-              f"({executors['shared_bytes']} bytes of CSR shared by all workers, "
-              f"zero copies)")
-
-
 def main() -> None:
     with ApiGateway(num_workers=2) as gateway:
         ui = WebUI(gateway)
@@ -245,9 +208,6 @@ def main() -> None:
 
     # Step 7: the observability layer explains where the time went.
     observability_walkthrough()
-
-    # Step 8: the same serving path, one kernel per core.
-    multicore_walkthrough()
 
 
 if __name__ == "__main__":

@@ -135,12 +135,6 @@ class Algorithm(ABC):
     #: Static description; subclasses must override.
     spec: AlgorithmSpec
 
-    #: Algorithms whose kernels coordinate with in-process state (locks,
-    #: events, test gates) set this to ``True`` so the process executor
-    #: tier keeps them on the submitting process instead of shipping them
-    #: to a worker, where that state would be a meaningless fork-time copy.
-    process_local: bool = False
-
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #

@@ -227,13 +227,6 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
 def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
     """Attach the compute-tier flags shared by run/compare/serve."""
     parser.add_argument(
-        "--executor-mode",
-        choices=("thread", "process"),
-        help="executor tier: 'thread' (default) runs batch kernels in-process; "
-        "'process' runs them on worker processes mapping the compiled graph "
-        "zero-copy from shared memory, scaling CPU-bound batches across cores",
-    )
-    parser.add_argument(
         "--workers", type=int, default=2, help="number of executor nodes in the pool"
     )
 
@@ -498,17 +491,9 @@ def _print_telemetry_stats(stats: Dict[str, object]) -> None:
 
 def _print_executor_stats(stats: Dict[str, object]) -> None:
     """Print the ``executors`` stats section as one compact line."""
-    segments = ""
-    if stats.get("mode") == "process":
-        segments = (
-            f", {stats.get('segments', 0)} shared segment(s) "
-            f"({stats.get('shared_bytes', 0)} bytes), "
-            f"{stats.get('worker_crashes', 0)} worker crash(es)"
-        )
     print(
-        f"executors: {stats.get('mode')} mode, "
-        f"{stats.get('busy_workers', 0)}/{stats.get('num_workers', 0)} busy, "
-        f"{stats.get('executed_queries', 0)} queries executed{segments}"
+        f"executors: {stats.get('busy_workers', 0)}/{stats.get('num_workers', 0)} busy, "
+        f"{stats.get('executed_queries', 0)} queries executed"
     )
 
 
@@ -856,8 +841,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         gateway_options["admission_retry_after_seconds"] = arguments.admission_retry_after
     if workers is not None:
         gateway_options["num_workers"] = workers
-    if getattr(arguments, "executor_mode", None) is not None:
-        gateway_options["executor_mode"] = arguments.executor_mode
     if getattr(arguments, "read_consistency", None) is not None:
         gateway_options["read_consistency"] = arguments.read_consistency
     try:

@@ -26,16 +26,14 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..exceptions import GraphError
 from .csr import CSRGraph
 from .digraph import DirectedGraph
 
-__all__ = ["CompiledGraph", "SharedGraphHandle", "compiled_of"]
+__all__ = ["CompiledGraph", "compiled_of"]
 
 #: Distinct (alpha, direction) folded transition matrices retained per
 #: artifact; production traffic uses one or two alphas, so a handful covers
@@ -45,224 +43,6 @@ MAX_FOLDED_TRANSITIONS = 8
 #: Flat adjacency lists: (indptr, indices) for the forward graph followed by
 #: (indptr, indices) for the transpose, all as plain Python int lists.
 AdjacencyLists = Tuple[List[int], List[int], List[int], List[int]]
-
-#: Alignment of each array inside a shared segment; 64 bytes keeps every
-#: array cache-line aligned regardless of the preceding array's length.
-_SHARED_ALIGNMENT = 64
-
-#: Byte length of the version stamp written at the start of every shared
-#: segment (one little-endian int64, re-checked on attach).
-_SHARED_STAMP_BYTES = 8
-
-
-@dataclass(frozen=True)
-class SharedGraphHandle:
-    """A picklable description of a :class:`CompiledGraph` exported to shared memory.
-
-    The handle is everything a worker process needs to rebuild a read-only
-    artifact over the exported buffers: the ``multiprocessing.shared_memory``
-    segment name, the byte layout of each array (offset, shape, dtype string)
-    and provenance (graph name, dataset version).  The arrays themselves
-    never travel through the handle — only their coordinates do, so shipping
-    a handle to a worker costs a few hundred bytes regardless of graph size.
-
-    ``version`` is stamped into the first 8 bytes of the segment at export
-    time; :meth:`CompiledGraph.from_shared` re-reads the stamp on attach and
-    refuses a mismatch, mirroring the datastore's publish-time version
-    recheck so a worker can never compute on a stale CSR.
-    """
-
-    segment: str
-    version: int
-    graph_name: str
-    num_nodes: int
-    num_edges: int
-    total_bytes: int
-    #: array name -> (byte offset, shape tuple, dtype string)
-    layout: Dict[str, Tuple[int, Tuple[int, ...], str]] = field(default_factory=dict)
-
-    @property
-    def csr_bytes(self) -> int:
-        """Return the bytes of the CSR structure proper (indptr + indices, both
-        directions) — the figure worker RSS deltas are compared against."""
-        return int(
-            sum(
-                int(np.prod(shape)) * np.dtype(dtype).itemsize
-                for name, (_, shape, dtype) in self.layout.items()
-                if name in ("indptr", "indices", "t_indptr", "t_indices")
-            )
-        )
-
-
-class _SharedGraphView:
-    """Label-resolving facade over shared CSR buffers.
-
-    Stands in for the :class:`DirectedGraph` a :class:`CompiledGraph` wraps:
-    it offers exactly the surface the algorithm kernels touch through the
-    artifact's ``__getattr__`` fallback — ``resolve``/``has_label``/
-    ``label_of``/``labels``/``number_of_nodes``/``name`` — backed by the
-    attached arrays, with no adjacency dictionaries of its own.
-    """
-
-    def __init__(
-        self,
-        csr: CSRGraph,
-        transpose: CSRGraph,
-        labels: np.ndarray,
-        *,
-        keepalive=None,
-    ) -> None:
-        self._csr = csr
-        self._transpose = transpose
-        self._shared_labels = labels
-        self._label_index: Optional[Dict[str, int]] = None
-        #: The attached SharedMemory object(s); held so the exported buffers
-        #: outlive every array view handed out by this graph.
-        self._keepalive = keepalive
-
-    @property
-    def name(self) -> str:
-        return self._csr.name
-
-    def number_of_nodes(self) -> int:
-        return self._csr.number_of_nodes()
-
-    def number_of_edges(self) -> int:
-        return self._csr.number_of_edges()
-
-    def to_csr(self) -> CSRGraph:
-        return self._csr
-
-    def out_degrees(self) -> List[int]:
-        return self._csr.out_degrees().tolist()
-
-    def labels(self) -> List[str]:
-        return self._shared_labels.tolist()
-
-    def label_of(self, node: int) -> str:
-        if not 0 <= node < self.number_of_nodes():
-            from ..exceptions import NodeNotFoundError
-
-            raise NodeNotFoundError(node)
-        return str(self._shared_labels[node])
-
-    def _index(self) -> Dict[str, int]:
-        if self._label_index is None:
-            self._label_index = {
-                str(label): node for node, label in enumerate(self._shared_labels)
-            }
-        return self._label_index
-
-    def has_label(self, label: str) -> bool:
-        return label in self._index()
-
-    def node_for_label(self, label: str) -> int:
-        node = self._index().get(label)
-        if node is None:
-            from ..exceptions import NodeNotFoundError
-
-            raise NodeNotFoundError(label)
-        return node
-
-    def resolve(self, ref) -> int:
-        if isinstance(ref, str):
-            return self.node_for_label(ref)
-        node = int(ref)
-        if not 0 <= node < self.number_of_nodes():
-            from ..exceptions import NodeNotFoundError
-
-            raise NodeNotFoundError(ref)
-        return node
-
-    def nodes(self) -> range:
-        return range(self.number_of_nodes())
-
-    def successors(self, ref) -> set:
-        row = self._csr.successors(self.resolve(ref))
-        return {int(node) for node in row}
-
-    def predecessors(self, ref) -> set:
-        row = self._transpose.successors(self.resolve(ref))
-        return {int(node) for node in row}
-
-    def out_degree(self, ref) -> int:
-        node = self.resolve(ref)
-        indptr = self._csr.indptr
-        return int(indptr[node + 1] - indptr[node])
-
-    def in_degree(self, ref) -> int:
-        node = self.resolve(ref)
-        indptr = self._transpose.indptr
-        return int(indptr[node + 1] - indptr[node])
-
-    def in_degrees(self) -> List[int]:
-        return self._transpose.out_degrees().tolist()
-
-    def flattened_successors(self) -> List[int]:
-        return self._csr.indices.tolist()
-
-    def successor_lists(self) -> List[Tuple[int, ...]]:
-        # Sorted tuples, mirroring DirectedGraph.successor_lists so the
-        # traversal-heavy kernels visit neighbours in the identical order.
-        return [
-            tuple(sorted(self._csr.successors(node).tolist()))
-            for node in range(self.number_of_nodes())
-        ]
-
-    def predecessor_lists(self) -> List[Tuple[int, ...]]:
-        return [
-            tuple(sorted(self._transpose.successors(node).tolist()))
-            for node in range(self.number_of_nodes())
-        ]
-
-    def has_edge(self, source, target) -> bool:
-        try:
-            u = self.resolve(source)
-            v = self.resolve(target)
-        except Exception:
-            return False
-        return bool(np.any(self._csr.successors(u) == v))
-
-    def has_self_loop(self, ref) -> bool:
-        node = self.resolve(ref)
-        return bool(np.any(self._csr.successors(node) == node))
-
-    def transpose(self, name: Optional[str] = None) -> "_SharedGraphView":
-        """Return the reversed graph as a view sharing the same buffers."""
-        view = _SharedGraphView(
-            self._transpose, self._csr, self._shared_labels,
-            keepalive=self._keepalive,
-        )
-        if name is not None:
-            view._csr = CSRGraph(
-                self._transpose.indptr, self._transpose.indices, name=name
-            )
-        return view
-
-    def __len__(self) -> int:
-        return self.number_of_nodes()
-
-    def __contains__(self, ref: object) -> bool:
-        try:
-            self.resolve(ref)
-        except Exception:
-            return False
-        return True
-
-    def __iter__(self):
-        return iter(range(self.number_of_nodes()))
-
-    def __repr__(self) -> str:
-        return (
-            f"<_SharedGraphView {self.name!r} with {self.number_of_nodes()} nodes "
-            f"and {self.number_of_edges()} edges>"
-        )
-
-
-def _aligned(offset: int) -> int:
-    """Round ``offset`` up to the shared-segment array alignment."""
-    remainder = offset % _SHARED_ALIGNMENT
-    return offset if remainder == 0 else offset + (_SHARED_ALIGNMENT - remainder)
 
 
 class CompiledGraph:
@@ -449,138 +229,6 @@ class CompiledGraph:
                 if self._labels_array is None:
                     self._labels_array = np.asarray(labels, dtype=str)
         return self._labels_array
-
-    # ------------------------------------------------------------------ #
-    # cross-process serialisation seam
-    # ------------------------------------------------------------------ #
-    def to_shared(self, *, segment: str, version: int = 0):
-        """Export the compiled arrays into one shared-memory segment.
-
-        Everything the numerical kernels read — CSR ``indptr``/``indices``,
-        the transpose pair, out-degrees, the dangling mask and the label
-        array — is copied once into a single
-        :class:`multiprocessing.shared_memory.SharedMemory` segment named
-        ``segment``, prefixed with a ``version`` stamp.  Returns
-        ``(handle, shm)``: the picklable :class:`SharedGraphHandle` to ship
-        to workers and the owning segment object (the caller controls its
-        lifecycle — ``close()``/``unlink()`` on artifact invalidation).
-
-        Worker processes reconstruct a read-only artifact over the same
-        physical pages with :meth:`from_shared`; no per-worker copy of the
-        graph is ever made.
-        """
-        from multiprocessing import shared_memory
-
-        arrays: Dict[str, np.ndarray] = {
-            "indptr": self.to_csr().indptr,
-            "indices": self.to_csr().indices,
-            "t_indptr": self.transpose_csr().indptr,
-            "t_indices": self.transpose_csr().indices,
-            "out_degrees": np.ascontiguousarray(self.out_degrees(), dtype=np.int64),
-            "dangling": np.ascontiguousarray(self.dangling_mask(), dtype=np.float64),
-            "labels": np.ascontiguousarray(self.labels_array()),
-        }
-        layout: Dict[str, Tuple[int, Tuple[int, ...], str]] = {}
-        offset = _SHARED_STAMP_BYTES
-        for name, array in arrays.items():
-            offset = _aligned(offset)
-            layout[name] = (offset, tuple(array.shape), array.dtype.str)
-            offset += array.nbytes
-        shm = shared_memory.SharedMemory(name=segment, create=True, size=max(offset, 1))
-        try:
-            np.frombuffer(shm.buf, dtype=np.int64, count=1)[0] = int(version)
-            for name, array in arrays.items():
-                start, shape, dtype = layout[name]
-                destination = np.frombuffer(
-                    shm.buf, dtype=np.dtype(dtype), count=int(np.prod(shape)),
-                    offset=start,
-                ).reshape(shape)
-                destination[...] = array
-        except BaseException:
-            shm.close()
-            shm.unlink()
-            raise
-        handle = SharedGraphHandle(
-            segment=shm.name,
-            version=int(version),
-            graph_name=str(getattr(self._graph, "name", "") or ""),
-            num_nodes=self.to_csr().number_of_nodes(),
-            num_edges=self.to_csr().number_of_edges(),
-            total_bytes=offset,
-            layout=layout,
-        )
-        return handle, shm
-
-    @classmethod
-    def from_shared(cls, handle: SharedGraphHandle) -> "CompiledGraph":
-        """Reconstruct a read-only artifact over an exported segment.
-
-        Attaches to ``handle.segment`` and builds a :class:`CompiledGraph`
-        whose CSR, transpose, out-degree, dangling-mask and label structures
-        are zero-copy views over the shared buffers — nothing is rebuilt and
-        nothing is copied.  The version stamp written by :meth:`to_shared`
-        is re-checked against the handle before any array is trusted: a
-        mismatch (the exporter re-published for a newer dataset upload)
-        raises :class:`~repro.exceptions.GraphError` instead of silently
-        serving a stale CSR.
-
-        The attach is registered as a *borrow*: the segment is closed when
-        the returned artifact is garbage collected, and never unlinked (the
-        exporting process owns the name).
-        """
-        from multiprocessing import shared_memory
-
-        # A borrowing process must not let the resource tracker "clean up"
-        # (unlink) a segment it does not own: suppress the tracker
-        # registration that SharedMemory performs on attach (Python < 3.13
-        # has no ``track=False``).  Only the exporting process registers the
-        # name, so leak protection on crash stays with the owner.
-        from multiprocessing import resource_tracker
-
-        original_register = resource_tracker.register
-
-        def _borrowing_register(name, rtype):  # pragma: no cover - trivial
-            if rtype != "shared_memory":
-                original_register(name, rtype)
-
-        resource_tracker.register = _borrowing_register
-        try:
-            shm = shared_memory.SharedMemory(name=handle.segment, create=False)
-        except FileNotFoundError:
-            raise GraphError(
-                f"shared graph segment {handle.segment!r} no longer exists "
-                "(artifact invalidated)"
-            ) from None
-        finally:
-            resource_tracker.register = original_register
-        stamped = int(np.frombuffer(shm.buf, dtype=np.int64, count=1)[0])
-        if stamped != int(handle.version):
-            shm.close()
-            raise GraphError(
-                f"shared graph segment {handle.segment!r} carries version "
-                f"{stamped}, expected {handle.version} (stale artifact)"
-            )
-        views: Dict[str, np.ndarray] = {}
-        for name, (start, shape, dtype) in handle.layout.items():
-            view = np.frombuffer(
-                shm.buf, dtype=np.dtype(dtype), count=int(np.prod(shape)),
-                offset=start,
-            ).reshape(shape)
-            view.flags.writeable = False
-            views[name] = view
-        csr = CSRGraph(views["indptr"], views["indices"], name=handle.graph_name)
-        transpose = CSRGraph(
-            views["t_indptr"],
-            views["t_indices"],
-            name=(handle.graph_name + "-transposed") if handle.graph_name else "",
-        )
-        graph_view = _SharedGraphView(csr, transpose, views["labels"], keepalive=shm)
-        compiled = cls(graph_view, csr=csr)
-        compiled._transpose = transpose
-        compiled._out_degrees = views["out_degrees"]
-        compiled._dangling = views["dangling"]
-        compiled._labels_array = views["labels"]
-        return compiled
 
     # ------------------------------------------------------------------ #
     # graph facade

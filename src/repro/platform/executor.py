@@ -8,43 +8,32 @@ the results to the API gateway."
 :class:`ExecutorNode` runs a single query — fetch the dataset graph, run the
 algorithm, time it, log the milestones — and :class:`ExecutorPool` manages a
 configurable number of worker threads that execute queries concurrently.
+The pool is the platform's only executor tier: workers run in-process and
+share each dataset's cached :class:`~repro.graph.compiled.CompiledGraph`
+directly, and :meth:`ExecutorPool.scale_to` resizes the pool at runtime.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .._validation import require_positive_int
 from ..algorithms.registry import get_algorithm
-from ..exceptions import AlgorithmNotFoundError, DeadlineExceededError, ExecutorError
-from ..graph.compiled import CompiledGraph, SharedGraphHandle
+from ..exceptions import ExecutorError
 from ..graph.digraph import DirectedGraph
 from ..ranking.result import Ranking
 from .datastore import DataStore
-from .resilience import current_deadline, deadline_scope
-from .shared_artifacts import SharedArtifactRegistry
 from .tasks import Query
-from .telemetry import child_span, current_span, trace_scope
+from .telemetry import child_span
 
-__all__ = [
-    "BatchExecutionOutcome",
-    "ExecutionOutcome",
-    "ExecutorNode",
-    "ExecutorPool",
-    "ProcessExecutorPool",
-]
+__all__ = ["BatchExecutionOutcome", "ExecutionOutcome", "ExecutorNode", "ExecutorPool"]
 
-#: Prometheus-style histogram fed by both pool flavours, labelled by mode so
-#: thread vs process batch latency is directly comparable on one scrape
-#: (exposed as ``repro_executor_batch_ms`` — the registry adds the prefix).
+#: Prometheus-style histogram of batch round-trip latency (exposed as
+#: ``repro_executor_batch_ms`` — the registry adds the prefix).
 BATCH_LATENCY_METRIC = "executor_batch_ms"
 
 
@@ -72,28 +61,6 @@ class BatchExecutionOutcome:
     executor_name: str
 
 
-def _require_uniform_batch(queries: Sequence[Query]) -> Query:
-    """Validate that a batch shares one (dataset, algorithm, parameters).
-
-    Returns the first query of the batch for convenience.
-    """
-    if not queries:
-        raise ExecutorError("cannot execute an empty batch of queries")
-    first = queries[0]
-    for query in queries[1:]:
-        if (
-            query.dataset_id != first.dataset_id
-            or query.algorithm != first.algorithm
-            or dict(query.parameters) != dict(first.parameters)
-        ):
-            raise ExecutorError(
-                "batched queries must share one dataset, algorithm and parameter "
-                f"set; got ({first.dataset_id!r}, {first.algorithm!r}) vs "
-                f"({query.dataset_id!r}, {query.algorithm!r})"
-            )
-    return first
-
-
 class ExecutorNode:
     """One computational node: executes queries against datasets.
 
@@ -116,11 +83,6 @@ class ExecutorNode:
         """Return how many queries this node has executed."""
         with self._lock:
             return self._executed
-
-    def _note_executed(self, count: int) -> None:
-        """Credit ``count`` queries executed on this node's behalf elsewhere."""
-        with self._lock:
-            self._executed += count
 
     def execute(self, query: Query, graph: DirectedGraph, *, log_id: Optional[str] = None) -> ExecutionOutcome:
         """Run ``query`` against ``graph`` and return the outcome.
@@ -187,7 +149,20 @@ class ExecutorNode:
             also written to the task log).
         """
         queries = list(queries)
-        first = _require_uniform_batch(queries)
+        if not queries:
+            raise ExecutorError("cannot execute an empty batch of queries")
+        first = queries[0]
+        for query in queries[1:]:
+            if (
+                query.dataset_id != first.dataset_id
+                or query.algorithm != first.algorithm
+                or dict(query.parameters) != dict(first.parameters)
+            ):
+                raise ExecutorError(
+                    "batched queries must share one dataset, algorithm and parameter "
+                    f"set; got ({first.dataset_id!r}, {first.algorithm!r}) vs "
+                    f"({query.dataset_id!r}, {query.algorithm!r})"
+                )
         log_id = log_id or "executor"
         algorithm = get_algorithm(first.algorithm)
         self._datastore.append_log(
@@ -250,12 +225,9 @@ class ExecutorPool:
         system's workload" property.
     metrics:
         Optional :class:`~repro.platform.telemetry.MetricsRegistry`; when
-        given, batch round-trip latency is recorded in the mode-labelled
+        given, batch round-trip latency is recorded in the
         ``repro_executor_batch_ms`` histogram.
     """
-
-    #: Label carried on stats sections and latency histograms.
-    mode = "thread"
 
     def __init__(
         self, datastore: DataStore, *, num_workers: int = 2, metrics: Any = None
@@ -285,15 +257,6 @@ class ExecutorPool:
         with self._busy_lock:
             return self._busy
 
-    def _observe_batch(self, elapsed_seconds: float) -> None:
-        if self._metrics is not None:
-            self._metrics.observe(
-                BATCH_LATENCY_METRIC,
-                elapsed_seconds * 1000.0,
-                help="Executor batch round-trip latency in milliseconds.",
-                mode=self.mode,
-            )
-
     def _run_batch_tracked(
         self,
         node: ExecutorNode,
@@ -310,15 +273,16 @@ class ExecutorPool:
         finally:
             with self._busy_lock:
                 self._busy -= 1
-            self._observe_batch(time.perf_counter() - started)
-
-    def invalidate_artifact(self, dataset_id: str) -> None:
-        """Drop any per-dataset executor state (no-op for the thread tier)."""
+            if self._metrics is not None:
+                self._metrics.observe(
+                    BATCH_LATENCY_METRIC,
+                    (time.perf_counter() - started) * 1000.0,
+                    help="Executor batch round-trip latency in milliseconds.",
+                )
 
     def stats(self) -> Dict[str, Any]:
         """Structured readout for the ``executors`` stats section."""
         return {
-            "mode": self.mode,
             "num_workers": self.num_workers,
             "busy_workers": self.busy_workers,
             "executed_queries": self.total_executed(),
@@ -404,296 +368,3 @@ class ExecutorPool:
         with self._lock:
             return sum(node.executed_queries for node in self._nodes)
 
-
-# --------------------------------------------------------------------------- #
-# process executor tier
-# --------------------------------------------------------------------------- #
-
-#: Worker-side attach cache: (segment, version) -> CompiledGraph view.  Keeps
-#: hot artifacts mapped across batches so repeated queries pay the attach
-#: syscall once.  Bounded so a worker outliving many re-uploads does not pin
-#: an unbounded number of dead segments.
-_WORKER_ATTACH_CACHE: "OrderedDict[Tuple[str, int], CompiledGraph]" = OrderedDict()
-_WORKER_ATTACH_MAX = 8
-
-
-def _attach_shared_graph(handle: SharedGraphHandle) -> CompiledGraph:
-    key = (handle.segment, handle.version)
-    cached = _WORKER_ATTACH_CACHE.get(key)
-    if cached is not None:
-        _WORKER_ATTACH_CACHE.move_to_end(key)
-        return cached
-    compiled = CompiledGraph.from_shared(handle)
-    _WORKER_ATTACH_CACHE[key] = compiled
-    while len(_WORKER_ATTACH_CACHE) > _WORKER_ATTACH_MAX:
-        _WORKER_ATTACH_CACHE.popitem(last=False)
-    return compiled
-
-
-def _process_worker_batch(
-    handle: SharedGraphHandle,
-    algorithm_name: str,
-    sources: List[Any],
-    parameters: Dict[str, Any],
-) -> Dict[str, Any]:
-    """Run one batch inside a worker process over a shared-memory graph.
-
-    Always returns a status dict (never raises): exceptions are shipped back
-    as typed payloads so the parent can convert them to :class:`ExecutorError`
-    with the worker pid attached, and an algorithm missing from this worker's
-    registry snapshot (e.g. registered in the parent after the fork) is
-    reported as ``unavailable`` so the parent falls back to in-process
-    execution instead of failing the batch.
-    """
-    started = time.perf_counter()
-    try:
-        algorithm = get_algorithm(algorithm_name)
-    except AlgorithmNotFoundError:
-        return {"status": "unavailable", "pid": os.getpid()}
-    try:
-        graph = _attach_shared_graph(handle)
-        rankings = algorithm.run_batch(
-            graph, sources=list(sources), parameters=dict(parameters)
-        )
-    except Exception as error:
-        return {
-            "status": "error",
-            "pid": os.getpid(),
-            "error_type": type(error).__name__,
-            "message": str(error),
-        }
-    return {
-        "status": "ok",
-        "pid": os.getpid(),
-        "elapsed_seconds": time.perf_counter() - started,
-        "rankings": list(rankings),
-    }
-
-
-class ProcessExecutorPool(ExecutorPool):
-    """Executor pool whose batch kernels run in worker *processes*.
-
-    Same surface as :class:`ExecutorPool`, but ``submit_batch`` /
-    ``execute_batch_sync`` cross a process boundary: the per-dataset
-    :class:`~repro.graph.compiled.CompiledGraph` is exported once into shared
-    memory (via :class:`~repro.platform.shared_artifacts.SharedArtifactRegistry`)
-    and workers map it zero-copy — only the algorithm name, sources and
-    parameters are pickled out, only :class:`~repro.ranking.result.Ranking`
-    payloads come back.  Scheduler plumbing (``submit_work`` group closures,
-    single-query ``submit``/``execute_sync``) stays in-process where
-    thread-local deadlines, traces and datastore access live.
-
-    Worker crashes surface as :class:`ExecutorError` — never a hung future —
-    and the broken pool is rebuilt so subsequent submissions succeed.
-    """
-
-    mode = "process"
-
-    def __init__(
-        self, datastore: DataStore, *, num_workers: int = 2, metrics: Any = None
-    ) -> None:
-        super().__init__(datastore, num_workers=num_workers, metrics=metrics)
-        self.artifacts = SharedArtifactRegistry(datastore)
-        start_methods = multiprocessing.get_all_start_methods()
-        # fork inherits the parent's algorithm-registry snapshot for free;
-        # spawn (macOS/Windows) re-imports the package, which re-registers
-        # the built-ins — test-registered algorithms use the fallback path.
-        self._mp_context = multiprocessing.get_context(
-            "fork" if "fork" in start_methods else "spawn"
-        )
-        self._process_lock = threading.Lock()
-        self._worker_crashes = 0
-        self._process_pool = ProcessPoolExecutor(
-            max_workers=num_workers, mp_context=self._mp_context
-        )
-
-    # -- lifecycle ------------------------------------------------------ #
-    def scale_to(self, num_workers: int) -> None:
-        super().scale_to(num_workers)
-        with self._process_lock:
-            old_pool = self._process_pool
-            self._process_pool = ProcessPoolExecutor(
-                max_workers=num_workers, mp_context=self._mp_context
-            )
-        old_pool.shutdown(wait=True)
-
-    def shutdown(self) -> None:
-        super().shutdown()
-        with self._process_lock:
-            pool = self._process_pool
-        pool.shutdown(wait=True)
-        self.artifacts.close()
-
-    def invalidate_artifact(self, dataset_id: str) -> None:
-        """Unlink the shared segment for ``dataset_id`` (re-upload/drop)."""
-        self.artifacts.invalidate(dataset_id)
-
-    def stats(self) -> Dict[str, Any]:
-        out = super().stats()
-        out["worker_crashes"] = self._worker_crashes
-        out.update(self.artifacts.stats())
-        return out
-
-    # -- dispatch ------------------------------------------------------- #
-    def _dispatch(
-        self,
-        handle: SharedGraphHandle,
-        algorithm_name: str,
-        sources: List[Any],
-        parameters: Dict[str, Any],
-    ) -> Dict[str, Any]:
-        with self._process_lock:
-            pool = self._process_pool
-        try:
-            future = pool.submit(
-                _process_worker_batch, handle, algorithm_name, sources, parameters
-            )
-            return future.result()
-        except BrokenProcessPool as exc:
-            self._rebuild_process_pool(pool)
-            raise ExecutorError(
-                f"executor worker process crashed mid-batch: {exc}"
-            ) from exc
-
-    def _rebuild_process_pool(self, broken: ProcessPoolExecutor) -> None:
-        with self._process_lock:
-            if self._process_pool is broken:
-                self._worker_crashes += 1
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=self.num_workers, mp_context=self._mp_context
-                )
-        broken.shutdown(wait=False)
-
-    # -- batch execution ------------------------------------------------ #
-    def submit_batch(
-        self,
-        queries: Sequence[Query],
-        graph: DirectedGraph,
-        *,
-        log_id: Optional[str] = None,
-    ) -> "Future[BatchExecutionOutcome]":
-        """Submit a batch; the round-trip blocks one *thread*, not a core.
-
-        The caller's deadline and trace context are thread-local, so they are
-        captured here and re-installed on the pool thread that performs the
-        process round-trip — late results are still discarded and executor
-        spans still land in the parent trace.
-        """
-        deadline = current_deadline()
-        span = current_span()
-        with self._lock:
-            pool = self._pool
-
-        def run() -> BatchExecutionOutcome:
-            with trace_scope(span), deadline_scope(deadline):
-                return self.execute_batch_sync(queries, graph, log_id=log_id)
-
-        return pool.submit(run)
-
-    def execute_batch_sync(
-        self,
-        queries: Sequence[Query],
-        graph: DirectedGraph,
-        *,
-        log_id: Optional[str] = None,
-    ) -> BatchExecutionOutcome:
-        queries = list(queries)
-        first = _require_uniform_batch(queries)
-        log_id = log_id or "executor"
-        algorithm = get_algorithm(first.algorithm)
-        node, _ = self._next_node()
-        if algorithm.process_local:
-            # The kernel coordinates with in-process state (locks, events,
-            # test gates); a worker would only see a fork-time copy of it.
-            return self._run_batch_tracked(node, queries, graph, log_id=log_id)
-        deadline = current_deadline()
-        if deadline is not None and deadline.expired():
-            raise DeadlineExceededError(
-                f"deadline expired before process dispatch of "
-                f"{algorithm.display_name} batch on {first.dataset_id}"
-            )
-        compiled = graph if isinstance(graph, CompiledGraph) else CompiledGraph(graph)
-        self._datastore.append_log(
-            log_id,
-            f"[{node.name}] start batch of {len(queries)} x {algorithm.display_name} "
-            f"on {first.dataset_id} (process)",
-        )
-        with self._busy_lock:
-            self._busy += 1
-        started = time.perf_counter()
-        try:
-            with child_span(
-                "executor_run", executor=node.name, algorithm=algorithm.name,
-                dataset=first.dataset_id, batch=len(queries), mode="process",
-            ) as span:
-                handle, release = self.artifacts.lease(first.dataset_id, compiled)
-                try:
-                    response = self._dispatch(
-                        handle,
-                        algorithm.name,
-                        [query.source for query in queries],
-                        dict(first.parameters),
-                    )
-                except ExecutorError as exc:
-                    self._datastore.append_log(
-                        log_id,
-                        f"[{node.name}] FAILED batch {algorithm.display_name}: {exc}",
-                    )
-                    raise
-                finally:
-                    if release is not None:
-                        release()
-                if response["status"] == "unavailable":
-                    # The algorithm is not in the worker's registry snapshot
-                    # (registered in this process after the workers forked):
-                    # run it in-process on the node instead.
-                    span.annotate(fallback="in_process")
-                    return node.execute_batch(queries, graph, log_id=log_id)
-                span.annotate(worker_pid=response["pid"])
-                if response["status"] == "error":
-                    self._datastore.append_log(
-                        log_id,
-                        f"[{node.name}] FAILED batch {algorithm.display_name}: "
-                        f"{response['message']}",
-                    )
-                    raise ExecutorError(
-                        f"{algorithm.display_name} batch failed on "
-                        f"{first.dataset_id}: {response['message']}"
-                    )
-                rankings = list(response["rankings"])
-                if len(rankings) != len(queries):
-                    raise ExecutorError(
-                        f"{algorithm.display_name} batch returned {len(rankings)} "
-                        f"rankings for {len(queries)} queries"
-                    )
-                if deadline is not None and deadline.expired():
-                    # Late return: the result is correct but nobody is
-                    # allowed to see it any more.
-                    self._datastore.append_log(
-                        log_id,
-                        f"[{node.name}] discarded late batch of {len(queries)} x "
-                        f"{algorithm.display_name} on {first.dataset_id} "
-                        f"(deadline expired during process execution)",
-                    )
-                    raise DeadlineExceededError(
-                        f"deadline expired during process execution of "
-                        f"{algorithm.display_name} batch on {first.dataset_id}"
-                    )
-                elapsed = time.perf_counter() - started
-                node._note_executed(len(queries))
-                self._datastore.append_log(
-                    log_id,
-                    f"[{node.name}] done batch of {len(queries)} x "
-                    f"{algorithm.display_name} on {first.dataset_id} "
-                    f"in {elapsed:.3f}s (worker pid {response['pid']})",
-                )
-                return BatchExecutionOutcome(
-                    queries=queries,
-                    rankings=rankings,
-                    elapsed_seconds=elapsed,
-                    executor_name=node.name,
-                )
-        finally:
-            with self._busy_lock:
-                self._busy -= 1
-            self._observe_batch(time.perf_counter() - started)

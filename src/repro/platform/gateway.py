@@ -43,7 +43,7 @@ from ..graph.digraph import DirectedGraph
 from ..ranking.comparison import ComparisonTable
 from ..ranking.result import Ranking
 from .datastore import DataStore
-from .executor import ExecutorPool, ProcessExecutorPool
+from .executor import ExecutorPool
 from .jobs import JobRecord, JobState
 from .replication import ReplicatedShardedDataStore
 from .resilience import AdmissionController, estimate_cost
@@ -54,11 +54,6 @@ from .tasks import Query, QuerySet, Task, TaskBuilder
 from .telemetry import MetricsRegistry, Tracer, child_span, trace_scope
 
 __all__ = ["ApiGateway"]
-
-#: Executor tier built when ``ApiGateway(executor_mode=None)``.  Module-level
-#: so test harnesses can flip the whole suite onto the process tier
-#: (``REPRO_TEST_EXECUTOR=process``) without touching every construction site.
-DEFAULT_EXECUTOR_MODE = "thread"
 
 
 class ApiGateway:
@@ -73,15 +68,9 @@ class ApiGateway:
         a :class:`~repro.platform.sharding.ShardedDataStore` — the scheduler
         and executors work against the abstract store either way.
     num_workers:
-        Number of executor nodes in the pool.
-    executor_mode:
-        ``"thread"`` (default) runs batch kernels on a thread pool inside
-        the gateway process; ``"process"`` runs them on a
-        :class:`~repro.platform.executor.ProcessExecutorPool` — worker
-        *processes* that map each dataset's compiled CSR arrays zero-copy
-        from shared memory, so CPU-bound batches scale across cores instead
-        of serialising on the GIL.  ``None`` resolves to the module-level
-        ``DEFAULT_EXECUTOR_MODE``.
+        Number of executor threads in the
+        :class:`~repro.platform.executor.ExecutorPool`; resize it later with
+        ``executor_pool.scale_to``.
     shards:
         Shard the storage layer: an integer builds that many in-memory
         backends behind a consistent-hash ring, a sequence of
@@ -166,7 +155,6 @@ class ApiGateway:
         catalog: Optional[DatasetCatalog] = None,
         datastore: Optional[DataStore] = None,
         num_workers: int = 2,
-        executor_mode: Optional[str] = None,
         shards: Optional[Union[int, Sequence[DataStore]]] = None,
         replicas: Optional[int] = None,
         spill_dir: Optional[Union[str, Path]] = None,
@@ -230,14 +218,7 @@ class ApiGateway:
         )
         self.catalog = catalog if catalog is not None else default_catalog()
         self.datastore = datastore if datastore is not None else DataStore()
-        resolved_mode = executor_mode if executor_mode is not None else DEFAULT_EXECUTOR_MODE
-        if resolved_mode not in ("thread", "process"):
-            raise InvalidParameterError(
-                f"executor_mode must be 'thread' or 'process', got {executor_mode!r}"
-            )
-        self.executor_mode = resolved_mode
-        pool_class = ProcessExecutorPool if resolved_mode == "process" else ExecutorPool
-        self.executor_pool = pool_class(
+        self.executor_pool = ExecutorPool(
             self.datastore, num_workers=num_workers, metrics=self.metrics
         )
         self.scheduler = Scheduler(
@@ -278,11 +259,11 @@ class ApiGateway:
         self._prober_stop = threading.Event()
         if replicated:
             store = self.datastore
-            # One long-lived registry job collects the failure detector's
-            # typed transitions, so shard_down/shard_up stream over the same
-            # long-poll/SSE surface as every other event.
-            self._health_job = self.scheduler.jobs.create(
-                f"storage-health-{uuid.uuid4()}", 0, description="storage health"
+            # One long-lived, unlisted registry sink collects the failure
+            # detector's typed transitions, so shard_down/shard_up stream over
+            # the same long-poll/SSE surface as every other event.
+            self._health_job = self.scheduler.jobs.create_sink(
+                f"storage-health-{uuid.uuid4()}", description="storage health"
             )
             self._health_job.append("submitted", total_queries=0, kind="health")
             store.add_health_listener(self._on_health_transition)
@@ -320,10 +301,11 @@ class ApiGateway:
                 retry_after_seconds=admission_retry_after_seconds,
             )
             # Shed submissions were never enqueued, so they have no job of
-            # their own; a long-lived registry job carries the typed ``shed``
-            # events onto the same long-poll/SSE surface as everything else.
-            self._overload_job = self.scheduler.jobs.create(
-                f"gateway-overload-{uuid.uuid4()}", 0, description="gateway overload"
+            # their own; a long-lived, unlisted registry sink carries the typed
+            # ``shed`` events onto the same long-poll/SSE surface as everything
+            # else.
+            self._overload_job = self.scheduler.jobs.create_sink(
+                f"gateway-overload-{uuid.uuid4()}", description="gateway overload"
             )
             self._overload_job.append("submitted", total_queries=0, kind="overload")
         storage_resilience = {
@@ -426,9 +408,6 @@ class ApiGateway:
                 dataset_id, source, format=format, description=description, replace=replace
             )
         self.datastore.drop_dataset(dataset_id)
-        # The shared-memory segment (process executor tier) carries the old
-        # compiled arrays; unlink it with the artifact it mirrors.
-        self.executor_pool.invalidate_artifact(dataset_id)
         return self.dataset_summary(dataset_id)
 
     # ------------------------------------------------------------------ #
@@ -823,7 +802,6 @@ class ApiGateway:
         self.metrics.gauge_set(
             "executor_busy_workers", self.executor_pool.busy_workers,
             help="Executor workers currently running a batch",
-            mode=self.executor_pool.mode,
         )
         if isinstance(self.datastore, ReplicatedShardedDataStore):
             replication = self.datastore.replication_stats()

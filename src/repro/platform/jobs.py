@@ -553,6 +553,25 @@ class JobRegistry(BoundedRecordTable):
     def __init__(self, *, max_finished_jobs: int = 256) -> None:
         super().__init__(max_finished_jobs, threading.Lock(), kind="jobs")
         self._jobs = self.records
+        #: Long-lived event sinks (storage health, overload sheds): found by
+        #: id like any job, but never listed, counted or evicted.
+        self._sinks: Dict[str, JobRecord] = {}
+
+    def find(self, record_id: str) -> Optional[JobRecord]:
+        with self._lock:
+            record = self.records.get(record_id)
+            return record if record is not None else self._sinks.get(record_id)
+
+    def create_sink(self, job_id: str, *, description: str = "") -> JobRecord:
+        """Create an unlisted record whose events stay reachable by id.
+
+        For streams that are not comparisons and only end at shutdown:
+        :meth:`list_records` and :meth:`stats` never see them.
+        """
+        record = JobRecord(job_id, 0, description=description)
+        with self._lock:
+            self._sinks[job_id] = record
+        return record
 
     def create(
         self,

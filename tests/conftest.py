@@ -80,32 +80,6 @@ def _sharded_default_datastore():
         gateway_module.DataStore = original
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _process_default_executor():
-    """Run every default-mode gateway on the process executor tier when asked.
-
-    With ``REPRO_TEST_EXECUTOR=process`` in the environment, any
-    :class:`~repro.platform.gateway.ApiGateway` built without an explicit
-    ``executor_mode`` gets a
-    :class:`~repro.platform.executor.ProcessExecutorPool` — batch kernels run
-    in worker processes over shared-memory compiled graphs.  CI runs the
-    platform suite on this axis alongside the shard/replica topologies;
-    locally the suite stays on the thread tier unless the variable is set.
-    """
-    mode = os.environ.get("REPRO_TEST_EXECUTOR", "").strip().lower()
-    if mode not in ("process", "thread"):
-        yield
-        return
-    from repro.platform import gateway as gateway_module
-
-    original = gateway_module.DEFAULT_EXECUTOR_MODE
-    gateway_module.DEFAULT_EXECUTOR_MODE = mode
-    try:
-        yield
-    finally:
-        gateway_module.DEFAULT_EXECUTOR_MODE = original
-
-
 @pytest.fixture
 def triangle() -> DirectedGraph:
     """The directed triangle A -> B -> C -> A."""
@@ -222,9 +196,6 @@ def register_gated_algorithm(name: str):
             parameters=(),
             description="test-only algorithm blocking on a gate",
         )
-        # The gate events live in the test process; a forked worker's copy
-        # would never release, so the process tier must run this in-process.
-        process_local = True
 
         def _execute(self, graph, *, source, parameters):
             started.set()

@@ -376,31 +376,3 @@ class TestRetryUsesTheRightGraph:
         finally:
             algorithm_registry._REGISTRY.pop("slow-failing-ppr", None)
 
-
-class TestProcessPoolBitIdentity:
-    """The process executor tier is a pure transport: same bits, other core."""
-
-    def test_gateway_rankings_identical_across_executor_modes(self, two_triangles):
-        def run_all(executor_mode):
-            catalog = DatasetCatalog()
-            catalog.register_graph("toy", two_triangles, description="two triangles")
-            with ApiGateway(
-                catalog=catalog, executor_mode=executor_mode, num_workers=2
-            ) as gateway:
-                queries = [
-                    {"dataset_id": "toy", "algorithm": "pagerank"},
-                    {"dataset_id": "toy", "algorithm": "cyclerank",
-                     "source": "R", "parameters": {"k": 3}},
-                    {"dataset_id": "toy", "algorithm": "personalized-pagerank",
-                     "source": "R"},
-                ]
-                comparison_id = gateway.run_queries(queries, synchronous=True)
-                return gateway.get_rankings(comparison_id)
-
-        via_process = run_all("process")
-        via_thread = run_all("thread")
-        assert len(via_process) == len(via_thread) == 3
-        for ours, theirs in zip(via_process, via_thread):
-            assert ours.algorithm == theirs.algorithm
-            assert np.array_equal(ours.scores, theirs.scores)
-            assert list(ours) == list(theirs)

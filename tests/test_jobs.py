@@ -318,6 +318,36 @@ class TestSchedulerEvents:
         assert stats["jobs"]["jobs"] == 1
         assert stats["jobs"]["by_state"] == {"done": 1}
 
+    def test_internal_event_sinks_are_not_listed_as_comparisons(self, two_triangles):
+        """The storage-health and overload streams are not comparisons.
+
+        A replicated gateway with admission control owns both never-ending
+        event sinks; neither may show up in the listing, the job count or
+        the web UI, yet both stay reachable by id.
+        """
+        from repro.platform.webui import WebUI
+
+        catalog = DatasetCatalog()
+        catalog.register_graph("toy", two_triangles, description="two triangles")
+        with ApiGateway(
+            catalog=catalog, shards=2, replicas=2, admission_max_cost=1000,
+            probe_interval_seconds=0,
+        ) as gateway:
+            assert gateway.list_comparisons() == []
+            stats = gateway.get_platform_stats()
+            assert stats["jobs"]["jobs"] == 0
+            assert stats["jobs"]["by_state"] == {}
+            assert "no comparisons submitted yet" in WebUI(gateway).render_job_list()
+            for sink in (gateway._health_job, gateway._overload_job):
+                events = gateway.get_events(sink.job_id)
+                assert events[0]["type"] == "submitted"
+            comparison = gateway.run_queries(
+                [{"dataset_id": "toy", "algorithm": "pagerank"}], synchronous=True
+            )
+            rows = gateway.list_comparisons()
+            assert [row["comparison_id"] for row in rows] == [comparison]
+            assert gateway.get_platform_stats()["jobs"]["jobs"] == 1
+
 
 class TestProjectedCompletionCounter:
     def test_completion_events_carry_the_jobs_own_monotonic_count(self):

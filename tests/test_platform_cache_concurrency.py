@@ -43,9 +43,6 @@ class _CountingPPR(Algorithm):
         ),
         description="test-only counting wrapper around personalized PageRank",
     )
-    # The execution counter lives in the test process; a forked worker would
-    # increment its own copy, so the process tier must run this in-process.
-    process_local = True
 
     def __init__(self) -> None:
         self.computations: Dict[Tuple[str, float], int] = {}

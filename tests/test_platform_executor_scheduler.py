@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.algorithms.registry import available_algorithms, get_algorithm
 from repro.datasets.catalog import DatasetCatalog
 from repro.exceptions import ExecutorError, InvalidParameterError, TaskError, TaskNotFoundError
+from repro.graph.digraph import DirectedGraph
 from repro.platform.datastore import DataStore
 from repro.platform.executor import ExecutorNode, ExecutorPool
+from repro.platform.gateway import ApiGateway
 from repro.platform.scheduler import Scheduler
 from repro.platform.status import StatusComponent
 from repro.platform.tasks import Query, QuerySet, Task, TaskBuilder, TaskState
@@ -110,6 +114,82 @@ class TestExecutorPool:
             assert outcome.ranking.algorithm == "PageRank"
         finally:
             pool.shutdown()
+
+
+def _six_node_graph() -> DirectedGraph:
+    """Six labelled nodes with cycles of length 2-4 and no dangling node."""
+    graph = DirectedGraph(name="six-node")
+    edges = [
+        ("A", "B"), ("B", "C"), ("C", "A"), ("C", "D"), ("D", "A"),
+        ("B", "A"), ("D", "E"), ("E", "B"), ("A", "E"), ("E", "F"),
+        ("F", "C"), ("F", "A"),
+    ]
+    for source, target in edges:
+        graph.add_edge(source, target)
+    return graph
+
+
+@pytest.fixture
+def six_node_pool():
+    datastore = DataStore()
+    datastore.store_dataset("toy", _six_node_graph())
+    pool = ExecutorPool(datastore, num_workers=2)
+    graph, _ = datastore.fetch_compiled_with_version("toy")
+    yield pool, graph
+    pool.shutdown()
+
+
+class TestBitIdentity:
+    """The pool is a pure transport: the sequential registry path's bits."""
+
+    def test_every_registry_algorithm_is_bit_identical(self, six_node_pool):
+        pool, graph = six_node_pool
+        personalized = set(available_algorithms(personalized=True))
+        for name in available_algorithms():
+            source = "A" if name in personalized else None
+            query = [Query(dataset_id="toy", algorithm=name, source=source, parameters={})]
+            via_pool = pool.execute_batch_sync(query, graph, log_id="t")
+            sequential = get_algorithm(name).run_batch(
+                graph, sources=[source], parameters={}
+            )
+            assert np.array_equal(
+                via_pool.rankings[0].scores, sequential[0].scores
+            ), f"{name} diverged from the sequential registry path"
+            assert list(via_pool.rankings[0]) == list(sequential[0]), name
+
+    def test_batched_sources_stay_aligned(self, six_node_pool):
+        pool, graph = six_node_pool
+        sources = ["A", "B", "C", "D"]
+        queries = [
+            Query(dataset_id="toy", algorithm="personalized-pagerank",
+                  source=source, parameters={})
+            for source in sources
+        ]
+        via_pool = pool.execute_batch_sync(queries, graph, log_id="t")
+        sequential = get_algorithm("personalized-pagerank").run_batch(
+            graph, sources=sources, parameters={}
+        )
+        assert [r.reference for r in via_pool.rankings] == sources
+        for ours, theirs in zip(via_pool.rankings, sequential):
+            assert np.array_equal(ours.scores, theirs.scores)
+            assert list(ours) == list(theirs)
+
+
+class TestExecutorObservability:
+    def test_batch_histogram_and_stats_after_a_comparison(self, two_triangles):
+        catalog = DatasetCatalog()
+        catalog.register_graph("toy", two_triangles, description="two triangles")
+        with ApiGateway(catalog=catalog, num_workers=2) as gateway:
+            comparison_id = gateway.run_queries(
+                [{"dataset_id": "toy", "algorithm": "pagerank"}], synchronous=True
+            )
+            gateway.wait_for(comparison_id, timeout_seconds=60.0)
+            executors = gateway.get_platform_stats()["executors"]
+            assert executors["num_workers"] == 2
+            assert executors["executed_queries"] >= 1
+            exposition = gateway.render_metrics()
+            assert "repro_executor_batch_ms_bucket{" in exposition
+            assert "repro_executor_busy_workers " in exposition
 
 
 class TestScheduler:
