@@ -54,12 +54,12 @@ bounds how long a submission may wait before it is settled with a typed
 ``deadline_exceeded`` event, ``--admission-budget`` enables load shedding
 (shed submissions are retried client-side after the server's hinted delay,
 bounded by ``--shed-retries``; ``--no-retry`` fails fast), and
-``--retry-budget``/``--breaker-cooldown`` tune the replicated storage
-tier's retry token bucket and per-shard circuit breakers.
+``--retry-budget``/``--breaker-cooldown`` tune the ring store's retry
+token bucket and per-shard circuit breakers.
 ``--read-consistency quorum`` makes every dataset read open with a
 version-digest round over the live replicas, so a known-stale copy is
-never served (requires ``--replicas``; the default ``one`` keeps the
-single-source fast path).
+never served (requires ``--shards`` or ``--replicas``; the default ``one``
+keeps the single-source fast path).
 
 Observability rides on ``run``/``compare`` too: ``--stats`` prints the
 platform serving counters after the results — the cache/batch/storage
@@ -116,7 +116,7 @@ def _add_storage_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         metavar="R",
         help="keep R copies of every dataset/result (quorum-acked writes, "
-        "failover reads); implies a sharded store",
+        "failover reads); --shards N alone keeps one copy",
     )
     parser.add_argument(
         "--spill-dir",
@@ -134,10 +134,10 @@ def _add_storage_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--read-consistency",
         choices=("one", "quorum"),
-        help="replicated-store read consistency: 'one' (default) serves the "
+        help="ring-store read consistency: 'one' (default) serves the "
         "first answering replica, 'quorum' polls the replicas' version "
         "digests first and never serves a copy below the known version "
-        "floor (requires --replicas)",
+        "floor (requires --shards or --replicas)",
     )
 
 
@@ -178,14 +178,15 @@ def _add_overload_flags(
         type=int,
         metavar="TOKENS",
         help="token-bucket budget shared by all storage retries (requires "
-        "--replicas); caps retry amplification during a shard outage",
+        "--shards or --replicas); caps retry amplification during a shard "
+        "outage",
     )
     parser.add_argument(
         "--breaker-cooldown",
         type=float,
         metavar="SECONDS",
         help="per-shard circuit-breaker cooldown before a half-open probe "
-        "is allowed (requires --replicas)",
+        "is allowed (requires --shards or --replicas)",
     )
     if client_retries:
         parser.add_argument(

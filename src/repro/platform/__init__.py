@@ -10,16 +10,15 @@ reproduces the same component decomposition with in-process equivalents:
     Stores datasets, results and logs; in-memory by default with optional
     directory persistence.
 ``sharding``
-    The consistent-hash storage layer: :class:`HashRing` and
-    :class:`ShardedDataStore`, which spreads datasets (with their result
-    caches and compiled artifacts) across N backend datastores while keeping
-    the scheduler and gateway oblivious.
+    The consistent-hash :class:`HashRing` that places keys on shards.
 ``replication``
-    The fault-tolerant storage tier: :class:`ReplicatedShardedDataStore`
-    writes every key to R ring successors (quorum-acked), reads with
-    transparent failover, spills cold datasets to a file-backed tier
-    (:class:`FileBackedDataStore`), and runs replicate/spill/rebalance as
-    cancellable jobs on the job registry.
+    The ring store, :class:`ReplicatedShardedDataStore`: it spreads datasets
+    (with their result caches and compiled artifacts) across N backend
+    datastores while keeping the scheduler and gateway oblivious, writes
+    every key to R ring successors (quorum-acked; ``R = 1`` is the
+    unreplicated ring), reads with transparent failover, spills cold
+    datasets to a file-backed tier (:class:`FileBackedDataStore`), and runs
+    replicate/spill/rebalance as cancellable jobs on the job registry.
 ``cache``
     The platform-wide LRU :class:`ResultCache` of finished rankings, owned
     by the datastore and consulted by the scheduler before any dispatch.
@@ -80,7 +79,7 @@ from .resilience import (
 )
 from .restapi import RestApiServer
 from .scheduler import Scheduler
-from .sharding import HashRing, ShardedDataStore, ShardedResultCache
+from .sharding import HashRing
 from .status import StatusComponent, TaskProgress
 from .tasks import Query, QuerySet, Task, TaskBuilder, TaskState
 from .telemetry import (
@@ -98,8 +97,6 @@ __all__ = [
     "DataStore",
     "FileBackedDataStore",
     "HashRing",
-    "ShardedDataStore",
-    "ShardedResultCache",
     "ReplicatedResultCache",
     "ReplicatedShardedDataStore",
     "ResultCache",

@@ -48,7 +48,6 @@ from .jobs import JobRecord, JobState
 from .replication import ReplicatedShardedDataStore
 from .resilience import AdmissionController, estimate_cost
 from .scheduler import Scheduler
-from .sharding import ShardedDataStore
 from .status import StatusComponent, TaskProgress
 from .tasks import Query, QuerySet, Task, TaskBuilder
 from .telemetry import MetricsRegistry, Tracer, child_span, trace_scope
@@ -65,28 +64,29 @@ class ApiGateway:
         Dataset catalog; defaults to the 50 pre-loaded datasets.
     datastore:
         Result/log storage; defaults to a fresh in-memory datastore.  May be
-        a :class:`~repro.platform.sharding.ShardedDataStore` — the scheduler
-        and executors work against the abstract store either way.
+        a :class:`~repro.platform.replication.ReplicatedShardedDataStore` —
+        the scheduler and executors work against the abstract store either
+        way.
     num_workers:
         Number of executor threads in the
         :class:`~repro.platform.executor.ExecutorPool`; resize it later with
         ``executor_pool.scale_to``.
     shards:
-        Shard the storage layer: an integer builds that many in-memory
-        backends behind a consistent-hash ring, a sequence of
-        :class:`DataStore` instances shards across the provided backends.
-        Mutually exclusive with ``datastore``.
+        Shard the storage layer on a ring store
+        (:class:`~repro.platform.replication.ReplicatedShardedDataStore`): an
+        integer builds that many in-memory backends behind a consistent-hash
+        ring, a sequence of :class:`DataStore` instances shards across the
+        provided backends.  Mutually exclusive with ``datastore``.
     replicas:
         Keep R copies of every dataset and result on the ring (quorum-acked
-        writes, failover reads) by building a
-        :class:`~repro.platform.replication.ReplicatedShardedDataStore`.
-        Combines with ``shards`` (defaulting to ``replicas + 1`` backends
-        when ``shards`` is omitted); mutually exclusive with ``datastore``.
+        writes, failover reads); ``1`` (the default with ``shards`` or
+        ``spill_dir``) keeps each key on its primary only.  Builds the ring
+        store with ``replicas + 1`` backends when ``shards`` is omitted;
+        mutually exclusive with ``datastore``.
     spill_dir:
         Directory of the cold file tier: :meth:`spill_storage` demotes cold
         datasets there, reads fail over to it transparently, and its content
-        survives restarts.  Implies a replicated store (``replicas=1`` when
-        not given).
+        survives restarts.  Builds the ring store like ``shards``.
     spill_budget_bytes:
         Automatic spill policy: whenever the estimated bytes of graph data
         resident on the memory shards exceed this budget, the gateway
@@ -94,7 +94,7 @@ class ApiGateway:
         the scheduler's maintenance hook and the background prober — no
         operator POST required.  Requires a spill tier (``spill_dir``).
     probe_interval_seconds:
-        Cadence of the background health prober on a replicated store
+        Cadence of the background health prober on a ring store
         (default 5 seconds; ``0`` disables it).  Each tick pings every
         shard — driving automatic ``mark_down``/``mark_up`` through the
         store's failure detector — then re-checks the spill budget and
@@ -122,7 +122,7 @@ class ApiGateway:
         Base of the computed retry-after; scaled with the overshoot and
         clamped to 8x.
     retry_max_attempts, retry_budget_capacity, retry_budget_refill_per_second:
-        Forwarded to the replicated store's shared storage retry policy
+        Forwarded to the ring store's shared storage retry policy
         (:meth:`~repro.platform.replication.ReplicatedShardedDataStore.configure_resilience`):
         bounded attempts with jittered backoff, capped by a store-wide
         retry budget.  ``None`` keeps the store's defaults.
@@ -130,7 +130,7 @@ class ApiGateway:
         Forwarded to the store's per-shard circuit breakers.  ``None``
         keeps the store's defaults.
     read_consistency:
-        Dataset read consistency on a replicated store: ``"one"`` serves
+        Dataset read consistency on a ring store: ``"one"`` serves
         the first answering source (detecting but serving below-floor
         answers), ``"quorum"`` opens every dataset read with a
         version-digest round over the live replicas and never serves a
@@ -146,7 +146,7 @@ class ApiGateway:
         ring, surfaced through the ``telemetry`` stats section.
     """
 
-    #: Default background-prober cadence on replicated stores, seconds.
+    #: Default background-prober cadence on ring stores, seconds.
     DEFAULT_PROBE_INTERVAL_SECONDS = 5.0
 
     def __init__(
@@ -173,11 +173,11 @@ class ApiGateway:
         telemetry_enabled: bool = True,
         slow_span_threshold_ms: float = 500.0,
     ) -> None:
-        if replicas is not None or spill_dir is not None:
+        if shards is not None or replicas is not None or spill_dir is not None:
             if datastore is not None:
                 raise InvalidParameterError(
-                    "`replicas`/`spill_dir` build the datastore; provide either "
-                    "them or `datastore`, not both"
+                    "`shards`/`replicas`/`spill_dir` build the datastore; provide "
+                    "either them or `datastore`, not both"
                 )
             resolved_replicas = replicas if replicas is not None else 1
             spill = str(spill_dir) if spill_dir is not None else None
@@ -192,16 +192,6 @@ class ApiGateway:
                 datastore = ReplicatedShardedDataStore(
                     shards=list(shards), replicas=resolved_replicas, spill_dir=spill
                 )
-        elif shards is not None:
-            if datastore is not None:
-                raise InvalidParameterError(
-                    "`shards` builds the datastore; provide either `shards` or "
-                    "`datastore`, not both"
-                )
-            if isinstance(shards, int):
-                datastore = ShardedDataStore(num_shards=shards)
-            else:
-                datastore = ShardedDataStore(shards=list(shards))
         if not (
             isinstance(slow_span_threshold_ms, (int, float))
             and not isinstance(slow_span_threshold_ms, bool)
@@ -229,7 +219,7 @@ class ApiGateway:
         )
         self.status = StatusComponent(self.scheduler, self.datastore)
         self.task_builder = TaskBuilder(self.catalog)
-        # ---- self-healing storage wiring (replicated stores only) -------- #
+        # ---- self-healing storage wiring (ring stores only) ---------------- #
         if probe_interval_seconds is None:
             probe_interval_seconds = self.DEFAULT_PROBE_INTERVAL_SECONDS
         if probe_interval_seconds < 0:
@@ -240,9 +230,9 @@ class ApiGateway:
             raise InvalidParameterError(
                 f"spill_budget_bytes must be >= 0, got {spill_budget_bytes}"
             )
-        replicated = isinstance(self.datastore, ReplicatedShardedDataStore)
+        ring = isinstance(self.datastore, ReplicatedShardedDataStore)
         if spill_budget_bytes is not None and (
-            not replicated or self.datastore.spill_store is None
+            not ring or self.datastore.spill_store is None
         ):
             raise InvalidParameterError(
                 "spill_budget_bytes requires a spill tier; build the gateway "
@@ -257,7 +247,7 @@ class ApiGateway:
         self._health_job: Optional[JobRecord] = None
         self._prober: Optional[threading.Thread] = None
         self._prober_stop = threading.Event()
-        if replicated:
+        if ring:
             store = self.datastore
             # One long-lived, unlisted registry sink collects the failure
             # detector's typed transitions, so shard_down/shard_up stream over
@@ -320,17 +310,17 @@ class ApiGateway:
             if value is not None
         }
         if storage_resilience:
-            if not replicated:
+            if not ring:
                 raise InvalidParameterError(
-                    "storage retry/breaker knobs require a replicated datastore; "
-                    "build the gateway with replicas=R"
+                    "storage retry/breaker knobs require a ring datastore; "
+                    "build the gateway with shards=N or replicas=R"
                 )
             self.datastore.configure_resilience(**storage_resilience)
         if read_consistency is not None:
-            if not replicated:
+            if not ring:
                 raise InvalidParameterError(
-                    "read_consistency requires a replicated datastore; build "
-                    "the gateway with replicas=R"
+                    "read_consistency requires a ring datastore; build the "
+                    "gateway with shards=N or replicas=R"
                 )
             self.datastore.set_read_consistency(read_consistency)
         self.status.register_section("overload", self._overload_stats)
@@ -839,11 +829,11 @@ class ApiGateway:
     # ------------------------------------------------------------------ #
     # storage maintenance jobs (replication / spill / rebalance)
     # ------------------------------------------------------------------ #
-    def _replicated_store(self) -> ReplicatedShardedDataStore:
+    def _ring_store(self) -> ReplicatedShardedDataStore:
         if not isinstance(self.datastore, ReplicatedShardedDataStore):
             raise InvalidParameterError(
-                "this operation requires a replicated datastore; build the "
-                "gateway with replicas=R (and optionally spill_dir=...)"
+                "this operation requires a ring datastore; build the gateway "
+                "with shards=N or replicas=R (and optionally spill_dir=...)"
             )
         return self.datastore
 
@@ -887,7 +877,7 @@ class ApiGateway:
         result (after a shard outage or a topology change), updating the
         replication-lag figure in :meth:`get_platform_stats`.
         """
-        store = self._replicated_store()
+        store = self._ring_store()
         return self._launch_storage_job(
             "replicate", lambda job: store.replicate(job=job), wait=wait
         )
@@ -908,7 +898,7 @@ class ApiGateway:
         resident graph bytes fit the budget) or ``dataset_ids`` (explicit
         victims).
         """
-        store = self._replicated_store()
+        store = self._ring_store()
         if store.spill_store is None:
             raise InvalidParameterError(
                 "no spill tier is configured; build the gateway with spill_dir=..."
@@ -937,17 +927,10 @@ class ApiGateway:
 
     def rebalance_storage(self, *, wait: bool = False) -> str:
         """Start a rebalance job restoring canonical placement (and R copies)."""
-        store = self.datastore
-        if isinstance(store, ReplicatedShardedDataStore):
-            runner: Callable[[JobRecord], Any] = lambda job: store.rebalance(job=job)
-        elif isinstance(store, ShardedDataStore):
-            runner = lambda job: store.rebalance()
-        else:
-            raise InvalidParameterError(
-                "rebalance requires a sharded datastore; build the gateway "
-                "with shards=N (optionally replicas=R)"
-            )
-        return self._launch_storage_job("rebalance", runner, wait=wait)
+        store = self._ring_store()
+        return self._launch_storage_job(
+            "rebalance", lambda job: store.rebalance(job=job), wait=wait
+        )
 
     def read_repair_storage(self, *, wait: bool = False) -> str:
         """Start a job draining the read-repair queue; return its job id.
@@ -957,7 +940,7 @@ class ApiGateway:
         launcher); the explicit entry point exists for operators and the
         ``POST /api/storage/read-repair`` endpoint.
         """
-        store = self._replicated_store()
+        store = self._ring_store()
         return self._launch_storage_job(
             "read-repair", lambda job: store.drain_read_repairs(job=job), wait=wait
         )

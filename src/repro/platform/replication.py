@@ -1,18 +1,24 @@
-"""R-way replicated, file-backed shard tier with failover reads and migrations.
+"""The ring store: N backend shards behind a consistent-hash ring, R copies per key.
 
-The consistent-hash sharded store (:mod:`repro.platform.sharding`) scales the
-storage layer *out*; this module makes it survive a shard loss and overflow
-one machine's memory:
+A single in-process :class:`~repro.platform.datastore.DataStore` bounds every
+dataset by one node's memory and dies with it.
+:class:`ReplicatedShardedDataStore` implements the same datastore surface
+over N backends placed on a :class:`~repro.platform.sharding.HashRing`, so
+the scheduler, executor pool and gateway work against it unchanged:
 
-:class:`ReplicatedShardedDataStore`
-    Extends :class:`~repro.platform.sharding.ShardedDataStore` so every
-    dataset-keyed write lands on the ``R`` distinct ring *successors* of its
-    key (the primary plus ``R - 1`` replicas) and is acknowledged only once a
-    **write quorum** (``R // 2 + 1``) of replicas accepted it — so a single
-    shard loss can never destroy an acked dataset or result.  Reads prefer
-    the primary and transparently fail over: a replica that raises or is
-    marked down is skipped and the next successor (then the spill tier, then
-    a full shard scan bridging in-flight migrations) answers instead.
+Placement and quorum
+    Every dataset-keyed write lands on the ``R`` distinct ring *successors*
+    of its key (the primary plus ``R - 1`` replicas) and is acknowledged
+    only once a **write quorum** (``R // 2 + 1``) of replicas accepted it —
+    so with ``R >= 2`` a single shard loss can never destroy an acked
+    dataset or result.  ``R = 1`` is the unreplicated ring: each key lives
+    on its primary alone, as in Dynamo with replication factor one.  Reads
+    prefer the primary and transparently fail over: a replica that raises
+    or is marked down is skipped and the next successor (then the spill
+    tier, then a full shard scan bridging in-flight migrations) answers
+    instead.  Result and log keys route by their own id; each backend owns
+    its own result cache and compiled-artifact slot, reached through the
+    :class:`ReplicatedResultCache` view.
 
 Sloppy placement under failure
     When a canonical replica is down, writes slide to the next live ring
@@ -21,8 +27,7 @@ Sloppy placement under failure
     canonical placement and copy counts.  Version counters stay consistent
     across replicas because every copy of one write stores with the same
     global ``version_floor`` — all replicas agree on the dataset version, so
-    the version-keyed result cache behaves exactly as on the plain sharded
-    store.
+    the version-keyed result cache behaves exactly as on a single store.
 
 Spill tier
     With ``spill_dir=...`` (or an explicit ``spill_store``) the store gains a
@@ -100,56 +105,85 @@ Read-path version quorum
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .._validation import require_positive_int
 from ..exceptions import DeadlineExceededError, InvalidParameterError, StorageError
+from ..graph.compiled import CompiledGraph
 from ..graph.digraph import DirectedGraph
-from .cache import CacheKey
+from .cache import CacheKey, ResultCache
 from .datastore import DataStore, FileBackedDataStore
 from .jobs import JobRecord
 from .resilience import CircuitBreaker, RetryPolicy, TokenBucket, current_deadline
-from .sharding import DEFAULT_VIRTUAL_NODES, ShardedDataStore, ShardedResultCache
+from .sharding import DEFAULT_VIRTUAL_NODES, HashRing
 from .telemetry import child_span
 
 __all__ = ["ReplicatedResultCache", "ReplicatedShardedDataStore"]
 
 
-class ReplicatedResultCache(ShardedResultCache):
-    """Routing cache view that follows the replicated store's health map.
+class ReplicatedResultCache:
+    """The ring store's routing view over the per-shard result caches.
 
-    Keys route to the cache of the first *live* ring successor of their
-    dataset (the shard failover reads prefer), and every operation is
-    best-effort: a raising backend makes ``get`` report a miss and ``put``
-    decline the entry instead of failing the query — the cache must never
-    take serving down with a shard.  Invalidation fans out to every shard
-    (replica copies mean derived entries can exist anywhere).
+    The scheduler holds one ``result_cache`` handle for the lifetime of the
+    platform; this object keeps that contract while each backend shard keeps
+    *owning* its cache.  Keys route to the cache of the first *live* ring
+    successor of their dataset (the dataset id is the first element of every
+    :data:`~repro.platform.cache.CacheKey`, and that shard is the one
+    failover reads prefer), and every operation is best-effort: a raising
+    backend makes ``get`` report a miss and ``put`` decline the entry instead
+    of failing the query — the cache must never take serving down with a
+    shard.  Invalidation fans out to every shard (replica copies mean derived
+    entries can exist anywhere).  :meth:`stats` aggregates the per-shard
+    counters and keeps the per-shard breakdown under ``"shards"``.
     """
 
+    #: Kept for callers that build keys through the cache object they hold.
+    key_for = staticmethod(ResultCache.key_for)
+
+    #: Counter keys summed across shards by :meth:`stats`.
+    _COUNTER_KEYS = (
+        "capacity",
+        "size",
+        "hits",
+        "misses",
+        "evictions",
+        "invalidations",
+        "expirations",
+        "admissions_deferred",
+    )
+
+    def __init__(self, store: "ReplicatedShardedDataStore") -> None:
+        self._store = store
+
+    def _cache_for(self, dataset_id: str) -> ResultCache:
+        return self._store._cache_backend_for(dataset_id).result_cache
+
     def get(self, key: CacheKey):
+        """Return the cached ranking for ``key`` (``None`` on a miss or fault)."""
         try:
             return self._cache_for(key[0]).get(key)
         except Exception:
             return None
 
     def peek(self, key: CacheKey):
+        """Return the cached ranking without touching counters or LRU order."""
         try:
             return self._cache_for(key[0]).peek(key)
         except Exception:
             return None
 
     def put(self, key: CacheKey, ranking) -> bool:
+        """Cache a finished ranking next to its dataset's preferred shard."""
         try:
             return self._cache_for(key[0]).put(key, ranking)
         except Exception:
             return False
 
-    def _cache_for(self, dataset_id: str):
-        return self._store._cache_backend_for(dataset_id).result_cache
-
     def invalidate_dataset(self, dataset_id: str) -> int:
+        """Drop the dataset's cached rankings on every reachable shard."""
         dropped = 0
         for backend in self._store.shard_stores().values():
             try:
@@ -159,6 +193,7 @@ class ReplicatedResultCache(ShardedResultCache):
         return dropped
 
     def clear(self) -> None:
+        """Drop every cached ranking on every reachable shard."""
         for backend in self._store.shard_stores().values():
             try:
                 backend.result_cache.clear()
@@ -174,11 +209,12 @@ class ReplicatedResultCache(ShardedResultCache):
                 continue
         return total
 
-    def _per_shard_stats(self) -> Dict[str, Any]:
-        """Tolerant collection: a dead shard becomes an ``error`` entry.
+    def stats(self) -> Dict[str, Any]:
+        """Return the aggregated cache counters plus the per-shard breakdown.
 
-        The base class's aggregation skips error entries, so a stats poll
-        keeps working through an outage.
+        A shard whose cache cannot be reached becomes an ``{"error": ...}``
+        entry, excluded from the sums, so a stats poll keeps working through
+        an outage.
         """
         per_shard: Dict[str, Any] = {}
         for shard_id, backend in self._store.shard_stores().items():
@@ -186,23 +222,54 @@ class ReplicatedResultCache(ShardedResultCache):
                 per_shard[shard_id] = backend.result_cache.stats()
             except Exception as exc:
                 per_shard[shard_id] = {"error": str(exc)}
-        return per_shard
+        healthy = [stats for stats in per_shard.values() if "error" not in stats]
+        aggregated: Dict[str, Any] = {
+            key: sum(stats[key] for stats in healthy) for key in self._COUNTER_KEYS
+        }
+        total = aggregated["hits"] + aggregated["misses"]
+        aggregated["hit_rate"] = (aggregated["hits"] / total) if total else 0.0
+        # Policy knobs are uniform across internally-built shards; report the
+        # first shard's so the stats shape matches the single-store cache.
+        first = next(iter(healthy), {})
+        aggregated["ttl_seconds"] = first.get("ttl_seconds")
+        aggregated["admit_on_second_miss"] = first.get("admit_on_second_miss", False)
+        aggregated["shards"] = per_shard
+        return aggregated
+
+    def __repr__(self) -> str:
+        stats = self.stats()
+        return (
+            f"<ReplicatedResultCache over {len(stats['shards'])} shards, "
+            f"{stats['size']}/{stats['capacity']} entries>"
+        )
 
 
-class ReplicatedShardedDataStore(ShardedDataStore):
-    """A sharded datastore replicating every key to R ring successors.
+class ReplicatedShardedDataStore:
+    """A datastore made of N backend shards on a consistent-hash ring, R copies per key.
+
+    Implements the full :class:`~repro.platform.datastore.DataStore`
+    surface: keyed operations route to the key's ring successors,
+    ``list_*``/stats calls fan out across every shard.
 
     Parameters
     ----------
-    shards, num_shards, virtual_nodes, cache_ttl_seconds, cache_admit_on_second_miss:
-        As on :class:`~repro.platform.sharding.ShardedDataStore`.  Backends
-        may be :class:`~repro.platform.datastore.FileBackedDataStore`
-        instances — a file-backed ring shard recovers its slice of the data
-        on restart.
+    shards:
+        Backing :class:`DataStore` instances to shard across (ids are assigned
+        ``shard-0 .. shard-N-1`` in order).  Mutually exclusive with
+        ``num_shards``.  Backends may be
+        :class:`~repro.platform.datastore.FileBackedDataStore` instances — a
+        file-backed ring shard recovers its slice of the data on restart.
+    num_shards:
+        Build this many fresh in-memory backends instead.
     replicas:
-        Copies per key (``R``).  ``1`` reproduces the unreplicated store's
-        placement; the write quorum is ``R // 2 + 1``, so ``R >= 2`` keeps
-        every acked write on at least two shards.
+        Copies per key (``R``).  ``1`` is the unreplicated ring (each key on
+        its primary only); the write quorum is ``R // 2 + 1``, so ``R >= 2``
+        keeps every acked write on at least two shards.
+    virtual_nodes:
+        Ring points per shard (see :class:`~repro.platform.sharding.HashRing`).
+    cache_ttl_seconds, cache_admit_on_second_miss:
+        Cache policy knobs applied to every internally-built backend (invalid
+        together with ``shards``, whose caches are already configured).
     spill_dir, spill_store:
         Configure the cold file tier (mutually exclusive; ``spill_dir``
         builds a :class:`FileBackedDataStore` under the directory).
@@ -278,13 +345,48 @@ class ReplicatedShardedDataStore(ShardedDataStore):
                 "probe_transition_interval_seconds must be >= 0, got "
                 f"{probe_transition_interval_seconds}"
             )
-        super().__init__(
-            shards,
-            num_shards=num_shards,
-            virtual_nodes=virtual_nodes,
-            cache_ttl_seconds=cache_ttl_seconds,
-            cache_admit_on_second_miss=cache_admit_on_second_miss,
-        )
+        if (shards is None) == (num_shards is None):
+            raise InvalidParameterError(
+                "provide exactly one of `shards` (backing stores) or `num_shards`"
+            )
+        if shards is not None:
+            if cache_ttl_seconds is not None or cache_admit_on_second_miss:
+                raise InvalidParameterError(
+                    "cache_ttl_seconds / cache_admit_on_second_miss apply to "
+                    "internally-built shards; configure the provided stores directly"
+                )
+            backends = list(shards)
+            if not backends:
+                raise InvalidParameterError("`shards` must contain at least one datastore")
+        else:
+            require_positive_int(num_shards, "num_shards")
+            backends = [
+                DataStore(
+                    cache_ttl_seconds=cache_ttl_seconds,
+                    cache_admit_on_second_miss=cache_admit_on_second_miss,
+                )
+                for _ in range(num_shards)
+            ]
+        self._lock = threading.RLock()
+        #: Serialises topology operations and maintenance passes against each
+        #: other; migrations run under it but *outside* ``_lock``, so routed
+        #: reads and writes keep flowing while data moves.
+        self._topology_lock = threading.Lock()
+        #: Cache policy for internally-built backends, reapplied by
+        #: :meth:`add_shard` so a grown topology keeps one uniform policy.
+        self._cache_ttl_seconds = cache_ttl_seconds
+        self._cache_admit_on_second_miss = cache_admit_on_second_miss
+        self._backends: Dict[str, DataStore] = {
+            f"shard-{index}": backend for index, backend in enumerate(backends)
+        }
+        self._ring = HashRing(self._backends, virtual_nodes=virtual_nodes)
+        self._next_shard_index = len(backends)
+        #: Bumped on every ring or health change; optimistic writers validate
+        #: against it so routing stays consistent without holding the lock
+        #: across the backend operation.
+        self._epoch = 0
+        self._rebalances = 0
+        self._datasets_migrated = 0
         if replicas > self.num_shards:
             raise InvalidParameterError(
                 f"replicas ({replicas}) cannot exceed the number of shards "
@@ -373,6 +475,66 @@ class ReplicatedShardedDataStore(ShardedDataStore):
     # ------------------------------------------------------------------ #
     # topology, health and placement
     # ------------------------------------------------------------------ #
+    @property
+    def num_shards(self) -> int:
+        """Return the number of backend shards."""
+        with self._lock:
+            return len(self._backends)
+
+    def shard_ids(self) -> List[str]:
+        """Return the shard identifiers, sorted."""
+        with self._lock:
+            return sorted(self._backends)
+
+    def shard_for(self, key: str) -> str:
+        """Return the id of the primary shard of ``key`` (a dataset/result/log id)."""
+        with self._lock:
+            return self._ring.assign(key)
+
+    def shard_store(self, shard_id: str) -> DataStore:
+        """Return the backend datastore of one shard (raises if unknown)."""
+        with self._lock:
+            backend = self._backends.get(shard_id)
+        if backend is None:
+            raise StorageError(f"unknown shard {shard_id!r}")
+        return backend
+
+    def shard_stores(self) -> Dict[str, DataStore]:
+        """Return a snapshot of ``{shard id: backend}`` (sorted by id)."""
+        with self._lock:
+            return {shard_id: self._backends[shard_id] for shard_id in sorted(self._backends)}
+
+    def add_shard(
+        self,
+        backend: Optional[DataStore] = None,
+        *,
+        shard_id: Optional[str] = None,
+    ) -> str:
+        """Add a backend shard to the ring and return its id.
+
+        The new shard starts empty and only *new* keys route to it until
+        :meth:`rebalance` migrates the keys it now holds a replica of.  An
+        internally-built backend inherits the cache policy the store was
+        constructed with, keeping the policy uniform as the topology grows.
+        """
+        with self._topology_lock, self._lock:
+            if shard_id is None:
+                while f"shard-{self._next_shard_index}" in self._backends:
+                    self._next_shard_index += 1
+                shard_id = f"shard-{self._next_shard_index}"
+                self._next_shard_index += 1
+            if shard_id in self._backends:
+                raise InvalidParameterError(f"shard {shard_id!r} already exists")
+            if backend is None:
+                backend = DataStore(
+                    cache_ttl_seconds=self._cache_ttl_seconds,
+                    cache_admit_on_second_miss=self._cache_admit_on_second_miss,
+                )
+            self._ring.add_shard(shard_id)
+            self._backends[shard_id] = backend
+            self._epoch += 1
+            return shard_id
+
     @property
     def replicas(self) -> int:
         """Return R, the number of copies kept per key."""
@@ -741,10 +903,10 @@ class ReplicatedShardedDataStore(ShardedDataStore):
         migrations and after a spill); any other exception is an
         infrastructure failure and is counted against the shard.  Either way
         the next source is consulted: the remaining R-successors, the spill
-        tier, then every other shard (bridging in-flight moves exactly like
-        the base class's fan-out scan).  ``missed`` covers readers that
-        signal absence with a value (``has_*``, ``dataset_version``,
-        ``get_logs``).
+        tier, then every other shard (bridging in-flight migrations, which
+        run outside the routing lock precisely so reads keep flowing).
+        ``missed`` covers readers that signal absence with a value
+        (``has_*``, ``dataset_version``, ``get_logs``).
 
         Overload discipline: each source attempt runs under the shared
         retry policy (transient faults retry with jittered backoff, capped
@@ -768,6 +930,12 @@ class ReplicatedShardedDataStore(ShardedDataStore):
     def _route_read_traced(
         self, key: str, operation, read_span, *, missed=None, reject=None
     ):
+        """The failover walk of :meth:`_route_read`, inside ``read_span``.
+
+        Kept apart from :meth:`_route_read` because the quorum read opens
+        its own ``storage_read`` span, runs the digest round in it, and then
+        walks the successors inside that same span with a ``reject`` guard.
+        """
         with self._lock:
             live, down = self._placement_locked(key)
             primary = self._ring.successors(key, 1)[0]
@@ -987,36 +1155,73 @@ class ReplicatedShardedDataStore(ShardedDataStore):
             self._note_read_version(dataset_id, value[1])
             return value
 
-    def fetch_dataset(self, dataset_id: str):
-        """Return the dataset graph, routed through the versioned fetch.
+    def _fetch_versioned(self, dataset_id: str, operation):
+        """Serve ``(payload, version)`` under the configured read consistency.
 
-        The base class reads the payload without its version, which lets a
-        failover source serve a pre-outage copy with no ``stale_reads``
-        detection at all; routing through
-        :meth:`fetch_dataset_with_version` puts every dataset read —
-        one-mode floor check and quorum alike — on the same guard.
+        Every dataset read surface goes through here, so the one-mode floor
+        check and the quorum's digest round guard all of them alike.
         """
+        if self._read_consistency == "quorum":
+            return self._quorum_fetch_versioned(dataset_id, operation)
+        value = self._route_read(dataset_id, operation)
+        self._note_read_version(dataset_id, value[1])
+        return value
+
+    def fetch_dataset(self, dataset_id: str) -> DirectedGraph:
+        """Return the dataset graph (a versioned fetch, floor-checked)."""
         return self.fetch_dataset_with_version(dataset_id)[0]
 
-    def fetch_dataset_with_version(self, dataset_id: str):
-        if self._read_consistency == "quorum":
-            return self._quorum_fetch_versioned(
-                dataset_id,
-                lambda backend: backend.fetch_dataset_with_version(dataset_id),
-            )
-        graph, version = super().fetch_dataset_with_version(dataset_id)
-        self._note_read_version(dataset_id, version)
-        return graph, version
+    def fetch_dataset_with_version(self, dataset_id: str) -> Tuple[DirectedGraph, int]:
+        """Return ``(graph, version)`` from the first source that holds it."""
+        return self._fetch_versioned(
+            dataset_id, lambda backend: backend.fetch_dataset_with_version(dataset_id)
+        )
 
-    def fetch_compiled_with_version(self, dataset_id: str):
-        if self._read_consistency == "quorum":
-            return self._quorum_fetch_versioned(
-                dataset_id,
-                lambda backend: backend.fetch_compiled_with_version(dataset_id),
-            )
-        compiled, version = super().fetch_compiled_with_version(dataset_id)
-        self._note_read_version(dataset_id, version)
-        return compiled, version
+    def fetch_compiled_with_version(self, dataset_id: str) -> Tuple[CompiledGraph, int]:
+        """Return ``(compiled artifact, version)``, compiled where the graph lives."""
+        return self._fetch_versioned(
+            dataset_id, lambda backend: backend.fetch_compiled_with_version(dataset_id)
+        )
+
+    def fetch_compiled(self, dataset_id: str) -> CompiledGraph:
+        """Return the compiled artifact of a stored dataset."""
+        return self.fetch_compiled_with_version(dataset_id)[0]
+
+    def dataset_version(self, dataset_id: str) -> int:
+        """Return the upload counter of a dataset (0 when no source holds it)."""
+        return self._route_read(
+            dataset_id,
+            lambda backend: backend.dataset_version(dataset_id),
+            missed=lambda version: version == 0,
+        )
+
+    def has_dataset(self, dataset_id: str) -> bool:
+        """Return ``True`` if any source stores ``dataset_id``."""
+        return self._route_read(
+            dataset_id,
+            lambda backend: backend.has_dataset(dataset_id),
+            missed=lambda found: not found,
+        )
+
+    def get_result(self, result_id: str) -> dict:
+        """Return a stored result payload."""
+        return self._route_read(result_id, lambda backend: backend.get_result(result_id))
+
+    def has_result(self, result_id: str) -> bool:
+        """Return ``True`` if any source stores ``result_id``."""
+        return self._route_read(
+            result_id,
+            lambda backend: backend.has_result(result_id),
+            missed=lambda found: not found,
+        )
+
+    def get_logs(self, log_id: str) -> List[str]:
+        """Return the log lines of ``log_id``."""
+        return self._route_read(
+            log_id,
+            lambda backend: backend.get_logs(log_id),
+            missed=lambda lines: not lines,
+        )
 
     # ------------------------------------------------------------------ #
     # read-repair (single-key anti-entropy driven by failover reads)
@@ -1118,7 +1323,7 @@ class ReplicatedShardedDataStore(ShardedDataStore):
         down or fails, the write slides to the next live successor (hinted
         handoff) — fewer than quorum acks raise :class:`StorageError` and the
         write is not acknowledged.  Copies on shards outside the acked set
-        are purged (the write-time authority rule of the base class), and a
+        are purged (so every surviving copy is authoritative), and a
         spilled copy is superseded: a re-upload promotes the dataset back to
         the memory tier.
 
@@ -1137,133 +1342,130 @@ class ReplicatedShardedDataStore(ShardedDataStore):
         waiting for a repair pass.
         """
         with child_span("storage_write", key=dataset_id, kind="dataset") as write_span:
-            self._store_dataset_traced(dataset_id, graph, write_span)
-
-    def _store_dataset_traced(self, dataset_id, graph, write_span) -> None:
-        while True:
-            with self._lock:
-                epoch = self._epoch
-                # CAS-style version reservation: the upload claims its
-                # version against the router's high-water mark (acked
-                # floor, reachable backend scan, and any reservation a
-                # concurrent writer already holds — ``_version_floor``
-                # folds all three in) under the routing lock, so two
-                # racing re-uploads of the same dataset always mint
-                # distinct, ordered versions even though the replica
-                # writes themselves run outside the lock.
-                floor = self._version_floor(dataset_id)
-                minted = floor + 1
-                self._version_reservations[dataset_id] = minted
-                live, _ = self._placement_locked(dataset_id)
-                plan = [(sid, self._backends[sid]) for sid in live]
-            acked: List[Tuple[str, DataStore]] = []
-            for shard_id, backend in plan:
-                if len(acked) == self._replicas:
-                    break
-                def _store_one(backend=backend):
-                    owner_had_dataset = backend.has_dataset(dataset_id)
-                    stored = backend.store_dataset(
-                        dataset_id,
-                        graph,
-                        version_floor=floor,
-                        supersede_below=minted,
-                    )
-                    return owner_had_dataset, stored
-
-                try:
-                    # The in-memory/file backends validate before mutating, so
-                    # a failed attempt left no partial copy and the shared
-                    # retry policy may safely re-send the whole write.
-                    # ``supersede_below`` makes the send conditional: a
-                    # replica already holding a concurrent re-upload's newer
-                    # version refuses the overwrite, so the losing writer can
-                    # never resurrect its older graph above the winner — the
-                    # newer copy also satisfies this write's durability, so
-                    # the refusal still counts as an ack.
-                    with child_span("replica_write", shard=shard_id):
-                        owner_had_dataset, stored = self._retry_policy.run(
-                            _store_one
-                        )
-                    if stored and not owner_had_dataset:
-                        backend.result_cache.invalidate_dataset(dataset_id)
-                    acked.append((shard_id, backend))
-                except Exception:
-                    with self._lock:
-                        self._note_shard_error_locked(shard_id)
-            if len(acked) < self._quorum:
+            while True:
                 with self._lock:
-                    # Nothing landed: release the reservation (unless a
-                    # concurrent writer already reserved past it) so the
-                    # failed write does not poison the version sequence
-                    # with a version no replica holds.
-                    if not acked and (
-                        self._version_reservations.get(dataset_id) == minted
-                    ):
-                        del self._version_reservations[dataset_id]
-                raise StorageError(
-                    f"dataset {dataset_id!r} write reached {len(acked)} of the "
-                    f"{self._quorum} replica acks the quorum requires"
-                )
-            write_span.annotate(acked=len(acked), quorum=self._quorum)
-            with self._lock:
-                for shard_id, _ in acked:
-                    self._note_shard_success_locked(shard_id)
-                if len(acked) < self._replicas:
-                    self._degraded_writes += 1
-                settled = self._epoch == epoch
-                if not settled:
+                    epoch = self._epoch
+                    # CAS-style version reservation: the upload claims its
+                    # version against the router's high-water mark (acked
+                    # floor, reachable backend scan, and any reservation a
+                    # concurrent writer already holds — ``_version_floor``
+                    # folds all three in) under the routing lock, so two
+                    # racing re-uploads of the same dataset always mint
+                    # distinct, ordered versions even though the replica
+                    # writes themselves run outside the lock.
+                    floor = self._version_floor(dataset_id)
+                    minted = floor + 1
+                    self._version_reservations[dataset_id] = minted
                     live, _ = self._placement_locked(dataset_id)
-                    current_owners = {
-                        self._backends[sid] for sid in live[: self._replicas]
-                    }
-                    settled = current_owners <= {backend for _, backend in acked}
-                if settled:
-                    acked_ids = {sid for sid, _ in acked}
-                    for shard_id, backend in self._backends.items():
-                        if shard_id in acked_ids:
-                            continue
-                        if shard_id in self._down:
-                            # A down shard takes no writes, purges included;
-                            # a pre-outage copy it still holds is below the
-                            # floor this write establishes, so the quorum
-                            # read withholds it and the repair passes
-                            # supersede it after recovery.
-                            continue
-                        try:
-                            if backend.has_dataset(dataset_id) and (
-                                backend.dataset_version(dataset_id) < minted
-                            ):
-                                # Purge only strictly-older copies: a shard
-                                # outside this write's acked set may already
-                                # hold a concurrent re-upload's newer version,
-                                # which must survive the losing writer's
-                                # cleanup.
-                                backend.drop_dataset(dataset_id)
-                        except Exception:
+                    plan = [(sid, self._backends[sid]) for sid in live]
+                acked: List[Tuple[str, DataStore]] = []
+                for shard_id, backend in plan:
+                    if len(acked) == self._replicas:
+                        break
+                    def _store_one(backend=backend):
+                        owner_had_dataset = backend.has_dataset(dataset_id)
+                        stored = backend.store_dataset(
+                            dataset_id,
+                            graph,
+                            version_floor=floor,
+                            supersede_below=minted,
+                        )
+                        return owner_had_dataset, stored
+
+                    try:
+                        # The in-memory/file backends validate before mutating, so
+                        # a failed attempt left no partial copy and the shared
+                        # retry policy may safely re-send the whole write.
+                        # ``supersede_below`` makes the send conditional: a
+                        # replica already holding a concurrent re-upload's newer
+                        # version refuses the overwrite, so the losing writer can
+                        # never resurrect its older graph above the winner — the
+                        # newer copy also satisfies this write's durability, so
+                        # the refusal still counts as an ack.
+                        with child_span("replica_write", shard=shard_id):
+                            owner_had_dataset, stored = self._retry_policy.run(
+                                _store_one
+                            )
+                        if stored and not owner_had_dataset:
+                            backend.result_cache.invalidate_dataset(dataset_id)
+                        acked.append((shard_id, backend))
+                    except Exception:
+                        with self._lock:
                             self._note_shard_error_locked(shard_id)
-            if not settled:
-                continue
-            if self._spill is not None:
-                try:
-                    if self._spill.has_dataset(dataset_id) and (
-                        self._spill.dataset_version(dataset_id) < minted
-                    ):
-                        self._spill.drop_dataset(dataset_id)
-                except Exception:
-                    pass
-            with self._lock:
-                # Every acked replica holds at least ``minted``: that is now
-                # the caller-known version floor stale-read detection and
-                # the quorum's digest round hold future reads to.
-                self._known_version_floor[dataset_id] = max(
-                    self._known_version_floor.get(dataset_id, 0), minted
-                )
-                if self._version_reservations.get(dataset_id) == minted:
-                    del self._version_reservations[dataset_id]
-                # The acked upload (strictly above any pending tombstone)
-                # supersedes an outstanding drop intent.
-                self._pending_drops.pop(dataset_id, None)
-            return
+                if len(acked) < self._quorum:
+                    with self._lock:
+                        # Nothing landed: release the reservation (unless a
+                        # concurrent writer already reserved past it) so the
+                        # failed write does not poison the version sequence
+                        # with a version no replica holds.
+                        if not acked and (
+                            self._version_reservations.get(dataset_id) == minted
+                        ):
+                            del self._version_reservations[dataset_id]
+                    raise StorageError(
+                        f"dataset {dataset_id!r} write reached {len(acked)} of the "
+                        f"{self._quorum} replica acks the quorum requires"
+                    )
+                write_span.annotate(acked=len(acked), quorum=self._quorum)
+                with self._lock:
+                    for shard_id, _ in acked:
+                        self._note_shard_success_locked(shard_id)
+                    if len(acked) < self._replicas:
+                        self._degraded_writes += 1
+                    settled = self._epoch == epoch
+                    if not settled:
+                        live, _ = self._placement_locked(dataset_id)
+                        current_owners = {
+                            self._backends[sid] for sid in live[: self._replicas]
+                        }
+                        settled = current_owners <= {backend for _, backend in acked}
+                    if settled:
+                        acked_ids = {sid for sid, _ in acked}
+                        for shard_id, backend in self._backends.items():
+                            if shard_id in acked_ids:
+                                continue
+                            if shard_id in self._down:
+                                # A down shard takes no writes, purges included;
+                                # a pre-outage copy it still holds is below the
+                                # floor this write establishes, so the quorum
+                                # read withholds it and the repair passes
+                                # supersede it after recovery.
+                                continue
+                            try:
+                                if backend.has_dataset(dataset_id) and (
+                                    backend.dataset_version(dataset_id) < minted
+                                ):
+                                    # Purge only strictly-older copies: a shard
+                                    # outside this write's acked set may already
+                                    # hold a concurrent re-upload's newer version,
+                                    # which must survive the losing writer's
+                                    # cleanup.
+                                    backend.drop_dataset(dataset_id)
+                            except Exception:
+                                self._note_shard_error_locked(shard_id)
+                if not settled:
+                    continue
+                if self._spill is not None:
+                    try:
+                        if self._spill.has_dataset(dataset_id) and (
+                            self._spill.dataset_version(dataset_id) < minted
+                        ):
+                            self._spill.drop_dataset(dataset_id)
+                    except Exception:
+                        pass
+                with self._lock:
+                    # Every acked replica holds at least ``minted``: that is now
+                    # the caller-known version floor stale-read detection and
+                    # the quorum's digest round hold future reads to.
+                    self._known_version_floor[dataset_id] = max(
+                        self._known_version_floor.get(dataset_id, 0), minted
+                    )
+                    if self._version_reservations.get(dataset_id) == minted:
+                        del self._version_reservations[dataset_id]
+                    # The acked upload (strictly above any pending tombstone)
+                    # supersedes an outstanding drop intent.
+                    self._pending_drops.pop(dataset_id, None)
+                return
 
     def put_result(self, result_id: str, payload: Mapping[str, object]) -> None:
         """Store a result on its R live successors with quorum acknowledgement."""
@@ -1274,54 +1476,51 @@ class ReplicatedShardedDataStore(ShardedDataStore):
     def _replicated_write(self, key: str, operation) -> None:
         """Write to R live successors outside the lock, epoch-validated.
 
-        Mirrors the base class's optimistic scheme for IO-heavy writes
-        (results may persist to disk on file-backed shards): the plan is
-        snapshotted under the lock, the writes run outside it, and if a
-        topology change moved the key's replica set underneath, the write is
-        repeated against the fresh owners (results are written once per id,
-        so a duplicate send is idempotent).
+        The optimistic scheme for IO-heavy writes (results may persist to
+        disk on file-backed shards): the plan is snapshotted under the lock,
+        the writes run outside it, and if a topology change moved the key's
+        replica set underneath, the write is repeated against the fresh
+        owners (results are written once per id, so a duplicate send is
+        idempotent).
         """
         with child_span("storage_write", key=key, kind="result") as write_span:
-            self._replicated_write_traced(key, operation, write_span)
-
-    def _replicated_write_traced(self, key: str, operation, write_span) -> None:
-        while True:
-            with self._lock:
-                epoch = self._epoch
-                live, _ = self._placement_locked(key)
-                plan = [(sid, self._backends[sid]) for sid in live]
-            acked: List[Tuple[str, DataStore]] = []
-            for shard_id, backend in plan:
-                if len(acked) == self._replicas:
-                    break
-                try:
-                    with child_span("replica_write", shard=shard_id):
-                        self._retry_policy.run(
-                            lambda backend=backend: operation(backend)
-                        )
-                    acked.append((shard_id, backend))
-                except Exception:
-                    with self._lock:
-                        self._note_shard_error_locked(shard_id)
-            if len(acked) < self._quorum:
-                raise StorageError(
-                    f"write of {key!r} reached {len(acked)} of the "
-                    f"{self._quorum} replica acks the quorum requires"
-                )
-            write_span.annotate(acked=len(acked), quorum=self._quorum)
-            with self._lock:
-                for shard_id, _ in acked:
-                    self._note_shard_success_locked(shard_id)
-                if len(acked) < self._replicas:
-                    self._degraded_writes += 1
-                if self._epoch == epoch:
-                    return
-                live, _ = self._placement_locked(key)
-                current_owners = {
-                    self._backends[sid] for sid in live[: self._replicas]
-                }
-                if current_owners <= {backend for _, backend in acked}:
-                    return
+            while True:
+                with self._lock:
+                    epoch = self._epoch
+                    live, _ = self._placement_locked(key)
+                    plan = [(sid, self._backends[sid]) for sid in live]
+                acked: List[Tuple[str, DataStore]] = []
+                for shard_id, backend in plan:
+                    if len(acked) == self._replicas:
+                        break
+                    try:
+                        with child_span("replica_write", shard=shard_id):
+                            self._retry_policy.run(
+                                lambda backend=backend: operation(backend)
+                            )
+                        acked.append((shard_id, backend))
+                    except Exception:
+                        with self._lock:
+                            self._note_shard_error_locked(shard_id)
+                if len(acked) < self._quorum:
+                    raise StorageError(
+                        f"write of {key!r} reached {len(acked)} of the "
+                        f"{self._quorum} replica acks the quorum requires"
+                    )
+                write_span.annotate(acked=len(acked), quorum=self._quorum)
+                with self._lock:
+                    for shard_id, _ in acked:
+                        self._note_shard_success_locked(shard_id)
+                    if len(acked) < self._replicas:
+                        self._degraded_writes += 1
+                    if self._epoch == epoch:
+                        return
+                    live, _ = self._placement_locked(key)
+                    current_owners = {
+                        self._backends[sid] for sid in live[: self._replicas]
+                    }
+                    if current_owners <= {backend for _, backend in acked}:
+                        return
 
     def append_log(self, log_id: str, message: str) -> None:
         """Append a log line on the first live successor that accepts it.
@@ -1480,15 +1679,93 @@ class ReplicatedShardedDataStore(ShardedDataStore):
         """Drop a log stream from every shard and the spill tier."""
         self._tolerant_drop(lambda backend: backend.drop_logs(log_id))
 
-    def _per_shard_artifact_stats(self) -> Dict[str, Any]:
-        """Tolerant artifact-counter collection, mirroring the cache view's."""
+    # ------------------------------------------------------------------ #
+    # deletion tombstones (fanned out like the drops they harden)
+    # ------------------------------------------------------------------ #
+    def set_dataset_tombstone(self, dataset_id: str, version: int) -> bool:
+        """Record a versioned deletion marker on every shard.
+
+        Returns ``True`` if any shard accepted it (a shard holding a
+        strictly newer live copy declines — the write won the race).
+        """
+        accepted = False
+        with self._lock:
+            for backend in self._backends.values():
+                if backend.set_dataset_tombstone(dataset_id, version):
+                    accepted = True
+        return accepted
+
+    def dataset_tombstone(self, dataset_id: str) -> int:
+        """Return the highest tombstone version any shard records (0 = none)."""
+        version = 0
+        for backend in self.shard_stores().values():
+            version = max(version, backend.dataset_tombstone(dataset_id))
+        return version
+
+    def clear_dataset_tombstone(self, dataset_id: str) -> None:
+        """Reap a dataset tombstone from every shard."""
+        for backend in self.shard_stores().values():
+            backend.clear_dataset_tombstone(dataset_id)
+
+    def list_dataset_tombstones(self) -> Dict[str, int]:
+        """Merged ``{dataset_id: version}`` tombstones across the shards."""
+        merged: Dict[str, int] = {}
+        for backend in self.shard_stores().values():
+            for dataset_id, version in backend.list_dataset_tombstones().items():
+                merged[dataset_id] = max(merged.get(dataset_id, 0), version)
+        return merged
+
+    def set_result_tombstone(self, result_id: str) -> None:
+        """Record a result deletion marker on every shard."""
+        for backend in self.shard_stores().values():
+            backend.set_result_tombstone(result_id)
+
+    def has_result_tombstone(self, result_id: str) -> bool:
+        """Return whether any shard records a tombstone for ``result_id``."""
+        return any(
+            backend.has_result_tombstone(result_id)
+            for backend in self.shard_stores().values()
+        )
+
+    def clear_result_tombstone(self, result_id: str) -> None:
+        """Reap a result tombstone from every shard."""
+        for backend in self.shard_stores().values():
+            backend.clear_result_tombstone(result_id)
+
+    def list_result_tombstones(self) -> List[str]:
+        """Sorted union of result tombstones across the shards."""
+        identifiers: set = set()
+        for backend in self.shard_stores().values():
+            identifiers.update(backend.list_result_tombstones())
+        return sorted(identifiers)
+
+    # ------------------------------------------------------------------ #
+    # compiled-artifact counters and occupancy
+    # ------------------------------------------------------------------ #
+    #: Counter keys summed across shards by :meth:`artifact_stats`.
+    _ARTIFACT_COUNTER_KEYS = ("compiled", "hits", "misses", "invalidations")
+
+    def artifact_stats(self) -> Dict[str, Any]:
+        """Return aggregated artifact counters plus the per-shard breakdown.
+
+        An unreachable shard becomes an ``{"error": ...}`` entry, excluded
+        from the sums, mirroring the cache view's :meth:`~ReplicatedResultCache.stats`.
+        """
         per_shard: Dict[str, Any] = {}
         for shard_id, backend in self.shard_stores().items():
             try:
                 per_shard[shard_id] = backend.artifact_stats()
             except Exception as exc:
                 per_shard[shard_id] = {"error": str(exc)}
-        return per_shard
+        healthy = [stats for stats in per_shard.values() if "error" not in stats]
+        aggregated: Dict[str, Any] = {
+            key: sum(stats[key] for stats in healthy)
+            for key in self._ARTIFACT_COUNTER_KEYS
+        }
+        total = aggregated["hits"] + aggregated["misses"]
+        aggregated["hit_rate"] = (aggregated["hits"] / total) if total else 0.0
+        aggregated["shards"] = per_shard
+        return aggregated
 
     def occupancy(self) -> Dict[str, int]:
         """Summed occupancy across reachable shards (the spill tier reports
@@ -2088,6 +2365,24 @@ class ReplicatedShardedDataStore(ShardedDataStore):
                     except Exception:
                         self._note_shard_error_locked(shard_id)
 
+    def _drain_logs(self, shard_id: str, backend: DataStore) -> None:
+        """Merge ``backend``'s misrouted log streams into their primaries'.
+
+        Called from :meth:`_rebalance_log_streams` and again by
+        :meth:`remove_shard` after the leaving backend is unlinked, to sweep
+        up lines that landed between the migration and the unlink.  Log
+        streams merge rather than overwrite: every line lives on exactly one
+        shard, so the two streams concatenate losslessly (a tolerable
+        reordering for diagnostics).
+        """
+        for log_id in backend.list_logs():
+            owner = self._ring.assign(log_id)
+            if owner != shard_id:
+                target = self._backends[owner]
+                for line in backend.get_logs(log_id):
+                    target.append_log(log_id, line)
+                backend.drop_logs(log_id)
+
     def _rebalance_log_streams(self) -> None:
         """Merge misrouted log streams onto their primaries (tolerantly)."""
         with self._lock:
@@ -2103,9 +2398,14 @@ class ReplicatedShardedDataStore(ShardedDataStore):
         """Remove a shard: take it off the ring, re-replicate, then unlink.
 
         The replication-aware rebalance restores R copies and canonical
-        placement among the survivors before the backend is discarded; a
-        failure rolls the shard back onto the ring, exactly like the base
-        class.
+        placement among the survivors.  The backend is unlinked only once
+        every dataset, result and tombstone it holds has a copy on a
+        remaining shard (see :meth:`_stranded_on`); otherwise, or if the
+        pass itself raises, the shard is rolled back onto the ring and the
+        removal raises :class:`StorageError` — it never drops the only copy
+        of a key.  Keys that moved before a rollback stay readable through
+        read failover until the next :meth:`rebalance` restores canonical
+        placement.  Returns the migrated dataset ids.
         """
         with self._topology_lock:
             with self._lock:
@@ -2128,6 +2428,13 @@ class ReplicatedShardedDataStore(ShardedDataStore):
                         moved.append(dataset_id)
                 for result_id in self._ring_result_ids():
                     self._rebalance_result(result_id)
+                stranded = self._stranded_on(shard_id, leaving)
+                if stranded:
+                    raise StorageError(
+                        f"cannot remove shard {shard_id!r}: {len(stranded)} key(s) "
+                        f"have no copy on the remaining shards "
+                        f"(first: {stranded[0]!r})"
+                    )
             except BaseException:
                 with self._lock:
                     self._ring.add_shard(shard_id)
@@ -2143,6 +2450,68 @@ class ReplicatedShardedDataStore(ShardedDataStore):
                 self._datasets_migrated += len(moved)
             self._drain_logs(shard_id, leaving)
             return moved
+
+    def _stranded_on(self, shard_id: str, leaving: DataStore) -> List[str]:
+        """Return the keys whose only copy is on the leaving backend.
+
+        A dataset (or dataset tombstone) counts as copied only when another
+        shard holds it at the same or a newer version.  Results and result
+        tombstones are written once per id, so presence suffices.  A leaving
+        backend that cannot even be listed reports nothing: its data is
+        unreachable already, and removing a dead shard is how an operator
+        replaces it.
+        """
+        with self._lock:
+            others = [
+                backend for other_id, backend in self._backends.items()
+                if other_id != shard_id
+            ]
+
+        def copied(probe) -> bool:
+            for backend in others:
+                try:
+                    if probe(backend):
+                        return True
+                except Exception:
+                    continue
+            return False
+
+        try:
+            datasets = {
+                dataset_id: leaving.dataset_version(dataset_id)
+                for dataset_id in leaving.list_datasets()
+            }
+            dataset_tombstones = leaving.list_dataset_tombstones()
+            results = leaving.list_results()
+            result_tombstones = leaving.list_result_tombstones()
+        except Exception:
+            return []
+        stranded = [
+            dataset_id
+            for dataset_id, version in datasets.items()
+            if not copied(
+                lambda backend: backend.has_dataset(dataset_id)
+                and backend.dataset_version(dataset_id) >= version
+            )
+        ]
+        stranded += [
+            dataset_id
+            for dataset_id, version in dataset_tombstones.items()
+            if not copied(
+                lambda backend: backend.dataset_tombstone(dataset_id) >= version
+            )
+        ]
+        stranded += [
+            result_id
+            for result_id in results
+            if not copied(lambda backend: backend.has_result(result_id))
+        ]
+        stranded += [
+            result_id
+            for result_id in result_tombstones
+            if not copied(lambda backend: backend.has_result_tombstone(result_id))
+        ]
+        return stranded
 
     # ------------------------------------------------------------------ #
     # observability
@@ -2214,19 +2583,50 @@ class ReplicatedShardedDataStore(ShardedDataStore):
         }
 
     def shard_stats(self) -> Dict[str, Any]:
-        """Base topology stats plus replication health and spill occupancy."""
-        stats = super().shard_stats()
+        """Return the shard topology with per-shard health and occupancy.
+
+        This is the ``"shards"`` section of ``platform_stats()`` /
+        ``GET /api/stats``: ring shape, per-shard occupancy plus result-cache
+        and artifact hit rates, then replication health, spill occupancy and
+        the failure detector's state.  A shard whose backend fails its stats
+        probe, or is marked down, is reported unhealthy instead of failing
+        the whole snapshot.
+        """
         with self._lock:
+            virtual_nodes = self._ring.virtual_nodes
+            rebalances = self._rebalances
+            migrated = self._datasets_migrated
             down = set(self._down)
-        for shard_id in down:
-            card = stats["per_shard"].get(shard_id)
-            if card is not None:
-                card["healthy"] = False
-                card["marked_down"] = True
-        stats["replication"] = self.replication_stats()
-        stats["spill"] = self.spill_stats()
-        stats["health"] = self.health_stats()
-        return stats
+        per_shard: Dict[str, Any] = {}
+        for shard_id, backend in self.shard_stores().items():
+            try:
+                occupancy = backend.occupancy()
+                cache_stats = backend.result_cache.stats()
+                artifact_stats = backend.artifact_stats()
+                # Counts only, never id listings: /api/stats is a polled
+                # monitoring endpoint and must not grow with dataset count.
+                per_shard[shard_id] = {
+                    "healthy": shard_id not in down,
+                    "occupancy": occupancy,
+                    "cache_hit_rate": cache_stats["hit_rate"],
+                    "cache_size": cache_stats["size"],
+                    "artifact_hit_rate": artifact_stats["hit_rate"],
+                }
+            except Exception as exc:
+                per_shard[shard_id] = {"healthy": False, "error": str(exc)}
+            if shard_id in down:
+                per_shard[shard_id]["marked_down"] = True
+        return {
+            "num_shards": len(per_shard),
+            "virtual_nodes": virtual_nodes,
+            "shard_ids": sorted(per_shard),
+            "rebalances": rebalances,
+            "datasets_migrated": migrated,
+            "per_shard": per_shard,
+            "replication": self.replication_stats(),
+            "spill": self.spill_stats(),
+            "health": self.health_stats(),
+        }
 
     def __repr__(self) -> str:
         return (

@@ -78,9 +78,9 @@ class Scheduler:
         Destination for results and logs; also owns the platform-wide
         :class:`~repro.platform.cache.ResultCache` consulted before any
         dispatch.  The scheduler works against the abstract store surface, so
-        a :class:`~repro.platform.sharding.ShardedDataStore` (whose
-        ``result_cache`` routes each key to the shard owning its dataset)
-        drops in without any scheduling change.
+        a :class:`~repro.platform.replication.ReplicatedShardedDataStore`
+        (whose ``result_cache`` routes each key to the shard preferred for
+        its dataset) drops in without any scheduling change.
     catalog:
         Source of datasets referenced by task queries.
     executor_pool:

@@ -1,55 +1,26 @@
-"""Consistent-hash sharded storage: datasets, results, caches and artifacts across N backends.
+"""The consistent-hash ring that places keys on storage shards.
 
-A single in-process :class:`~repro.platform.datastore.DataStore` bounds every
-dataset by one node's memory.  This module scales the storage layer out while
-keeping the rest of the platform (scheduler, executor pool, gateway) oblivious:
-:class:`ShardedDataStore` implements the full datastore surface by routing
-every keyed operation to an owning backend shard chosen on a consistent-hash
-ring, and fanning list/stats calls out across all shards.
-
-Routing key and ownership
--------------------------
-The routing key is the *dataset id* for dataset-keyed operations (the same id
-the :class:`~repro.platform.cache.ResultCache` key already carries first), the
-result id for results and the log id for logs.  Each backend shard owns its
-own :class:`ResultCache` and compiled-artifact slot, so the invalidation
-contract stays **shard-local**: re-uploading or dropping a dataset invalidates
-cached rankings and the compiled artifact only on the shard that owns the
-dataset — the other shards are never touched.
-
-Consistent hashing
-------------------
 :class:`HashRing` places ``virtual_nodes`` points per shard on a 64-bit ring
 (BLAKE2b positions, stable across processes and Python versions — never
 ``hash()``, which is salted per process) and assigns a key to the first shard
 point at or after the key's position.  Adding or removing one shard therefore
 moves only the keys whose ring interval changed hands: an ``O(1/N)`` fraction
-in expectation, which is what makes :meth:`ShardedDataStore.rebalance`
-cheap — it migrates exactly the datasets whose assignment changed and drops
-their derived caches (a moved dataset recompiles and re-caches on its new
-owner on first use).
-
-The ring change itself is explicit: :meth:`ShardedDataStore.add_shard` /
-:meth:`remove_shard` update the topology, and :meth:`rebalance` performs the
-minimal migration.  ``remove_shard`` migrates the leaving shard's data as part
-of the removal so nothing is orphaned.
+in expectation.  :meth:`HashRing.successors` walks the ring clockwise to the
+next distinct shards, which is the replica placement of the ring store
+(:class:`~repro.platform.replication.ReplicatedShardedDataStore`); with one
+replica it is the same assignment as :meth:`HashRing.assign`.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List
 
 from ..exceptions import InvalidParameterError, StorageError
 from .._validation import require_positive_int
-from ..graph.compiled import CompiledGraph
-from ..graph.digraph import DirectedGraph
-from .cache import CacheKey, ResultCache
-from .datastore import DataStore
 
-__all__ = ["HashRing", "ShardedDataStore", "ShardedResultCache"]
+__all__ = ["HashRing"]
 
 #: Virtual nodes per shard: enough for an even spread at small shard counts
 #: without making ring rebuilds noticeable.
@@ -192,825 +163,3 @@ class HashRing:
                 if len(owners) == wanted:
                     break
         return owners
-
-
-class ShardedResultCache:
-    """The sharded store's routing view over the per-shard result caches.
-
-    The scheduler holds one ``result_cache`` handle for the lifetime of the
-    platform; this object keeps that contract while each backend shard keeps
-    *owning* its cache — a :meth:`get`/:meth:`put` routes to the cache of the
-    shard that owns the key's dataset (the dataset id is the first element of
-    every :data:`~repro.platform.cache.CacheKey`), so cached rankings live
-    next to their dataset and invalidation on re-upload/drop stays
-    shard-local.  :meth:`stats` aggregates the per-shard counters and keeps
-    the per-shard breakdown under ``"shards"``.
-    """
-
-    #: Kept for callers that build keys through the cache object they hold.
-    key_for = staticmethod(ResultCache.key_for)
-
-    def __init__(self, store: "ShardedDataStore") -> None:
-        self._store = store
-
-    def _cache_for(self, dataset_id: str) -> ResultCache:
-        return self._store._store_for(dataset_id).result_cache
-
-    def get(self, key: CacheKey):
-        """Return the cached ranking for ``key`` from its owning shard."""
-        return self._cache_for(key[0]).get(key)
-
-    def peek(self, key: CacheKey):
-        """Return the cached ranking without touching counters or LRU order."""
-        return self._cache_for(key[0]).peek(key)
-
-    def put(self, key: CacheKey, ranking) -> bool:
-        """Store a finished ranking on the shard owning the key's dataset."""
-        return self._cache_for(key[0]).put(key, ranking)
-
-    def invalidate_dataset(self, dataset_id: str) -> int:
-        """Drop the dataset's cached rankings on its owning shard only."""
-        return self._cache_for(dataset_id).invalidate_dataset(dataset_id)
-
-    def clear(self) -> None:
-        """Drop every cached ranking on every shard."""
-        for backend in self._store.shard_stores().values():
-            backend.result_cache.clear()
-
-    def __len__(self) -> int:
-        return sum(len(backend.result_cache) for backend in self._store.shard_stores().values())
-
-    #: Counter keys summed across shards by :meth:`stats`.
-    _COUNTER_KEYS = (
-        "capacity",
-        "size",
-        "hits",
-        "misses",
-        "evictions",
-        "invalidations",
-        "expirations",
-        "admissions_deferred",
-    )
-
-    def _per_shard_stats(self) -> Dict[str, Any]:
-        """Collect each shard's cache counters (hook for tolerant subclasses)."""
-        return {
-            shard_id: backend.result_cache.stats()
-            for shard_id, backend in self._store.shard_stores().items()
-        }
-
-    def stats(self) -> Dict[str, Any]:
-        """Return the aggregated cache counters plus the per-shard breakdown.
-
-        A per-shard entry carrying an ``"error"`` key (a shard the tolerant
-        replicated collection could not reach) is excluded from the sums.
-        """
-        per_shard = self._per_shard_stats()
-        healthy = [stats for stats in per_shard.values() if "error" not in stats]
-        aggregated: Dict[str, Any] = {
-            key: sum(stats[key] for stats in healthy) for key in self._COUNTER_KEYS
-        }
-        total = aggregated["hits"] + aggregated["misses"]
-        aggregated["hit_rate"] = (aggregated["hits"] / total) if total else 0.0
-        # Policy knobs are uniform across internally-built shards; report the
-        # first shard's so the stats shape matches the single-store cache.
-        first = next(iter(healthy), {})
-        aggregated["ttl_seconds"] = first.get("ttl_seconds")
-        aggregated["admit_on_second_miss"] = first.get("admit_on_second_miss", False)
-        aggregated["shards"] = per_shard
-        return aggregated
-
-    def __repr__(self) -> str:
-        stats = self.stats()
-        return (
-            f"<ShardedResultCache over {len(stats['shards'])} shards, "
-            f"{stats['size']}/{stats['capacity']} entries>"
-        )
-
-
-class ShardedDataStore:
-    """A datastore made of N backend shards behind a consistent-hash ring.
-
-    Implements the full :class:`~repro.platform.datastore.DataStore` surface:
-    dataset-keyed operations (store/fetch/drop, compiled artifacts) route to
-    the shard owning the dataset id, result- and log-keyed operations route by
-    their own id, and ``list_*``/stats calls fan out across every shard.  The
-    scheduler, executor pool and gateway work against it unchanged.
-
-    Parameters
-    ----------
-    shards:
-        Backing :class:`DataStore` instances to shard across (ids are assigned
-        ``shard-0 .. shard-N-1`` in order).  Mutually exclusive with
-        ``num_shards``.
-    num_shards:
-        Build this many fresh in-memory backends instead.
-    virtual_nodes:
-        Ring points per shard (see :class:`HashRing`).
-    cache_ttl_seconds, cache_admit_on_second_miss:
-        Cache policy knobs applied to every internally-built backend (invalid
-        together with ``shards``, whose caches are already configured).
-    """
-
-    def __init__(
-        self,
-        shards: Optional[Sequence[DataStore]] = None,
-        *,
-        num_shards: Optional[int] = None,
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-        cache_ttl_seconds: Optional[float] = None,
-        cache_admit_on_second_miss: bool = False,
-    ) -> None:
-        if (shards is None) == (num_shards is None):
-            raise InvalidParameterError(
-                "provide exactly one of `shards` (backing stores) or `num_shards`"
-            )
-        if shards is not None:
-            if cache_ttl_seconds is not None or cache_admit_on_second_miss:
-                raise InvalidParameterError(
-                    "cache_ttl_seconds / cache_admit_on_second_miss apply to "
-                    "internally-built shards; configure the provided stores directly"
-                )
-            backends = list(shards)
-            if not backends:
-                raise InvalidParameterError("`shards` must contain at least one datastore")
-        else:
-            require_positive_int(num_shards, "num_shards")
-            backends = [
-                DataStore(
-                    cache_ttl_seconds=cache_ttl_seconds,
-                    cache_admit_on_second_miss=cache_admit_on_second_miss,
-                )
-                for _ in range(num_shards)
-            ]
-        self._lock = threading.RLock()
-        #: Serialises topology operations (add/remove/rebalance) against each
-        #: other; data migration runs under it but *outside* ``_lock``, so
-        #: routed reads and writes keep flowing while datasets move.
-        self._topology_lock = threading.Lock()
-        #: Cache policy for internally-built backends, reapplied by
-        #: :meth:`add_shard` so a grown topology keeps one uniform policy.
-        self._cache_ttl_seconds = cache_ttl_seconds
-        self._cache_admit_on_second_miss = cache_admit_on_second_miss
-        self._backends: Dict[str, DataStore] = {
-            f"shard-{index}": backend for index, backend in enumerate(backends)
-        }
-        self._ring = HashRing(self._backends, virtual_nodes=virtual_nodes)
-        self._next_shard_index = len(backends)
-        #: Bumped on every ring change; optimistic writers validate against
-        #: it so routing stays consistent without holding the lock across
-        #: the backend operation.
-        self._epoch = 0
-        self._rebalances = 0
-        self._datasets_migrated = 0
-        self.result_cache = ShardedResultCache(self)
-
-    # ------------------------------------------------------------------ #
-    # topology and routing
-    # ------------------------------------------------------------------ #
-    @property
-    def num_shards(self) -> int:
-        """Return the number of backend shards."""
-        with self._lock:
-            return len(self._backends)
-
-    def shard_ids(self) -> List[str]:
-        """Return the shard identifiers, sorted."""
-        with self._lock:
-            return sorted(self._backends)
-
-    def shard_for(self, key: str) -> str:
-        """Return the id of the shard owning ``key`` (a dataset/result/log id)."""
-        with self._lock:
-            return self._ring.assign(key)
-
-    def shard_store(self, shard_id: str) -> DataStore:
-        """Return the backend datastore of one shard (raises if unknown)."""
-        with self._lock:
-            backend = self._backends.get(shard_id)
-        if backend is None:
-            raise StorageError(f"unknown shard {shard_id!r}")
-        return backend
-
-    def shard_stores(self) -> Dict[str, DataStore]:
-        """Return a snapshot of ``{shard id: backend}`` (sorted by id)."""
-        with self._lock:
-            return {shard_id: self._backends[shard_id] for shard_id in sorted(self._backends)}
-
-    def _store_for(self, key: str) -> DataStore:
-        with self._lock:
-            return self._backends[self._ring.assign(key)]
-
-    def _route_write(self, key: str, operation) -> None:
-        """Run a result write against ``key``'s owner, epoch-validated.
-
-        Optimistic scheme for writes that may do file IO (``put_result`` on
-        a directory-backed shard): routing is snapshotted under the routing
-        lock, the write runs outside it (writes to different shards proceed
-        in parallel and disk IO never serialises the store), and the epoch
-        is re-checked afterwards.  If a topology change interleaved *and*
-        moved this key's assignment — the only way the write could have
-        landed on a just-drained backend — the write is repeated against the
-        freshly routed owner (an epoch bump that left the owner unchanged
-        needs no retry).  A superseded copy left behind carries the same
-        payload as the retried write (results are written once per task id),
-        so the drain's keep-the-owner's-copy rule is safe for it.
-
-        Dataset writes do NOT use this path: they are in-memory dict
-        inserts, so :meth:`store_dataset`/:meth:`drop_dataset` simply run
-        under the routing lock and purge sibling copies, which is what makes
-        surviving copies authoritative (see :meth:`_drain`).
-        """
-        while True:
-            with self._lock:
-                epoch = self._epoch
-                backend = self._backends[self._ring.assign(key)]
-            operation(backend)
-            with self._lock:
-                if self._epoch == epoch:
-                    return
-                if self._backends.get(self._ring.assign(key)) is backend:
-                    # Topology changed but this key's owner did not; the
-                    # write landed correctly and must not be repeated (a
-                    # retry would duplicate non-idempotent writes).
-                    return
-
-    def _route_read(self, key: str, operation, *, missed=None):
-        """Run a read against ``key``'s owner, falling back to a shard scan.
-
-        The owner answers directly on the fast path.  A miss falls back to
-        asking every other shard once: while a migration is in flight the
-        key may still sit on its previous shard (drains run outside the
-        routing lock precisely so reads keep flowing), and the fan-out scan
-        bridges that window instead of surfacing a spurious miss.  ``missed``
-        covers readers that signal absence with a value rather than a
-        :class:`StorageError` (``has_*``, ``dataset_version``, ``get_logs``).
-        A key that exists nowhere pays an O(shards) scan before failing —
-        the rare error path.
-        """
-        backend = self._store_for(key)
-        try:
-            value = operation(backend)
-        except StorageError:
-            for other in self.shard_stores().values():
-                if other is backend:
-                    continue
-                try:
-                    return operation(other)
-                except StorageError:
-                    continue
-            raise
-        if missed is not None and missed(value):
-            for other in self.shard_stores().values():
-                if other is backend:
-                    continue
-                try:
-                    candidate = operation(other)
-                except StorageError:
-                    continue
-                if not missed(candidate):
-                    return candidate
-        return value
-
-    def add_shard(
-        self,
-        backend: Optional[DataStore] = None,
-        *,
-        shard_id: Optional[str] = None,
-    ) -> str:
-        """Add a backend shard to the ring and return its id.
-
-        The new shard starts empty and only *new* keys route to it until
-        :meth:`rebalance` migrates the datasets it now owns.  An
-        internally-built backend inherits the cache policy the sharded store
-        was constructed with, keeping the policy uniform as the topology
-        grows.
-        """
-        with self._topology_lock, self._lock:
-            if shard_id is None:
-                while f"shard-{self._next_shard_index}" in self._backends:
-                    self._next_shard_index += 1
-                shard_id = f"shard-{self._next_shard_index}"
-                self._next_shard_index += 1
-            if shard_id in self._backends:
-                raise InvalidParameterError(f"shard {shard_id!r} already exists")
-            if backend is None:
-                backend = DataStore(
-                    cache_ttl_seconds=self._cache_ttl_seconds,
-                    cache_admit_on_second_miss=self._cache_admit_on_second_miss,
-                )
-            self._ring.add_shard(shard_id)
-            self._backends[shard_id] = backend
-            self._epoch += 1
-            return shard_id
-
-    def remove_shard(self, shard_id: str) -> List[str]:
-        """Remove a shard, migrating its resident data to the remaining shards.
-
-        Datasets are re-stored on their new owners (their derived caches are
-        dropped, not moved — re-derived on first use); results and logs move
-        verbatim.  Returns the migrated dataset ids.
-
-        If the migration fails partway (e.g. a directory-backed shard cannot
-        delete a persisted file) the removal is rolled back: the shard
-        rejoins the ring and whatever already moved is drained back, so the
-        store never ends up with a shard that is off the ring but still
-        holding unroutable data.
-
-        The drain itself runs outside the routing lock (reads bridge the
-        migration window through the fan-out fallback, writes through the
-        epoch retry), so serving continues while data moves.
-        """
-        with self._topology_lock:
-            with self._lock:
-                if shard_id not in self._backends:
-                    raise InvalidParameterError(f"shard {shard_id!r} does not exist")
-                if len(self._backends) == 1:
-                    raise InvalidParameterError("cannot remove the last shard")
-                leaving = self._backends[shard_id]
-                self._ring.remove_shard(shard_id)
-                self._epoch += 1
-            try:
-                moved = self._drain(shard_id, leaving)
-            except BaseException:
-                with self._lock:
-                    self._ring.add_shard(shard_id)
-                    self._epoch += 1
-                    survivors = [
-                        (other_id, backend)
-                        for other_id, backend in self._backends.items()
-                        if other_id != shard_id
-                    ]
-                for other_id, backend in survivors:
-                    self._drain(other_id, backend)
-                raise
-            with self._lock:
-                del self._backends[shard_id]
-                self._epoch += 1
-                self._datasets_migrated += len(moved)
-            # Final log sweep: lines that landed on the leaving backend
-            # between the drain above and the unlink passed append_log's
-            # membership check and were not re-sent; merge them now that no
-            # further append can route here (any post-unlink append fails
-            # the membership check and re-sends itself).
-            self._drain_logs(shard_id, leaving)
-            return moved
-
-    def rebalance(self) -> List[str]:
-        """Migrate datasets whose ring assignment changed; return their ids.
-
-        Consistent hashing guarantees the moved set is minimal: only keys
-        whose ring interval changed hands relocate (an expected ``~1/N``
-        fraction per shard added).  A migrated dataset's derived state — its
-        cached rankings and its compiled artifact — is dropped with it and
-        rebuilt lazily on the new owner; results and logs move verbatim.
-        """
-        moved_total: List[str] = []
-        with self._topology_lock:
-            # The ring is stable here (topology operations are serialised),
-            # so the drain runs outside the routing lock: routed traffic
-            # keeps flowing while datasets move, reads bridging the window
-            # through the fan-out fallback.
-            for shard_id, backend in self.shard_stores().items():
-                moved_total.extend(self._drain(shard_id, backend))
-            with self._lock:
-                self._rebalances += 1
-                self._datasets_migrated += len(moved_total)
-                # Data placement changed: invalidate optimistic writers'
-                # routing snapshots so a write that raced a drain re-routes.
-                self._epoch += 1
-        return moved_total
-
-    def _drain(self, shard_id: str, backend: DataStore) -> List[str]:
-        """Move everything on ``backend`` that the ring no longer routes to it.
-
-        Caller holds ``_topology_lock`` (so the ring and the backend table
-        are stable) but NOT the routing lock — routed traffic continues
-        during the migration.  ``shard_id`` may already be off the ring
-        (shard removal) or still on it (rebalance after a join).
-
-        When the target owner *already holds* a copy of a key, the source
-        copy is superseded and dropped, never migrated: every dataset write
-        purges sibling copies at write time (see :meth:`store_dataset`), so
-        an owner-side copy is by construction at least as new as any stray.
-        Each dataset move runs in its own short critical section on the
-        routing lock, making the decide-and-move atomic against concurrent
-        uploads (a write cannot sneak between the has-check and the store
-        and then be overwritten by the stale migrating copy); the lock is
-        released between datasets so serving continues throughout the
-        migration.  Log streams merge instead — a racing ``append_log``
-        does not retry onto a still-present owner, so every line lives on
-        exactly one shard and the two streams concatenate losslessly (a
-        tolerable reordering for diagnostics).
-        """
-        moved: List[str] = []
-        for dataset_id in backend.list_datasets():
-            with self._lock:
-                owner = self._ring.assign(dataset_id)
-                if owner == shard_id:
-                    continue
-                if not backend.has_dataset(dataset_id):
-                    continue  # dropped or re-homed by a write since listing
-                target = self._backends[owner]
-                if target.has_dataset(dataset_id):
-                    backend.drop_dataset(dataset_id)
-                    continue
-                graph = backend.fetch_dataset(dataset_id)
-                target.store_dataset(
-                    dataset_id, graph, version_floor=self._version_floor(dataset_id)
-                )
-                # Purge any cached rankings the target holds for the dataset
-                # id (strays from an old epoch); the version floor above
-                # additionally guarantees a racing in-flight put keyed with
-                # a previous owner's version can never match a post-move
-                # version.
-                target.result_cache.invalidate_dataset(dataset_id)
-                # drop_dataset invalidates the old shard's cached rankings
-                # and compiled artifact — derived state never migrates.
-                backend.drop_dataset(dataset_id)
-                moved.append(dataset_id)
-        for result_id in backend.list_results():
-            owner = self._ring.assign(result_id)
-            if owner != shard_id:
-                target = self._backends[owner]
-                if not target.has_result(result_id):
-                    target.put_result(result_id, backend.get_result(result_id))
-                backend.drop_result(result_id)
-        # Deletion tombstones relocate with their keys: a marker stranded on
-        # a leaving shard would let the deleted key resurrect elsewhere.
-        for dataset_id, version in backend.list_dataset_tombstones().items():
-            with self._lock:
-                owner = self._ring.assign(dataset_id)
-                if owner == shard_id:
-                    continue
-                self._backends[owner].set_dataset_tombstone(dataset_id, version)
-                backend.clear_dataset_tombstone(dataset_id)
-        for result_id in backend.list_result_tombstones():
-            owner = self._ring.assign(result_id)
-            if owner != shard_id:
-                self._backends[owner].set_result_tombstone(result_id)
-                backend.clear_result_tombstone(result_id)
-        self._drain_logs(shard_id, backend)
-        return moved
-
-    def _drain_logs(self, shard_id: str, backend: DataStore) -> None:
-        """Merge ``backend``'s misrouted log streams into their owners'.
-
-        Called from :meth:`_drain` and again by :meth:`remove_shard` after
-        the leaving backend is unlinked, to sweep up lines that landed
-        between the main drain and the unlink (their writers saw the backend
-        still present and did not re-send).
-        """
-        for log_id in backend.list_logs():
-            owner = self._ring.assign(log_id)
-            if owner != shard_id:
-                target = self._backends[owner]
-                for line in backend.get_logs(log_id):
-                    target.append_log(log_id, line)
-                backend.drop_logs(log_id)
-
-    # ------------------------------------------------------------------ #
-    # datasets (routed by dataset id)
-    # ------------------------------------------------------------------ #
-    def store_dataset(self, dataset_id: str, graph: DirectedGraph) -> None:
-        """Store (or replace) a dataset on its owning shard.
-
-        Replacement invalidates the cached rankings and the compiled artifact
-        on the owning shard — sibling shards never gain state from an upload.
-        The write runs under the routing lock (datasets are in-memory, so the
-        critical section is a dict insert) and *purges* any copy another
-        shard still holds — e.g. one stranded by an earlier ring change that
-        was never rebalanced.  That purge is what makes every surviving copy
-        authoritative: a drain that later finds the owner already holding the
-        dataset knows the owner's copy is the newest and drops the stray
-        instead of migrating it.  The owner's cached rankings for the
-        dataset id are invalidated even when the owner gains the dataset for
-        the first time: before a rebalance, queries may have answered from a
-        previous owner's copy while their cache entries routed here, and the
-        owner's fresh version counter could collide with those stale keys.
-        """
-        with self._lock:
-            owner = self._ring.assign(dataset_id)
-            owner_backend = self._backends[owner]
-            owner_had_dataset = owner_backend.has_dataset(dataset_id)
-            owner_backend.store_dataset(
-                dataset_id, graph, version_floor=self._version_floor(dataset_id)
-            )
-            if not owner_had_dataset:
-                # store_dataset only invalidates on replacement; purge the
-                # first-gain strays explicitly.
-                owner_backend.result_cache.invalidate_dataset(dataset_id)
-            for shard_id, backend in self._backends.items():
-                if shard_id != owner and backend.has_dataset(dataset_id):
-                    backend.drop_dataset(dataset_id)
-
-    def _version_floor(self, dataset_id: str) -> int:
-        """Return the highest upload counter any shard holds for a dataset.
-
-        Counters survive drops and purges, so this is a global high-water
-        mark; storing with it as the floor keeps versions monotonic across
-        shard boundaries — a cache entry keyed against *any* earlier copy
-        (even one computed on a previous owner mid-migration) can never
-        collide with a later upload's version.  Caller holds the routing
-        lock or the topology lock.
-        """
-        return max(
-            (backend.dataset_version(dataset_id) for backend in self._backends.values()),
-            default=0,
-        )
-
-    def fetch_dataset(self, dataset_id: str) -> DirectedGraph:
-        """Return the stored dataset graph from its owning shard."""
-        return self._route_read(
-            dataset_id, lambda backend: backend.fetch_dataset(dataset_id)
-        )
-
-    def fetch_dataset_with_version(self, dataset_id: str) -> Tuple[DirectedGraph, int]:
-        """Return ``(graph, version)`` from the owning shard."""
-        return self._route_read(
-            dataset_id, lambda backend: backend.fetch_dataset_with_version(dataset_id)
-        )
-
-    def dataset_version(self, dataset_id: str) -> int:
-        """Return the upload counter of a dataset on its owning shard."""
-        return self._route_read(
-            dataset_id,
-            lambda backend: backend.dataset_version(dataset_id),
-            missed=lambda version: version == 0,
-        )
-
-    def has_dataset(self, dataset_id: str) -> bool:
-        """Return ``True`` if the owning shard stores ``dataset_id``."""
-        return self._route_read(
-            dataset_id,
-            lambda backend: backend.has_dataset(dataset_id),
-            missed=lambda found: not found,
-        )
-
-    def list_datasets(self) -> List[str]:
-        """Return the dataset ids across every shard, sorted (deduplicated:
-        a superseded copy left behind by a write that raced a ring change
-        must not list twice)."""
-        identifiers: set = set()
-        for backend in self.shard_stores().values():
-            identifiers.update(backend.list_datasets())
-        return sorted(identifiers)
-
-    def drop_dataset(self, dataset_id: str) -> None:
-        """Remove a dataset (and its shard-local derived caches).
-
-        Fans out to every shard holding a copy: reads fall back to a shard
-        scan during migration windows, so a delete that only visited the
-        ring owner could leave a previous owner's copy being served — a
-        delete must mean delete everywhere.
-        """
-        with self._lock:
-            for backend in self._backends.values():
-                if backend.has_dataset(dataset_id):
-                    backend.drop_dataset(dataset_id)
-
-    # ------------------------------------------------------------------ #
-    # deletion tombstones (fanned out like the drops they harden)
-    # ------------------------------------------------------------------ #
-    def set_dataset_tombstone(self, dataset_id: str, version: int) -> bool:
-        """Record a versioned deletion marker on every shard.
-
-        Returns ``True`` if any shard accepted it (a shard holding a
-        strictly newer live copy declines — the write won the race).
-        """
-        accepted = False
-        with self._lock:
-            for backend in self._backends.values():
-                if backend.set_dataset_tombstone(dataset_id, version):
-                    accepted = True
-        return accepted
-
-    def dataset_tombstone(self, dataset_id: str) -> int:
-        """Return the highest tombstone version any shard records (0 = none)."""
-        version = 0
-        for backend in self.shard_stores().values():
-            version = max(version, backend.dataset_tombstone(dataset_id))
-        return version
-
-    def clear_dataset_tombstone(self, dataset_id: str) -> None:
-        """Reap a dataset tombstone from every shard."""
-        for backend in self.shard_stores().values():
-            backend.clear_dataset_tombstone(dataset_id)
-
-    def list_dataset_tombstones(self) -> Dict[str, int]:
-        """Merged ``{dataset_id: version}`` tombstones across the shards."""
-        merged: Dict[str, int] = {}
-        for backend in self.shard_stores().values():
-            for dataset_id, version in backend.list_dataset_tombstones().items():
-                merged[dataset_id] = max(merged.get(dataset_id, 0), version)
-        return merged
-
-    def set_result_tombstone(self, result_id: str) -> None:
-        """Record a result deletion marker on every shard."""
-        for backend in self.shard_stores().values():
-            backend.set_result_tombstone(result_id)
-
-    def has_result_tombstone(self, result_id: str) -> bool:
-        """Return whether any shard records a tombstone for ``result_id``."""
-        return any(
-            backend.has_result_tombstone(result_id)
-            for backend in self.shard_stores().values()
-        )
-
-    def clear_result_tombstone(self, result_id: str) -> None:
-        """Reap a result tombstone from every shard."""
-        for backend in self.shard_stores().values():
-            backend.clear_result_tombstone(result_id)
-
-    def list_result_tombstones(self) -> List[str]:
-        """Sorted union of result tombstones across the shards."""
-        identifiers: set = set()
-        for backend in self.shard_stores().values():
-            identifiers.update(backend.list_result_tombstones())
-        return sorted(identifiers)
-
-    # ------------------------------------------------------------------ #
-    # resident-bytes accounting (feeds the automatic spill budget)
-    # ------------------------------------------------------------------ #
-    def resident_bytes_by_dataset(self) -> Dict[str, int]:
-        """Estimated memory cost per dataset, summed across the shards."""
-        totals: Dict[str, int] = {}
-        for backend in self.shard_stores().values():
-            for dataset_id, size in backend.resident_bytes_by_dataset().items():
-                totals[dataset_id] = totals.get(dataset_id, 0) + size
-        return totals
-
-    def resident_dataset_bytes(self) -> int:
-        """Total estimated bytes of graph data resident across the shards."""
-        return sum(self.resident_bytes_by_dataset().values())
-
-    # ------------------------------------------------------------------ #
-    # compiled artifacts (routed with their dataset)
-    # ------------------------------------------------------------------ #
-    def fetch_compiled_with_version(self, dataset_id: str) -> Tuple[CompiledGraph, int]:
-        """Return ``(compiled artifact, version)`` from the owning shard."""
-        return self._route_read(
-            dataset_id,
-            lambda backend: backend.fetch_compiled_with_version(dataset_id),
-        )
-
-    def fetch_compiled(self, dataset_id: str) -> CompiledGraph:
-        """Return the compiled artifact of a stored dataset."""
-        return self.fetch_compiled_with_version(dataset_id)[0]
-
-    #: Counter keys summed across shards by :meth:`artifact_stats`.
-    _ARTIFACT_COUNTER_KEYS = ("compiled", "hits", "misses", "invalidations")
-
-    def _per_shard_artifact_stats(self) -> Dict[str, Any]:
-        """Collect each shard's artifact counters (hook for tolerant subclasses)."""
-        return {
-            shard_id: backend.artifact_stats()
-            for shard_id, backend in self.shard_stores().items()
-        }
-
-    def artifact_stats(self) -> Dict[str, Any]:
-        """Return aggregated artifact counters plus the per-shard breakdown.
-
-        Per-shard ``"error"`` entries (unreachable shards, reported by the
-        replicated subclass's tolerant collection) are excluded from the sums.
-        """
-        per_shard = self._per_shard_artifact_stats()
-        healthy = [stats for stats in per_shard.values() if "error" not in stats]
-        aggregated: Dict[str, Any] = {
-            key: sum(stats[key] for stats in healthy)
-            for key in self._ARTIFACT_COUNTER_KEYS
-        }
-        total = aggregated["hits"] + aggregated["misses"]
-        aggregated["hit_rate"] = (aggregated["hits"] / total) if total else 0.0
-        aggregated["shards"] = per_shard
-        return aggregated
-
-    # ------------------------------------------------------------------ #
-    # results (routed by result id)
-    # ------------------------------------------------------------------ #
-    def put_result(self, result_id: str, payload: Mapping[str, object]) -> None:
-        """Store a result payload on its owning shard."""
-        self._route_write(result_id, lambda backend: backend.put_result(result_id, payload))
-
-    def get_result(self, result_id: str) -> dict:
-        """Return a stored result payload from its owning shard."""
-        return self._route_read(result_id, lambda backend: backend.get_result(result_id))
-
-    def has_result(self, result_id: str) -> bool:
-        """Return ``True`` if the owning shard stores ``result_id``."""
-        return self._route_read(
-            result_id,
-            lambda backend: backend.has_result(result_id),
-            missed=lambda found: not found,
-        )
-
-    def list_results(self) -> List[str]:
-        """Return the result ids across every shard, sorted and deduplicated."""
-        identifiers: set = set()
-        for backend in self.shard_stores().values():
-            identifiers.update(backend.list_results())
-        return sorted(identifiers)
-
-    def drop_result(self, result_id: str) -> None:
-        """Remove a stored result from every shard holding it (no error if absent).
-
-        Fans out like :meth:`drop_dataset`: a copy on a previous owner would
-        otherwise keep answering reads through the fallback scan.
-        """
-        for backend in self.shard_stores().values():
-            backend.drop_result(result_id)
-
-    # ------------------------------------------------------------------ #
-    # logs (routed by log id)
-    # ------------------------------------------------------------------ #
-    def append_log(self, log_id: str, message: str) -> None:
-        """Append one log line on the shard owning ``log_id``.
-
-        No epoch retry on an ordinary ring change — a retry would duplicate
-        the line, whereas a line stranded on a still-present previous owner
-        merges into the owner's stream at the next drain.  The one exception
-        is the shard being *removed* while the line was in flight: the
-        orphaned backend is about to be discarded, so the line is re-sent to
-        the current owner (a rare duplicate — if the removal drain caught
-        the line first — is preferred over silently losing it).
-        """
-        while True:
-            with self._lock:
-                backend = self._backends[self._ring.assign(log_id)]
-            backend.append_log(log_id, message)
-            with self._lock:
-                if any(existing is backend for existing in self._backends.values()):
-                    return
-
-    def get_logs(self, log_id: str) -> List[str]:
-        """Return the log lines of ``log_id`` from its owning shard."""
-        return self._route_read(
-            log_id,
-            lambda backend: backend.get_logs(log_id),
-            missed=lambda lines: not lines,
-        )
-
-    def list_logs(self) -> List[str]:
-        """Return the log stream ids across every shard, sorted and deduplicated."""
-        identifiers: set = set()
-        for backend in self.shard_stores().values():
-            identifiers.update(backend.list_logs())
-        return sorted(identifiers)
-
-    def drop_logs(self, log_id: str) -> None:
-        """Remove a log stream from every shard holding it (no error if absent)."""
-        for backend in self.shard_stores().values():
-            backend.drop_logs(log_id)
-
-    # ------------------------------------------------------------------ #
-    # observability
-    # ------------------------------------------------------------------ #
-    def occupancy(self) -> Dict[str, int]:
-        """Return the summed occupancy across every shard."""
-        totals: Dict[str, int] = {}
-        for backend in self.shard_stores().values():
-            for key, value in backend.occupancy().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def shard_stats(self) -> Dict[str, Any]:
-        """Return the shard topology with per-shard health and occupancy.
-
-        This is the ``"shards"`` section of ``platform_stats()`` /
-        ``GET /api/stats``: ring shape, dataset placement, and per-shard
-        occupancy plus result-cache and artifact hit rates.  A shard whose
-        backend fails to answer its stats probe is reported unhealthy instead
-        of failing the whole snapshot.
-        """
-        with self._lock:
-            virtual_nodes = self._ring.virtual_nodes
-            rebalances = self._rebalances
-            migrated = self._datasets_migrated
-        per_shard: Dict[str, Any] = {}
-        for shard_id, backend in self.shard_stores().items():
-            try:
-                occupancy = backend.occupancy()
-                cache_stats = backend.result_cache.stats()
-                artifact_stats = backend.artifact_stats()
-                # Counts only, never id listings: /api/stats is a polled
-                # monitoring endpoint and must not grow with dataset count.
-                per_shard[shard_id] = {
-                    "healthy": True,
-                    "occupancy": occupancy,
-                    "cache_hit_rate": cache_stats["hit_rate"],
-                    "cache_size": cache_stats["size"],
-                    "artifact_hit_rate": artifact_stats["hit_rate"],
-                }
-            except Exception as exc:  # pragma: no cover - in-process stores don't fail
-                per_shard[shard_id] = {"healthy": False, "error": str(exc)}
-        return {
-            "num_shards": len(per_shard),
-            "virtual_nodes": virtual_nodes,
-            "shard_ids": sorted(per_shard),
-            "rebalances": rebalances,
-            "datasets_migrated": migrated,
-            "per_shard": per_shard,
-        }
-
-    def __repr__(self) -> str:
-        return f"<ShardedDataStore over {self.num_shards} shards>"

@@ -211,7 +211,8 @@ class StatusComponent:
         ``jobs`` the job-registry occupancy (states, evictions) — together
         they show how much of the workload was answered without
         recomputation (of rankings and of graph structure alike).  When the
-        platform runs on a :class:`~repro.platform.sharding.ShardedDataStore`
+        platform runs on a ring store
+        (:class:`~repro.platform.replication.ReplicatedShardedDataStore`)
         a ``shards`` section is added: ring topology, per-shard health,
         occupancy and hit rates (the cache/artifact sections then aggregate
         across shards and carry their own per-shard breakdowns).  Sections
@@ -228,7 +229,7 @@ class StatusComponent:
         }
         shard_stats = getattr(self._datastore, "shard_stats", None)
         if callable(shard_stats):
-            # On a replicated deployment the section also carries
+            # On a ring store the section also carries
             # ``replication`` (quorum, failovers, lag, read-repair and
             # tombstone counters), ``spill`` (file-tier occupancy, resident
             # bytes) and ``health`` (failure-detector streaks and automatic

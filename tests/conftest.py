@@ -30,21 +30,20 @@ from repro.graph.generators import (
 
 @pytest.fixture(scope="session", autouse=True)
 def _sharded_default_datastore():
-    """Run every default-datastore gateway on a scaled-out store when asked.
+    """Run every default-datastore gateway on the ring store when asked.
 
-    With ``REPRO_TEST_SHARDS=N`` in the environment, any
-    :class:`~repro.platform.gateway.ApiGateway` built without an explicit
-    ``datastore`` gets an N-shard
-    :class:`~repro.platform.sharding.ShardedDataStore` instead of a single
-    :class:`DataStore`.  With ``REPRO_TEST_REPLICAS=R`` it gets an R-way
+    With ``REPRO_TEST_SHARDS=N`` and/or ``REPRO_TEST_REPLICAS=R`` in the
+    environment, any :class:`~repro.platform.gateway.ApiGateway` built
+    without an explicit ``datastore`` gets a
     :class:`~repro.platform.replication.ReplicatedShardedDataStore` instead
-    (over ``REPRO_TEST_SHARDS`` backends when both are set, else ``R + 1``).
-    ``REPRO_TEST_READ_CONSISTENCY=quorum`` additionally runs every dataset
-    read through the replicated store's digest-first quorum (implying the
-    replicated topology when ``REPRO_TEST_REPLICAS`` is unset).  CI runs
-    the platform suite on the 4-shard topology, the replicated one
-    (``REPRO_TEST_REPLICAS=2``) *and* the quorum axis so all of them stay
-    green; locally the suite runs unsharded unless a variable is set.
+    of a single :class:`DataStore`: N backends (``max(R + 1, 3)`` when only
+    R is set) keeping R copies per key (``1`` when only N is set, the
+    unreplicated ring).  ``REPRO_TEST_READ_CONSISTENCY=quorum`` additionally
+    runs every dataset read through the digest-first quorum (implying
+    ``R = 2`` when ``REPRO_TEST_REPLICAS`` is unset).  CI runs the platform
+    suite at R=1 on 4 shards, at R=2 *and* on the quorum axis so all of them
+    stay green; locally the suite runs on a single store unless a variable
+    is set.
     """
     num_shards = int(os.environ.get("REPRO_TEST_SHARDS", "0") or 0)
     replicas = int(os.environ.get("REPRO_TEST_REPLICAS", "0") or 0)
@@ -59,21 +58,16 @@ def _sharded_default_datastore():
         yield
         return
     from repro.platform import gateway as gateway_module
+    from repro.platform.replication import ReplicatedShardedDataStore
 
     original = gateway_module.DataStore
-    if replicas > 0:
-        from repro.platform.replication import ReplicatedShardedDataStore
-
-        backing = num_shards if num_shards > 0 else max(replicas + 1, 3)
-        gateway_module.DataStore = lambda: ReplicatedShardedDataStore(
-            num_shards=backing,
-            replicas=replicas,
-            read_consistency=consistency or "one",
-        )
-    else:
-        from repro.platform.sharding import ShardedDataStore
-
-        gateway_module.DataStore = lambda: ShardedDataStore(num_shards=num_shards)
+    replicas = replicas if replicas > 0 else 1
+    backing = num_shards if num_shards > 0 else max(replicas + 1, 3)
+    gateway_module.DataStore = lambda: ReplicatedShardedDataStore(
+        num_shards=backing,
+        replicas=replicas,
+        read_consistency=consistency or "one",
+    )
     try:
         yield
     finally:

@@ -68,8 +68,8 @@ class FlakyStore:
     forwarding, mirroring a node whose process is dead but whose state is
     not).  :meth:`slow_down` injects latency instead of failure — the
     slow-shard scenario.  Reusable by every platform suite: wrap the
-    backends handed to a ``ShardedDataStore``/``ReplicatedShardedDataStore``
-    (or a gateway's ``datastore``) and script the outage.
+    backends handed to a ``ReplicatedShardedDataStore`` (or a gateway's
+    ``datastore``) and script the outage.
 
     Examples
     --------

@@ -207,7 +207,7 @@ class TestStatsEndpoint:
         status, payload = get_json(server, "/api/stats")
         assert status == 200
         # A "shards" section joins these three when the gateway runs on a
-        # ShardedDataStore (e.g. the REPRO_TEST_SHARDS=4 CI topology).
+        # ring store (e.g. the REPRO_TEST_SHARDS=4 CI topology).
         assert set(payload) >= {"cache", "batches", "artifacts"}
         for counter in ("capacity", "size", "hits", "misses", "hit_rate",
                         "evictions", "invalidations"):

@@ -1,4 +1,4 @@
-"""End-to-end tests of the platform running on a 4-shard datastore.
+"""End-to-end tests of the platform running on a 4-shard ring store (one copy per key).
 
 The acceptance scenario of the sharding subsystem: eight datasets uploaded
 into a 4-shard gateway, mixed comparisons whose results must be bit-identical
@@ -18,7 +18,7 @@ import pytest
 from repro.datasets.catalog import DatasetCatalog
 from repro.graph.generators import reciprocal_communities_graph
 from repro.platform.gateway import ApiGateway
-from repro.platform.sharding import ShardedDataStore
+from repro.platform.replication import ReplicatedShardedDataStore
 
 NUM_DATASETS = 8
 NUM_SHARDS = 4
@@ -94,7 +94,7 @@ class TestShardedGatewayEndToEnd:
             assert sharded_ranking.ordered_nodes() == single_ranking.ordered_nodes()
             assert sharded_ranking.algorithm == single_ranking.algorithm
 
-        store: ShardedDataStore = sharded_gateway.datastore
+        store: ReplicatedShardedDataStore = sharded_gateway.datastore
         assert store.list_datasets() == _dataset_ids()
         occupied = [
             shard_id
@@ -113,7 +113,7 @@ class TestShardedGatewayEndToEnd:
 
     def test_reupload_invalidates_only_the_owning_shard(self, sharded_gateway):
         _run_workload(sharded_gateway)
-        store: ShardedDataStore = sharded_gateway.datastore
+        store: ReplicatedShardedDataStore = sharded_gateway.datastore
         target = _dataset_ids()[0]
         owner = store.shard_for(target)
         owner_cache_before = store.shard_store(owner).result_cache.stats()
@@ -150,7 +150,7 @@ class TestShardedGatewayEndToEnd:
         self, sharded_gateway
     ):
         before_rankings = _run_workload(sharded_gateway)
-        store: ShardedDataStore = sharded_gateway.datastore
+        store: ReplicatedShardedDataStore = sharded_gateway.datastore
 
         before_owners = {d: store.shard_for(d) for d in _dataset_ids()}
         new_shard = store.add_shard()
@@ -210,7 +210,7 @@ class TestShardedGatewayEndToEnd:
 
         backends = [DataStore() for _ in range(3)]
         with ApiGateway(catalog=_build_catalog(), shards=backends, num_workers=1) as gateway:
-            assert isinstance(gateway.datastore, ShardedDataStore)
+            assert isinstance(gateway.datastore, ReplicatedShardedDataStore)
             assert gateway.datastore.num_shards == 3
             comparison_id = gateway.run_queries(
                 [{"dataset_id": "e2e-0", "algorithm": "pagerank"}], synchronous=True
@@ -223,3 +223,37 @@ class TestShardedGatewayEndToEnd:
 
         with pytest.raises(InvalidParameterError):
             ApiGateway(datastore=DataStore(), shards=2)
+
+    def test_storage_knobs_are_valid_on_a_shards_only_gateway(self):
+        with ApiGateway(
+            catalog=_build_catalog(),
+            shards=2,
+            read_consistency="quorum",
+            breaker_cooldown_seconds=1.0,
+            num_workers=1,
+            probe_interval_seconds=0,
+        ) as gateway:
+            store = gateway.datastore
+            assert isinstance(store, ReplicatedShardedDataStore)
+            assert store.replicas == 1
+            assert store.read_consistency == "quorum"
+            comparison_id = gateway.run_queries(
+                [{"dataset_id": "e2e-0", "algorithm": "pagerank"}], synchronous=True
+            )
+            assert gateway.get_status(comparison_id).error is None
+            assert gateway.get_rankings(comparison_id)
+            assert store.replication_stats()["digest_reads"] >= 1
+
+    def test_rebalance_job_on_a_shards_only_gateway_reports_progress(self):
+        with ApiGateway(
+            catalog=_build_catalog(), shards=3, num_workers=1, probe_interval_seconds=0
+        ) as gateway:
+            _run_workload(gateway)
+            gateway.datastore.add_shard()
+            job_id = gateway.rebalance_storage(wait=True)
+            events = gateway.get_events(job_id)
+            progress = [event for event in events if event["type"] == "progress"]
+            assert progress, events
+            assert all(event["kind"] == "rebalance" for event in progress)
+            assert progress[-1]["completed"] == progress[-1]["total"]
+            assert gateway.get_status(job_id).state.value == "completed"

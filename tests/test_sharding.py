@@ -1,11 +1,12 @@
-"""Unit and property tests for the consistent-hash sharded storage layer.
+"""Unit and property tests for the consistent-hash ring and the unreplicated ring store.
 
 Covers the three :class:`~repro.platform.sharding.HashRing` guarantees the
-subsystem is built on — deterministic routing, near-uniform spread, and
+storage layer is built on — deterministic routing, near-uniform spread, and
 minimal key movement on topology changes — plus the
-:class:`~repro.platform.sharding.ShardedDataStore` surface: keyed routing,
-fan-out listings, shard-local cache/artifact invalidation, rebalancing and
-shard add/remove migration.
+:class:`~repro.platform.replication.ReplicatedShardedDataStore` surface at
+one copy per key (``replicas=1``): keyed routing, fan-out listings,
+shard-local cache/artifact invalidation, rebalancing and shard add/remove
+migration.
 """
 
 from __future__ import annotations
@@ -19,10 +20,17 @@ from repro.exceptions import InvalidParameterError, StorageError
 from repro.graph.generators import cycle_graph, star_graph
 from repro.platform.cache import ResultCache
 from repro.platform.datastore import DataStore
-from repro.platform.sharding import HashRing, ShardedDataStore
+from repro.platform.replication import ReplicatedShardedDataStore
+from repro.platform.sharding import HashRing
 from repro.ranking.result import Ranking
 
 KEYS = [f"dataset-{index}" for index in range(2000)]
+
+
+def ring_store(shards=None, **kwargs) -> ReplicatedShardedDataStore:
+    """The ring store with one copy per key (the unreplicated ring)."""
+    kwargs.setdefault("replicas", 1)
+    return ReplicatedShardedDataStore(shards, **kwargs)
 
 
 def _ranking(n: int = 4) -> Ranking:
@@ -126,29 +134,29 @@ class TestHashRingSpread:
 
 
 @pytest.fixture
-def sharded_store() -> ShardedDataStore:
-    return ShardedDataStore(num_shards=4)
+def sharded_store() -> ReplicatedShardedDataStore:
+    return ring_store(num_shards=4)
 
 
 class TestShardedDataStoreConstruction:
     def test_requires_exactly_one_of_shards_and_num_shards(self):
         with pytest.raises(InvalidParameterError):
-            ShardedDataStore()
+            ring_store()
         with pytest.raises(InvalidParameterError):
-            ShardedDataStore([DataStore()], num_shards=2)
+            ring_store([DataStore()], num_shards=2)
         with pytest.raises(InvalidParameterError):
-            ShardedDataStore([])
+            ring_store([])
 
     def test_cache_policy_applies_to_internal_shards_only(self):
-        store = ShardedDataStore(num_shards=2, cache_ttl_seconds=60.0)
+        store = ring_store(num_shards=2, cache_ttl_seconds=60.0)
         for backend in store.shard_stores().values():
             assert backend.result_cache.ttl_seconds == 60.0
         with pytest.raises(InvalidParameterError):
-            ShardedDataStore([DataStore()], cache_ttl_seconds=60.0)
+            ring_store([DataStore()], cache_ttl_seconds=60.0)
 
     def test_provided_backends_are_used(self):
         backends = [DataStore(), DataStore(), DataStore()]
-        store = ShardedDataStore(backends)
+        store = ring_store(backends)
         assert store.num_shards == 3
         assert list(store.shard_stores().values()) == backends
 
@@ -283,7 +291,7 @@ class TestShardedResultCache:
         assert len(sharded_store.result_cache) == 0
 
     def test_key_for_matches_result_cache(self):
-        store = ShardedDataStore(num_shards=2)
+        store = ring_store(num_shards=2)
         assert store.result_cache.key_for("d", "a", {"x": 1}, "s", version=3) == (
             ResultCache.key_for("d", "a", {"x": 1}, "s", version=3)
         )
@@ -299,7 +307,7 @@ class TestTopologyChanges:
             sharded_store.add_shard(shard_id="shard-4")
 
     def test_rebalance_moves_exactly_the_reassigned_datasets(self):
-        store = ShardedDataStore(num_shards=4)
+        store = ring_store(num_shards=4)
         graph = cycle_graph(5)
         dataset_ids = [f"move-{index}" for index in range(64)]
         for dataset_id in dataset_ids:
@@ -326,7 +334,7 @@ class TestTopologyChanges:
         assert stats["datasets_migrated"] == len(moved)
 
     def test_rebalance_drops_derived_caches_of_moved_datasets(self):
-        store = ShardedDataStore(num_shards=4)
+        store = ring_store(num_shards=4)
         graph = cycle_graph(5)
         dataset_ids = [f"derived-{index}" for index in range(64)]
         for dataset_id in dataset_ids:
@@ -343,15 +351,23 @@ class TestTopologyChanges:
             key = ResultCache.key_for(dataset_id, "pagerank", {}, None, version=1)
             assert store.result_cache.peek(key) is None
             compiled, version = store.fetch_compiled_with_version(dataset_id)
-            # The version advances monotonically across the move, so keys
-            # minted against the pre-move copy can never collide.
-            assert version > 1
+            # A move keeps the upload's version: every copy of one upload
+            # carries the same version on every holder, which is what the
+            # version-keyed cache relies on.  The cache purge above, not a
+            # version bump, is what keeps a stale ranking from surviving.
+            assert version == 1
+            holder_versions = {
+                backend.dataset_version(dataset_id)
+                for backend in store.shard_stores().values()
+                if backend.has_dataset(dataset_id)
+            }
+            assert holder_versions == {1}
         for dataset_id in set(dataset_ids) - set(moved):
             key = ResultCache.key_for(dataset_id, "pagerank", {}, None, version=1)
             assert store.result_cache.peek(key) is not None
 
     def test_rebalance_migrates_results_and_logs(self):
-        store = ShardedDataStore(num_shards=4)
+        store = ring_store(num_shards=4)
         for index in range(32):
             store.put_result(f"res-{index}", {"index": index})
             store.append_log(f"res-{index}", f"log {index}")
@@ -369,7 +385,7 @@ class TestTopologyChanges:
             assert holders == [store.shard_for(result_id)]
 
     def test_remove_shard_migrates_everything_off_it(self):
-        store = ShardedDataStore(num_shards=4)
+        store = ring_store(num_shards=4)
         graph = cycle_graph(5)
         dataset_ids = [f"leave-{index}" for index in range(48)]
         for dataset_id in dataset_ids:
@@ -385,7 +401,7 @@ class TestTopologyChanges:
             assert store.get_result(f"{dataset_id}-result") == {"id": dataset_id}
 
     def test_cannot_remove_last_or_unknown_shard(self):
-        store = ShardedDataStore(num_shards=1)
+        store = ring_store(num_shards=1)
         with pytest.raises(InvalidParameterError):
             store.remove_shard("shard-0")
         with pytest.raises(InvalidParameterError):
@@ -394,11 +410,11 @@ class TestTopologyChanges:
     def test_reupload_before_rebalance_survives_shard_removal(self):
         """A re-upload that landed on the new ring owner must not be
         overwritten by a stale copy when either shard leaves."""
-        store = ShardedDataStore(num_shards=2)
+        store = ring_store(num_shards=2)
         old_graph = cycle_graph(3)
         new_graph = star_graph(4)
         # Find a dataset id whose owner changes when a third shard joins.
-        store_probe = ShardedDataStore(num_shards=2)
+        store_probe = ring_store(num_shards=2)
         store_probe.add_shard()
         dataset_id = next(
             f"mv-{i}" for i in range(1000)
@@ -424,8 +440,8 @@ class TestTopologyChanges:
         time restarts its version counter at 1 — the same version those
         stale entries were keyed with — so the owner's cache must be purged
         even though the store was not a replacement there."""
-        store = ShardedDataStore(num_shards=2)
-        probe = ShardedDataStore(num_shards=2)
+        store = ring_store(num_shards=2)
+        probe = ring_store(num_shards=2)
         probe.add_shard()
         dataset_id = next(
             f"vc-{i}" for i in range(1000)
@@ -453,8 +469,8 @@ class TestTopologyChanges:
         """A version observed on any shard is never reissued by a later
         upload elsewhere — the guard against a slow in-flight cache put
         (keyed with a previous owner's version) matching a future graph."""
-        store = ShardedDataStore(num_shards=2)
-        probe = ShardedDataStore(num_shards=2)
+        store = ring_store(num_shards=2)
+        probe = ring_store(num_shards=2)
         probe.add_shard()
         dataset_id = next(
             f"mono-{i}" for i in range(1000)
@@ -473,7 +489,7 @@ class TestTopologyChanges:
     def test_drop_dataset_reaches_copies_on_previous_owners(self):
         """Deleting a dataset whose copy still sits on a pre-rebalance owner
         must actually delete it, not no-op on the new (empty) owner."""
-        store = ShardedDataStore(num_shards=2)
+        store = ring_store(num_shards=2)
         graph = cycle_graph(4)
         for index in range(32):
             store.store_dataset(f"del-{index}", graph)
@@ -489,7 +505,7 @@ class TestTopologyChanges:
     def test_drain_never_resurrects_a_superseded_copy(self):
         """The owner's copy wins: a stray left by a raced write must not
         overwrite newer data when a later rebalance sweeps it up."""
-        store = ShardedDataStore(num_shards=4)
+        store = ring_store(num_shards=4)
         old_graph = cycle_graph(3)
         new_graph = star_graph(4)
         dataset_id = "raced"
@@ -511,14 +527,24 @@ class TestTopologyChanges:
         store.rebalance()
         assert store.get_result(result_id) == {"stale": False}
 
-    def test_failed_removal_rolls_the_shard_back_onto_the_ring(self):
-        store = ShardedDataStore(num_shards=3)
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_failed_removal_rolls_the_shard_back_onto_the_ring(self, replicas):
+        store = ring_store(num_shards=3, replicas=replicas)
         graph = cycle_graph(5)
         dataset_ids = [f"rb-{index}" for index in range(24)]
         for dataset_id in dataset_ids:
             store.store_dataset(dataset_id, graph)
         victim = store.shard_for(dataset_ids[0])
-        # Sabotage one of the *surviving* backends so the drain fails midway.
+
+        def holders(dataset_id):
+            return [
+                shard_id
+                for shard_id, backend in store.shard_stores().items()
+                if backend.has_dataset(dataset_id)
+            ]
+
+        # Sabotage one of the *surviving* backends so the migration fails
+        # midway: the copies it should take are refused.
         survivors = [s for s in store.shard_ids() if s != victim]
         broken = store.shard_store(survivors[0])
         original_store_dataset = broken.store_dataset
@@ -526,20 +552,30 @@ class TestTopologyChanges:
             StorageError("disk full")
         )
         try:
-            with pytest.raises(StorageError):
+            if replicas == 1:
+                # The victim holds the only copy of some datasets the broken
+                # survivor should take: unlinking it would lose them.
+                with pytest.raises(StorageError):
+                    store.remove_shard(victim)
+            else:
+                # Every dataset on the victim already has a second copy on a
+                # survivor, so the removal is safe and completes.
                 store.remove_shard(victim)
         finally:
             broken.store_dataset = original_store_dataset
-        # The shard is back on the ring with the full topology intact, and
-        # every dataset is reachable again at its routed location.
-        assert victim in store.shard_ids()
-        assert store.num_shards == 3
+        # Whether the removal raised or returned, no dataset lost its copies.
         for dataset_id in dataset_ids:
+            assert holders(dataset_id), dataset_id
             assert store.fetch_dataset(dataset_id) is graph
-        # A retry now succeeds cleanly.
-        store.remove_shard(victim)
+        if replicas == 1:
+            # The shard is back on the ring with the full topology intact.
+            assert victim in store.shard_ids()
+            assert store.num_shards == 3
+            # A retry now succeeds cleanly.
+            store.remove_shard(victim)
         assert store.num_shards == 2
         for dataset_id in dataset_ids:
+            assert holders(dataset_id), dataset_id
             assert store.fetch_dataset(dataset_id) is graph
 
 
