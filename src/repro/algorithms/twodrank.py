@@ -59,8 +59,7 @@ def _tie_aware_ranks(ranking: Ranking) -> np.ndarray:
     split = ~np.isclose(ordered[1:], ordered[:-1], rtol=TIE_RTOL, atol=0.0)
     if not np.array_equal(split, ordered[1:] != ordered[:-1]):
         group = np.concatenate(([0], np.cumsum(split)))
-        labels = np.asarray([ranking.label_of(int(node)) for node in order], dtype=str)
-        order = order[np.lexsort((order, labels, group))]
+        order = order[np.lexsort((order, ranking.labels[order], group))]
     ranks[order] = np.arange(1, order.size + 1)
     return ranks
 
@@ -106,11 +105,10 @@ def _ranking_from_order(
 ) -> Ranking:
     """Build a Ranking whose scores encode only the position in ``order``."""
     scores = np.zeros(len(order), dtype=np.float64)
-    for position, node in enumerate(order, start=1):
-        scores[node] = 1.0 / position
+    scores[order] = 1.0 / np.arange(1, len(order) + 1)
     return Ranking(
         scores,
-        labels=[template.label_of(i) for i in range(len(template))],
+        labels=template.labels,
         algorithm=algorithm,
         parameters=parameters,
         graph_name=template.graph_name,

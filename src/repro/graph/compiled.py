@@ -217,17 +217,17 @@ class CompiledGraph:
             return existing
 
     def labels_array(self) -> np.ndarray:
-        """Return the node labels as a (cached) NumPy string array.
+        """Return the node labels as a (cached, read-only) NumPy string array.
 
         Batch kernels attach this one shared array to every
-        :class:`~repro.ranking.result.Ranking` they produce instead of
-        rebuilding a per-query label list.
+        :class:`~repro.ranking.result.Ranking` they produce (views, no copies).
         """
         if self._labels_array is None:
-            labels = self._graph.labels()
+            labels = np.asarray(self._graph.labels(), dtype=str)
+            labels.setflags(write=False)
             with self._build_lock:
                 if self._labels_array is None:
-                    self._labels_array = np.asarray(labels, dtype=str)
+                    self._labels_array = labels
         return self._labels_array
 
     # ------------------------------------------------------------------ #

@@ -6,11 +6,10 @@ implementation keeps everything in memory (thread-safe) and can optionally
 persist results and logs to a directory as JSON/plain-text files, which is
 what the file-backed deployment of the demo does.
 
-Results are stored as plain dictionaries (the serialised form of
-:class:`~repro.ranking.result.Ranking` and
-:class:`~repro.ranking.comparison.ComparisonTable`), so the datastore has no
-dependency on the algorithm layer and can be swapped for a real database
-without touching the rest of the platform.
+Result payloads hold the immutable :class:`~repro.ranking.result.Ranking`
+objects themselves, shared with the task and the result cache.  JSON is
+rendered only at the disk edge (each ranking in its ``to_dict()`` form); a
+value JSON cannot encode is refused there with :class:`StorageError`.
 
 Compiled-artifact cache
 -----------------------
@@ -46,9 +45,19 @@ from ..exceptions import InvalidParameterError, StorageError
 from ..graph.compiled import CompiledGraph
 from ..graph.csr import CSRGraph
 from ..graph.digraph import DirectedGraph
+from ..ranking.result import Ranking
 from .cache import ResultCache
 
 __all__ = ["DataStore", "FileBackedDataStore"]
+
+
+def _json_value(value: object) -> object:
+    """Render the non-JSON values a result payload may hold, refuse the rest."""
+    if isinstance(value, Ranking):
+        return value.to_dict()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} value is not JSON serialisable")
 
 
 class DataStore:
@@ -410,7 +419,7 @@ class DataStore:
     # results
     # ------------------------------------------------------------------ #
     def put_result(self, result_id: str, payload: Mapping[str, object]) -> None:
-        """Store a result payload (a JSON-serialisable mapping).
+        """Store a result payload (JSON once its rankings are rendered).
 
         When a persistence directory is configured the file is written
         *before* the result becomes visible in memory, so any reader that can
@@ -429,9 +438,9 @@ class DataStore:
             return
         path = self._directory / "results" / f"{result_id}.json"
         try:
-            path.write_text(json.dumps(serialisable, indent=2, default=str),
+            path.write_text(json.dumps(serialisable, indent=2, default=_json_value),
                             encoding="utf-8")
-        except (OSError, TypeError) as exc:
+        except (OSError, TypeError, ValueError) as exc:
             raise StorageError(f"cannot persist result {result_id!r}: {exc}") from exc
 
     def get_result(self, result_id: str) -> dict:

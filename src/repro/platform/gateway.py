@@ -1102,24 +1102,11 @@ class ApiGateway:
         permalinks outlive the in-memory task record.
         """
         try:
-            task = self.scheduler.get_task(comparison_id)
-            queries = task.query_set.queries
-            rankings = task.rankings()
+            queries = self.scheduler.get_task(comparison_id).query_set.queries
         except TaskNotFoundError:
             payload = self.scheduler.stored_result(comparison_id)
-            queries = [
-                Query(
-                    dataset_id=raw["dataset_id"],
-                    algorithm=raw["algorithm"],
-                    source=raw.get("source"),
-                    parameters=raw.get("parameters") or {},
-                )
-                for raw in payload.get("queries", [])
-            ]
-            rankings = {
-                int(index): Ranking.from_dict(serialised)
-                for index, serialised in payload.get("rankings", {}).items()
-            }
+            queries = [Query(**raw) for raw in payload.get("queries", [])]
+        rankings = self.scheduler.rankings_for(comparison_id)
         datasets = {query.dataset_id for query in queries}
         named: Dict[str, Ranking] = {}
         for index in sorted(rankings):

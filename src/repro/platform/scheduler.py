@@ -647,9 +647,7 @@ class Scheduler:
             "comparison_id": task.task_id,
             "state": task.state.value,
             "queries": [query.as_dict() for query in task.query_set],
-            "rankings": {
-                str(index): ranking.to_dict() for index, ranking in sorted(rankings.items())
-            },
+            "rankings": {str(index): ranking for index, ranking in sorted(rankings.items())},
         }
         # The settling thread may be a pool worker inside the group span or a
         # foreign thread resolving a join: re-install the task's root span so
@@ -845,17 +843,17 @@ class Scheduler:
     def rankings_for(self, task_id: str) -> Dict[int, Ranking]:
         """Return the rankings computed so far for ``task_id``.
 
-        A task evicted from the bounded table falls back to the result
-        payload persisted in the datastore, so old permalinks keep serving
-        their rankings without holding them in memory forever.
+        A task evicted from the bounded table falls back to the stored result
+        payload (the one reader of its rankings: :class:`Ranking` objects, or
+        dicts read from disk), so old permalinks keep serving their rankings.
         """
         try:
             return self.get_task(task_id).rankings()
         except TaskNotFoundError:
             payload = self.stored_result(task_id)
             return {
-                int(index): Ranking.from_dict(serialised)
-                for index, serialised in payload.get("rankings", {}).items()
+                int(index): ranking if isinstance(ranking, Ranking) else Ranking.from_dict(ranking)
+                for index, ranking in payload.get("rankings", {}).items()
             }
 
     def task_table_stats(self) -> Dict[str, Any]:

@@ -5,6 +5,10 @@ together with enough provenance (algorithm name, parameters, graph name,
 optional reference node) to reproduce the run and to render it in the demo's
 comparison tables.  Ties are broken deterministically by node label so the
 same inputs always produce exactly the same ordered output.
+
+Rankings are immutable and columnar: a score array plus a label array that
+all rankings of one graph share (``CompiledGraph.labels_array()``), sorted
+lazily, once.  The task, the result cache and the stored result share one.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ class Ranking:
     scores:
         Mapping from node id to score, or a dense sequence indexed by node id.
     labels:
-        Display labels indexed by node id (defaults to ``"#<id>"``).
+        Display labels indexed by node id (defaults to ``"#<id>"``); a string
+        ndarray is kept as a read-only view, so rankings can share one array.
     algorithm:
         Name of the algorithm that produced the ranking.
     parameters:
@@ -52,7 +57,7 @@ class Ranking:
         Label of the reference (query) node for personalized algorithms.
     """
 
-    __slots__ = ("_scores", "_labels", "_order", "_ranks", "algorithm", "parameters",
+    __slots__ = ("_scores", "_labels", "_sorted", "algorithm", "parameters",
                  "graph_name", "reference")
 
     def __init__(
@@ -79,34 +84,31 @@ class Ranking:
                 f"labels has length {len(labels)} but scores cover {dense.size} nodes"
             )
         self._scores = dense
-        label_array: Optional[np.ndarray] = None
         if labels is None:
-            self._labels = [f"#{i}" for i in range(dense.size)]
-        elif isinstance(labels, np.ndarray):
-            # Batch producers pass one shared string array for many rankings;
-            # reuse it directly instead of re-converting per ranking.
-            label_array = np.asarray(labels[: dense.size], dtype=str)
-            self._labels = label_array.tolist()
+            labels = [f"#{i}" for i in range(dense.size)]
+        if isinstance(labels, np.ndarray):
+            self._labels = labels[: dense.size]
         else:
-            # str() of a str returns the same object, so this is a cheap
-            # copy-through for the common all-string case.
-            self._labels = list(map(str, labels[: dense.size]))
+            self._labels = np.array(list(map(str, labels[: dense.size])), dtype=object)
+        self._labels.setflags(write=False)
         self.algorithm = algorithm
         self.parameters = dict(parameters or {})
         self.graph_name = graph_name
         self.reference = reference
-        # Deterministic order: descending score, then label, then node id.
-        # lexsort keys are applied last-first and node ids are already the
-        # stable final tie-break, so sorting by (label, -score) stably over
-        # ascending ids reproduces the tuple ordering without a Python-level
-        # key callback (which dominates construction time for large batches).
-        if label_array is None:
-            label_array = np.asarray(self._labels, dtype=str)
-        order_array = np.lexsort((label_array, -dense))
-        self._order = order_array.tolist()
-        ranks = np.empty(dense.size, dtype=np.int64)
-        ranks[order_array] = np.arange(1, dense.size + 1)
-        self._ranks = ranks
+        self._sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def _ordering(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Return ``(node ids in order, 1-based rank per id)``, sorted on first use.
+
+        lexsort applies keys last-first, stably over ascending ids: descending
+        score, then label, then id.  Racing threads store equal arrays.
+        """
+        if self._sorted is None:
+            order = np.lexsort((self._labels, -self._scores))
+            ranks = np.empty(order.size, dtype=np.int64)
+            ranks[order] = np.arange(1, order.size + 1)
+            self._sorted = (order, ranks)
+        return self._sorted
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -130,20 +132,20 @@ class Ranking:
 
     def rank_of(self, node: int | str) -> int:
         """Return the 1-based rank of a node (by id or label)."""
-        return int(self._ranks[self._resolve(node)])
+        return int(self._ordering()[1][self._resolve(node)])
 
     def label_of(self, node: int) -> str:
         """Return the display label of a node id."""
         if not 0 <= node < len(self):
             raise NodeNotFoundError(node)
-        return self._labels[node]
+        return str(self._labels[node])
 
     def _resolve(self, node: int | str) -> int:
         if isinstance(node, str):
-            try:
-                return self._labels.index(node)
-            except ValueError:
-                raise NodeNotFoundError(node) from None
+            matches = np.flatnonzero(self._labels == node)
+            if matches.size == 0:
+                raise NodeNotFoundError(node)
+            return int(matches[0])
         if isinstance(node, bool) or not isinstance(node, int) or not 0 <= node < len(self):
             raise NodeNotFoundError(node)
         return node
@@ -153,13 +155,18 @@ class Ranking:
         """Return a copy of the dense score vector, indexed by node id."""
         return self._scores.copy()
 
+    @property
+    def labels(self) -> np.ndarray:
+        """Return the read-only label array, indexed by node id (shared, not copied)."""
+        return self._labels
+
     def as_dict(self) -> Dict[int, float]:
         """Return the scores as a ``{node id: score}`` dictionary."""
-        return {node: float(score) for node, score in enumerate(self._scores)}
+        return dict(enumerate(self._scores.tolist()))
 
     def as_label_dict(self) -> Dict[str, float]:
         """Return the scores as a ``{label: score}`` dictionary."""
-        return {self._labels[node]: float(score) for node, score in enumerate(self._scores)}
+        return dict(zip(self._labels.tolist(), self._scores.tolist()))
 
     # ------------------------------------------------------------------ #
     # top-k queries
@@ -176,17 +183,18 @@ class Ranking:
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
         excluded = set(exclude)
+        order = self._ordering()[0]
         result: List[ScoredNode] = []
-        for node in self._order:
-            label = self._labels[node]
+        for position, node in enumerate((order if excluded else order[:k]).tolist()):
+            if len(result) == k:
+                break
+            label = str(self._labels[node])
             if label in excluded:
                 continue
             result.append(
                 ScoredNode(node=node, label=label, score=float(self._scores[node]),
-                           rank=int(self._ranks[node]))
+                           rank=position + 1)
             )
-            if len(result) == k:
-                break
         return result
 
     def top_labels(self, k: int = 10, *, exclude: Iterable[str] = ()) -> List[str]:
@@ -195,7 +203,7 @@ class Ranking:
 
     def ordered_nodes(self) -> List[int]:
         """Return every node id in ranking order (best first)."""
-        return list(self._order)
+        return self._ordering()[0].tolist()
 
     def nonzero_count(self) -> int:
         """Return the number of nodes with a strictly positive score."""
@@ -240,8 +248,8 @@ class Ranking:
             "parameters": dict(self.parameters),
             "graph_name": self.graph_name,
             "reference": self.reference,
-            "labels": list(self._labels),
-            "scores": [float(s) for s in self._scores],
+            "labels": self._labels.tolist(),
+            "scores": self._scores.tolist(),
         }
 
     @classmethod

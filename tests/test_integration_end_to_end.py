@@ -73,12 +73,15 @@ class TestFullLifecycle:
                 [{"dataset_id": "amazon-copurchase", "algorithm": "cyclerank",
                   "source": "1984", "parameters": {"k": 3}}]
             )
+            table_before = gateway.get_comparison_table(comparison_id, k=5).as_dict()
         # A brand-new datastore over the same directory can still serve the
         # permalink, which is exactly what makes comparison ids permalinks.
         fresh_store = DataStore(directory=tmp_path)
         payload = fresh_store.get_result(comparison_id)
         ranking = Ranking.from_dict(payload["rankings"]["0"])
         assert ranking.top_labels(1) == ["1984"]
+        with ApiGateway(catalog=catalog, datastore=fresh_store, num_workers=1) as gateway:
+            assert gateway.get_comparison_table(comparison_id, k=5).as_dict() == table_before
 
     def test_concurrent_comparisons_do_not_interfere(self, catalog):
         with ApiGateway(catalog=catalog, num_workers=4) as gateway:

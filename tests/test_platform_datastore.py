@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro.exceptions import StorageError
 from repro.platform.datastore import DataStore
+from repro.ranking.result import Ranking
 
 
 class TestDatasets:
@@ -83,6 +85,27 @@ class TestPersistence:
         store.append_log("task", "hello")
         content = (tmp_path / "logs" / "task.log").read_text(encoding="utf-8")
         assert "hello" in content
+
+    def test_numpy_scalars_persist_as_numbers(self, tmp_path):
+        payload = {"k": np.int64(4), "alpha": np.float64(0.5), "ok": np.bool_(True)}
+        DataStore(directory=tmp_path).put_result("r", payload)
+        assert DataStore(directory=tmp_path).get_result("r") == {
+            "k": 4, "alpha": 0.5, "ok": True,
+        }
+
+    def test_rankings_persist_in_their_dict_form(self, tmp_path):
+        ranking = Ranking([0.2, 0.5], labels=np.asarray(["x", "y"]), algorithm="T")
+        store = DataStore(directory=tmp_path)
+        store.put_result("r", {"rankings": {"0": ranking}})
+        assert store.get_result("r")["rankings"]["0"] is ranking
+        fresh = DataStore(directory=tmp_path).get_result("r")
+        assert fresh == {"rankings": {"0": ranking.to_dict()}}
+
+    def test_unserialisable_value_is_refused(self, tmp_path):
+        store = DataStore(directory=tmp_path)
+        with pytest.raises(StorageError):
+            store.put_result("r", {"value": object()})
+        assert not store.has_result("r")
 
     def test_unreadable_persisted_result_fails(self, tmp_path):
         store = DataStore(directory=tmp_path)

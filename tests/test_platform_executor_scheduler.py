@@ -223,15 +223,12 @@ class TestScheduler:
         assert any("scheduler" in line for line in status.logs(task.task_id))
 
     def test_stored_rankings_match_computed_ones(self, platform):
-        from repro.ranking.result import Ranking
-
         datastore, _, scheduler, status, builder = platform
         task = make_task(builder, ("two-triangles", "cyclerank", "R", {"k": 3}))
         scheduler.run_synchronously(task)
         stored = datastore.get_result(task.task_id)
-        restored = Ranking.from_dict(stored["rankings"]["0"])
-        live = task.rankings()[0]
-        assert restored.top_labels(5) == live.top_labels(5)
+        # One copy per result: the stored payload holds the task's ranking.
+        assert stored["rankings"]["0"] is task.rankings()[0]
 
     def test_synchronous_run(self, platform):
         _, _, scheduler, _, builder = platform
