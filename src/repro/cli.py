@@ -65,8 +65,7 @@ Observability rides on ``run``/``compare`` too: ``--stats`` prints the
 platform serving counters after the results — the cache/batch/storage
 lines plus the ``overload`` (admission, deadlines, retries, breakers) and
 ``telemetry`` (tracer + span latency percentiles) sections of
-``GET /api/stats``.  ``--cache-stats`` survives as a deprecated alias for
-``--stats``.  ``--trace`` prints the comparison's recorded span waterfall
+``GET /api/stats``.  ``--trace`` prints the comparison's recorded span waterfall
 (gateway submit → scheduler dispatch → batch execute → storage writes),
 the CLI view of ``GET /api/comparisons/<id>/trace``.
 """
@@ -212,11 +211,6 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print the platform serving counters after the results: cache, "
         "batches, storage, plus the overload and telemetry sections",
-    )
-    parser.add_argument(
-        "--cache-stats",
-        action="store_true",
-        help="deprecated alias for --stats",
     )
     parser.add_argument(
         "--trace",
@@ -513,17 +507,6 @@ def _print_platform_stats(gateway: ApiGateway) -> None:
         _print_telemetry_stats(telemetry)
 
 
-def _wants_stats(arguments: argparse.Namespace) -> bool:
-    """True when ``--stats`` (or its deprecated ``--cache-stats`` alias) is set."""
-    if getattr(arguments, "cache_stats", False):
-        print(
-            "warning: --cache-stats is deprecated; use --stats",
-            file=sys.stderr,
-        )
-        return True
-    return getattr(arguments, "stats", False)
-
-
 def _describe_event(event: Dict[str, object]) -> str:
     """Render one job event as the ``--follow`` progress line."""
     kind = event.get("type")
@@ -678,7 +661,7 @@ def _command_run(gateway: ApiGateway, arguments: argparse.Namespace) -> int:
             print(f"{entry.rank:>3}. {entry.label}")
     if arguments.trace:
         print(WebUI(gateway).render_trace_waterfall(comparison))
-    if _wants_stats(arguments):
+    if arguments.stats:
         _print_platform_stats(gateway)
     return 0
 
@@ -718,7 +701,7 @@ def _command_compare(gateway: ApiGateway, arguments: argparse.Namespace) -> int:
             print(line)
     if arguments.trace:
         print(WebUI(gateway).render_trace_waterfall(comparison))
-    if _wants_stats(arguments):
+    if arguments.stats:
         _print_platform_stats(gateway)
     return 0
 

@@ -25,12 +25,14 @@ reproduces the same component decomposition with in-process equivalents:
 ``tasks``
     :class:`Query`, :class:`QuerySet` and :class:`TaskBuilder` — the task
     builder of Figure 2, producing (dataset, algorithm, parameters) triples
-    identified by a permalink id.
+    identified by a permalink id — and the :class:`TaskState` status
+    vocabulary.
 ``jobs``
     The job/event subsystem: :class:`JobRegistry` of :class:`JobRecord`\\ s,
-    each carrying an explicit lifecycle and an append-only event log with
-    blocking cursor reads — the seam the non-blocking submission, streamed
-    progress and cooperative cancellation are built on.
+    one per comparison, each carrying an explicit lifecycle and an
+    append-only event log with blocking cursor reads — the seam the
+    non-blocking submission, streamed progress and cooperative cancellation
+    are built on.
 ``resilience``
     The overload-protection primitives shared by the gateway, scheduler and
     replicated storage: :class:`Deadline` propagation, the
@@ -81,7 +83,7 @@ from .restapi import RestApiServer
 from .scheduler import Scheduler
 from .sharding import HashRing
 from .status import StatusComponent, TaskProgress
-from .tasks import Query, QuerySet, Task, TaskBuilder, TaskState
+from .tasks import Query, QuerySet, TaskBuilder, TaskState
 from .telemetry import (
     MetricsRegistry,
     Span,
@@ -102,7 +104,6 @@ __all__ = [
     "ResultCache",
     "Query",
     "QuerySet",
-    "Task",
     "TaskState",
     "TaskBuilder",
     "ExecutorNode",

@@ -25,7 +25,7 @@ is dropped whenever :meth:`DataStore.store_dataset` replaces or
 before serving — so a stale CSR can never be served for a re-uploaded graph,
 even if a compilation was racing the upload.  Hit/miss/invalidation counters
 are exposed through :meth:`artifact_stats` (and from there through
-``platform_stats()``, ``GET /api/stats`` and the CLI's ``--cache-stats``).
+``platform_stats()``, ``GET /api/stats`` and the CLI's ``--stats``).
 """
 
 from __future__ import annotations

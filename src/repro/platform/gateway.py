@@ -49,7 +49,7 @@ from .replication import ReplicatedShardedDataStore
 from .resilience import AdmissionController, estimate_cost
 from .scheduler import Scheduler
 from .status import StatusComponent, TaskProgress
-from .tasks import Query, QuerySet, Task, TaskBuilder
+from .tasks import Query, QuerySet, TaskBuilder
 from .telemetry import MetricsRegistry, Tracer, child_span, trace_scope
 
 __all__ = ["ApiGateway"]
@@ -101,9 +101,11 @@ class ApiGateway:
         kicks the read-repair drain if keys are queued, so self-healing
         continues through idle periods.
     max_finished_tasks:
-        Retention bound of the scheduler's terminal task table: beyond it
-        the earliest-finished tasks are evicted, at O(1) cost per finished
-        task (old permalinks fall back to the persisted result payloads).
+        The platform's one retention bound: how many finished comparisons
+        (and storage jobs) the job registry keeps, 256 by default.  Beyond
+        it the earliest-finished records are evicted, at O(1) cost each.  A
+        DONE comparison's permalink keeps resolving through its persisted
+        result payload; a FAILED or CANCELLED one expires with its record.
     default_deadline_ms:
         Deadline applied to submissions that do not carry their own
         ``deadline_ms``: an expired job settles with a typed
@@ -444,26 +446,26 @@ class ApiGateway:
         """
         if deadline_ms is None:
             deadline_ms = self._default_deadline_ms
-        task = self.task_builder.build_task(query_set, deadline_ms=deadline_ms)
+        job = self.task_builder.build_task(query_set, deadline_ms=deadline_ms)
         # Root span of the submission: a REST request span already on this
         # thread makes the comparison a child sharing its trace id, so one
         # HTTP request and the work it triggers form a single trace.  The
         # span stays open until the job settles (see _arm_trace_finish).
         span = self.tracer.start_trace(
             "comparison",
-            comparison_id=task.task_id,
-            queries=task.total_queries,
+            comparison_id=job.job_id,
+            queries=job.total_queries,
             synchronous=synchronous,
         )
-        task.trace_span = span if span.recording else None
+        job.trace_span = span if span.recording else None
         self.metrics.counter_inc(
             "submissions_total", help="Comparisons submitted to the gateway"
         )
         cost = estimate_cost(query_set.queries)
-        with trace_scope(task.trace_span):
+        with trace_scope(job.trace_span):
             try:
                 with child_span("admission", cost=cost):
-                    admitted = self._admit(task, cost)
+                    admitted = self._admit(job, cost)
             except GatewayOverloadedError:
                 self.metrics.counter_inc(
                     "shed_total", help="Submissions refused by admission control"
@@ -473,18 +475,18 @@ class ApiGateway:
                 raise
             try:
                 if synchronous:
-                    self.scheduler.run_synchronously(task)
+                    self.scheduler.run_synchronously(job)
                 else:
-                    self.scheduler.submit(task)
+                    self.scheduler.submit(job)
             except BaseException:
                 if admitted:
                     self._admission.release(cost)
                 span.finish()
                 raise
-        self._arm_trace_finish(task.task_id, span)
+        self._arm_trace_finish(job.job_id, span)
         if admitted:
-            self._arm_admission_release(task.task_id, cost)
-        return task.task_id
+            self._arm_admission_release(job.job_id, cost)
+        return job.job_id
 
     def run_queries(
         self,
@@ -516,12 +518,12 @@ class ApiGateway:
     # ------------------------------------------------------------------ #
     # admission control (load shedding before enqueue)
     # ------------------------------------------------------------------ #
-    def _admit(self, task: Task, cost: int) -> bool:
-        """Reserve ``cost`` against the admission budget, or shed the task.
+    def _admit(self, job: JobRecord, cost: int) -> bool:
+        """Reserve ``cost`` against the admission budget, or shed the submission.
 
         Returns whether a reservation was made (``False`` when admission
         control is disabled).  Shedding happens before the scheduler ever
-        sees the task: a typed ``shed`` event lands on the overload job and
+        sees the comparison: a typed ``shed`` event lands on the overload job and
         :class:`GatewayOverloadedError` carries the computed retry-after.
         """
         if self._admission is None:
@@ -529,11 +531,10 @@ class ApiGateway:
         admitted, retry_after = self._admission.try_admit(cost)
         if admitted:
             return True
-        job = self._overload_job
-        if job is not None:
-            job.append(
+        if self._overload_job is not None:
+            self._overload_job.append(
                 "shed",
-                comparison_id=task.task_id,
+                comparison_id=job.job_id,
                 cost=cost,
                 retry_after=round(retry_after, 3),
             )
@@ -1071,8 +1072,8 @@ class ApiGateway:
         """
         return self.status.poll_until_done(comparison_id, timeout_seconds=timeout_seconds)
 
-    def get_task(self, comparison_id: str) -> Task:
-        """Return the underlying task object (mostly for tests and tooling)."""
+    def get_task(self, comparison_id: str) -> JobRecord:
+        """Return the comparison's record (mostly for tests and tooling)."""
         return self.scheduler.get_task(comparison_id)
 
     def get_rankings(self, comparison_id: str) -> List[Ranking]:
@@ -1097,9 +1098,9 @@ class ApiGateway:
         when the comparison spans several datasets (the dataset-comparison
         use case) and just the display name otherwise (algorithm comparison).
 
-        A comparison whose task aged out of the scheduler's bounded table is
+        A comparison whose record aged out of the bounded job registry is
         reassembled from the result payload persisted in the datastore, so
-        permalinks outlive the in-memory task record.
+        permalinks outlive the in-memory record.
         """
         try:
             queries = self.scheduler.get_task(comparison_id).query_set.queries

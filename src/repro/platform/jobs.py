@@ -1,4 +1,4 @@
-"""The job/event subsystem: explicit job lifecycles over an append-only event log.
+"""The job/event subsystem: one record per comparison over an append-only event log.
 
 The demo is interactive — the Web UI submits a comparison, keeps the
 permalink and *watches* progress — so the platform needs a first-class
@@ -8,24 +8,27 @@ that seam:
 
 :class:`JobRecord`
     One submitted comparison (or any other long-running platform job, e.g. a
-    future replication or spill migration).  It carries an explicit
-    lifecycle (``QUEUED → RUNNING → DONE | FAILED | CANCELLED``), a
-    per-query sub-state vector, and an **append-only event log** of typed
-    :class:`JobEvent` entries with a per-job monotonic ``seq``.  Consumers
-    read the log either through callback subscription
-    (:meth:`JobRecord.subscribe`) or through blocking cursor reads
-    (:meth:`JobRecord.events_since`), which is what the Status component,
-    the REST long-poll/SSE endpoints and the CLI ``--follow`` renderer are
-    built on.  The record is itself a *projection* over its log: every
-    counter (completed queries, per-query states, terminal state) is
-    derived from the events as they are appended, so any other projection
-    reading the same log sees exactly the same history.
+    replication or spill migration) and the only record kept for it.  It
+    carries an explicit lifecycle (``QUEUED → RUNNING → DONE | FAILED |
+    CANCELLED``), a per-query sub-state vector, and an **append-only event
+    log** of typed :class:`JobEvent` entries with a per-job monotonic
+    ``seq``.  A comparison's record also holds what its execution needs:
+    the query set, the deadline, the telemetry root span and the rankings
+    recorded so far.  Consumers read the log either through callback
+    subscription (:meth:`JobRecord.subscribe`) or through blocking cursor
+    reads (:meth:`JobRecord.events_since`), which is what the Status
+    component, the REST long-poll/SSE endpoints and the CLI ``--follow``
+    renderer are built on.  The record is itself a *projection* over its
+    log: every counter (completed queries, per-query states, rankings,
+    terminal state) is derived from the events as they are appended, so any
+    other projection reading the same log sees exactly the same history.
 
 :class:`JobRegistry`
-    A bounded registry of job records keyed by the comparison id.  Active
-    jobs are never evicted; beyond the bound, the earliest-finished records
-    are dropped at O(1) cost (:class:`BoundedRecordTable`, which the task
-    table shares) — their results remain in the datastore.
+    The bounded table of job records keyed by the comparison id, and the
+    platform's one retention bound.  Active jobs are never evicted; beyond
+    the bound, the earliest-finished records are dropped at O(1) cost.  An
+    evicted record is always terminal, and a DONE comparison's results
+    remain in the datastore, so its permalink keeps resolving.
 
 Cancellation is cooperative: :meth:`JobRecord.request_cancel` raises a flag
 and appends a ``cancelled`` event; the scheduler checks the flag at every
@@ -62,12 +65,16 @@ import threading
 import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
 
 from ..exceptions import TaskNotFoundError
 
+if TYPE_CHECKING:
+    from ..ranking.result import Ranking
+    from .resilience import Deadline
+    from .tasks import QuerySet
+
 __all__ = [
-    "BoundedRecordTable",
     "EVENT_TYPES",
     "JobEvent",
     "JobRecord",
@@ -180,11 +187,20 @@ class JobRecord:
         Number of queries the job carries; sizes the sub-state vector.
     description:
         Optional human-readable summary shown by job listings.
-    trace_id:
-        Optional telemetry trace id.  When set, every appended event is
-        stamped with a ``trace_id`` payload field, so SSE/long-poll
-        consumers can correlate the event stream with the span tree served
-        by ``GET /api/comparisons/<id>/trace``.
+    query_set:
+        The validated queries of a comparison (``None`` for storage jobs
+        and event sinks, which the scheduler never dispatches).
+    deadline:
+        Optional :class:`~repro.platform.resilience.Deadline` of the
+        submission; the scheduler refuses to start work once it expired.
+
+    The gateway sets ``trace_span`` — the telemetry root span of the
+    submission — before handing the record to the scheduler, which
+    re-installs it (alongside the deadline) on whatever pool thread picks a
+    group up.  While a span is attached, every appended event is stamped
+    with its ``trace_id``, so SSE/long-poll consumers can correlate the
+    event stream with the span tree served by
+    ``GET /api/comparisons/<id>/trace``.
     """
 
     def __init__(
@@ -193,12 +209,15 @@ class JobRecord:
         total_queries: int,
         *,
         description: str = "",
-        trace_id: Optional[str] = None,
+        query_set: Optional[QuerySet] = None,
+        deadline: Optional[Deadline] = None,
     ) -> None:
         self.job_id = job_id
         self.total_queries = total_queries
         self.description = description
-        self.trace_id = trace_id
+        self.query_set = query_set
+        self.deadline = deadline
+        self.trace_span: Optional[Any] = None
         self.created_at = time.time()
         self._cond = threading.Condition()
         self._events: List[JobEvent] = []
@@ -206,6 +225,7 @@ class JobRecord:
         self._query_states = [QueryState.PENDING] * total_queries
         self._completed = 0
         self._error: Optional[str] = None
+        self._rankings: Dict[int, Ranking] = {}
         self._cancel_requested = False
         self._finished_at: Optional[float] = None
         self._callbacks: List[Callable[[JobEvent], None]] = []
@@ -215,12 +235,24 @@ class JobRecord:
     # ------------------------------------------------------------------ #
     # appending
     # ------------------------------------------------------------------ #
-    def append(self, event_type: str, **payload: Any) -> Optional[JobEvent]:
+    @property
+    def trace_id(self) -> Optional[str]:
+        """Return the telemetry trace id, when the gateway attached a span."""
+        span = self.trace_span
+        return span.trace_id if span is not None else None
+
+    def append(
+        self, event_type: str, *, ranking: Optional[Ranking] = None, **payload: Any
+    ) -> Optional[JobEvent]:
         """Append one typed event, update the projection, wake cursor readers.
 
         Appends after the job reached a terminal state are dropped (and
         ``None`` is returned): ``task_done`` is always the last event of a
         log, so a follower can stop reading the moment it sees one.
+
+        ``ranking`` rides on a ``query_cached``/``query_completed`` event
+        into the record's rankings (:meth:`rankings`), never into the
+        payload.
 
         Subscribed callbacks run synchronously, in ``seq`` order, while the
         record lock is held — they must be fast and must not block on the
@@ -233,17 +265,17 @@ class JobRecord:
                 return None
             if event_type == "cancelled" and self._cancel_requested:
                 return None
-            stamped = dict(payload)
-            if self.trace_id is not None:
-                stamped.setdefault("trace_id", self.trace_id)
             event = JobEvent(
                 seq=len(self._events) + 1,
                 type=event_type,
                 timestamp=time.time(),
-                payload=stamped,
+                payload=dict(payload),
             )
+            self._apply(event, ranking)
+            trace_id = self.trace_id
+            if trace_id is not None:
+                event.payload.setdefault("trace_id", trace_id)  # type: ignore[attr-defined]
             self._events.append(event)
-            self._apply(event)
             self._cond.notify_all()
             callbacks = list(self._callbacks)
             for callback in callbacks:
@@ -253,7 +285,7 @@ class JobRecord:
             self.on_terminal(self)
         return event
 
-    def _apply(self, event: JobEvent) -> None:
+    def _apply(self, event: JobEvent, ranking: Optional[Ranking] = None) -> None:
         """Fold one event into the projected state (called under the lock)."""
         query_state = _QUERY_EVENT_STATES.get(event.type)
         if query_state is not None:
@@ -262,13 +294,15 @@ class JobRecord:
                 self._query_states[index] = query_state
             if query_state in (QueryState.CACHED, QueryState.COMPLETED):
                 self._completed += 1
-                # Stamp the projected counter into the payload under the
+                if ranking is not None:
+                    self._rankings[index] = ranking
+                # Stamp the projected counters into the payload under the
                 # record lock: each completion event carries a unique,
-                # monotonic count (the caller's task-level counter can race
-                # between record and append), so exactly one event per job
-                # reports completed_queries == total_queries.
+                # monotonic count, so exactly one event per job reports
+                # completed_queries == total_queries.
                 event.payload["completed_queries"] = self._completed  # type: ignore[index]
-            if query_state is QueryState.FAILED:
+                event.payload["total_queries"] = self.total_queries  # type: ignore[index]
+            if query_state is QueryState.FAILED and self._error is None:
                 self._error = str(event.payload.get("error", "query failed"))
             if self._state is JobState.QUEUED:
                 self._state = JobState.RUNNING
@@ -289,8 +323,10 @@ class JobRecord:
             self._cancel_requested = True
         elif event.type == "task_done":
             self._state = _TERMINAL_STATES.get(str(event.payload.get("state")), JobState.DONE)
-            if self._state is JobState.FAILED and self._error is None:
-                self._error = str(event.payload.get("error", "job failed"))
+            if self._state is JobState.FAILED:
+                # The terminal event's error is the job's error, so every
+                # surface reports the one that settled it.
+                self._error = str(event.payload.get("error", self._error or "job failed"))
             if self._state is JobState.CANCELLED:
                 for index, state in enumerate(self._query_states):
                     if not state.is_settled():
@@ -366,6 +402,11 @@ class JobRecord:
         """Return the sequence number of the newest event (0 when empty)."""
         with self._cond:
             return len(self._events)
+
+    def rankings(self) -> Dict[int, Ranking]:
+        """Return the rankings recorded so far, keyed by query index."""
+        with self._cond:
+            return dict(self._rankings)
 
     def query_states(self) -> List[QueryState]:
         """Return a snapshot of the per-query sub-states."""
@@ -463,104 +504,61 @@ class JobRecord:
         )
 
 
-class BoundedRecordTable:
-    """Records by id; beyond ``max_finished`` terminal ones, the earliest-finished go.
-
-    The base of :class:`JobRegistry` and of the scheduler's task table.  A
-    record calls its ``on_terminal`` attribute, outside its own lock, when
-    it becomes terminal, so eviction reads no record's state and costs O(1)
-    amortised.  ``lock`` guards ``records``; re-registering an id replaces
-    the stale record, whose later finish is ignored.
-    """
-
-    def __init__(self, max_finished: int, lock: Any, *, kind: str) -> None:
-        if max_finished < 1:
-            raise ValueError(
-                f"max_finished_{kind} must be a positive integer, got {max_finished}"
-            )
-        self.max_finished = max_finished
-        self.kind = kind
-        self.evicted = 0
-        self.records: "OrderedDict[str, Any]" = OrderedDict()
-        self._finish_order: "OrderedDict[str, None]" = OrderedDict()
-        self._lock = lock
-
-    def register(self, record_id: str, record: Any) -> None:
-        """Insert ``record`` under ``record_id``, newest last (lock held)."""
-        self.records.pop(record_id, None)
-        self._finish_order.pop(record_id, None)
-        self.records[record_id] = record
-        record.on_terminal = functools.partial(self._finished, record_id)
-
-    def _finished(self, record_id: str, record: Any) -> None:
-        with self._lock:
-            if self.records.get(record_id) is not record:
-                return
-            self._finish_order[record_id] = None
-            while len(self._finish_order) > self.max_finished:
-                evicted_id, _ = self._finish_order.popitem(last=False)
-                if self.records.pop(evicted_id, None) is not None:
-                    self.evicted += 1
-
-    def find(self, record_id: str) -> Optional[Any]:
-        """Return the record for ``record_id``, or ``None`` if absent/evicted."""
-        with self._lock:
-            return self.records.get(record_id)
-
-    def get(self, record_id: str) -> Any:
-        """Return the record for ``record_id`` (raises :class:`TaskNotFoundError`)."""
-        record = self.find(record_id)
-        if record is None:
-            raise TaskNotFoundError(record_id)
-        return record
-
-    def list_records(self) -> List[Any]:
-        """Return every registered record, oldest first."""
-        with self._lock:
-            return list(self.records.values())
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self.records)
-
-    def __contains__(self, record_id: str) -> bool:
-        return self.find(record_id) is not None
-
-    def stats(self) -> Dict[str, Any]:
-        """Return occupancy counters (for ``platform_stats()``)."""
-        records = self.list_records()
-        return {
-            self.kind: len(records),
-            "by_state": dict(Counter(record.state.value for record in records)),
-            "evicted": self.evicted,
-            f"max_finished_{self.kind}": self.max_finished,
-        }
-
-
-class JobRegistry(BoundedRecordTable):
-    """A bounded, thread-safe registry of :class:`JobRecord`\\ s.
+class JobRegistry:
+    """The bounded, thread-safe table of :class:`JobRecord`\\ s, keyed by id.
 
     Parameters
     ----------
     max_finished_jobs:
-        How many *terminal* jobs to retain.  Active jobs are never evicted;
-        once more than the bound are terminal, the earliest-finished records
-        are dropped at O(1) amortised cost (see :class:`BoundedRecordTable`).
-        Their stored results stay in the datastore — eviction only bounds
-        the in-memory event streams.
+        How many *terminal* jobs to retain: the platform's one retention
+        bound.  Active jobs are never evicted; once more than the bound are
+        terminal, the earliest-finished records are dropped.  A record calls
+        its ``on_terminal`` attribute, outside its own lock, when it becomes
+        terminal, so eviction reads no record's state and costs O(1)
+        amortised.  A DONE comparison's stored result stays in the
+        datastore — eviction only bounds the in-memory records.
     """
 
     def __init__(self, *, max_finished_jobs: int = 256) -> None:
-        super().__init__(max_finished_jobs, threading.Lock(), kind="jobs")
-        self._jobs = self.records
+        if max_finished_jobs < 1:
+            raise ValueError(
+                f"max_finished_jobs must be a positive integer, got {max_finished_jobs}"
+            )
+        self.max_finished = max_finished_jobs
+        self.evicted = 0
+        self._lock = threading.Lock()
+        self._jobs: "OrderedDict[str, JobRecord]" = OrderedDict()
+        self._finish_order: "OrderedDict[str, None]" = OrderedDict()
         #: Long-lived event sinks (storage health, overload sheds): found by
         #: id like any job, but never listed, counted or evicted.
         self._sinks: Dict[str, JobRecord] = {}
 
-    def find(self, record_id: str) -> Optional[JobRecord]:
+    def register(self, record: JobRecord) -> JobRecord:
+        """Insert ``record``, newest last; a stale same-id record is replaced.
+
+        The replaced record's later finish is ignored.
+        """
+        job_id = record.job_id
+        record.on_terminal = functools.partial(self._finished, job_id)
         with self._lock:
-            record = self.records.get(record_id)
-            return record if record is not None else self._sinks.get(record_id)
+            self._jobs.pop(job_id, None)
+            self._finish_order.pop(job_id, None)
+            self._jobs[job_id] = record
+        return record
+
+    def _finished(self, job_id: str, record: JobRecord) -> None:
+        with self._lock:
+            if self._jobs.get(job_id) is not record:
+                return
+            self._finish_order[job_id] = None
+            while len(self._finish_order) > self.max_finished:
+                evicted_id, _ = self._finish_order.popitem(last=False)
+                if self._jobs.pop(evicted_id, None) is not None:
+                    self.evicted += 1
+
+    def create(self, job_id: str, total_queries: int, *, description: str = "") -> JobRecord:
+        """Create and register a fresh record (replaces a stale same-id record)."""
+        return self.register(JobRecord(job_id, total_queries, description=description))
 
     def create_sink(self, job_id: str, *, description: str = "") -> JobRecord:
         """Create an unlisted record whose events stay reachable by id.
@@ -573,18 +571,37 @@ class JobRegistry(BoundedRecordTable):
             self._sinks[job_id] = record
         return record
 
-    def create(
-        self,
-        job_id: str,
-        total_queries: int,
-        *,
-        description: str = "",
-        trace_id: Optional[str] = None,
-    ) -> JobRecord:
-        """Create and register a fresh record (replaces a stale same-id record)."""
-        record = JobRecord(
-            job_id, total_queries, description=description, trace_id=trace_id
-        )
+    def find(self, job_id: str) -> Optional[JobRecord]:
+        """Return the record for ``job_id``, or ``None`` if absent/evicted."""
         with self._lock:
-            self.register(job_id, record)
+            record = self._jobs.get(job_id)
+            return record if record is not None else self._sinks.get(job_id)
+
+    def get(self, job_id: str) -> JobRecord:
+        """Return the record for ``job_id`` (raises :class:`TaskNotFoundError`)."""
+        record = self.find(job_id)
+        if record is None:
+            raise TaskNotFoundError(job_id)
         return record
+
+    def list_records(self) -> List[JobRecord]:
+        """Return every registered record, oldest first."""
+        with self._lock:
+            return list(self._jobs.values())
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._jobs)
+
+    def __contains__(self, job_id: str) -> bool:
+        return self.find(job_id) is not None
+
+    def stats(self) -> Dict[str, Any]:
+        """Return occupancy counters (for ``platform_stats()``)."""
+        records = self.list_records()
+        return {
+            "jobs": len(records),
+            "by_state": dict(Counter(record.state.value for record in records)),
+            "evicted": self.evicted,
+            "max_finished_jobs": self.max_finished,
+        }

@@ -220,8 +220,8 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
         gateway = self.server_wrapper.gateway
         # Probe the event cursor itself before committing the response, so
         # unknown (or registry-evicted) ids still 404: get_status would fall
-        # back to the permanent task table and let the stream raise *after*
-        # the 200 headers were sent.
+        # back to an evicted comparison's stored result and let the stream
+        # raise *after* the 200 headers were sent.
         gateway.get_events(comparison_id, after=after, timeout=0.0)
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream; charset=utf-8")

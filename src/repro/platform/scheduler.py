@@ -5,22 +5,23 @@ dataset and invokes an Executor node"; step 3: "the computation needed to
 perform the task is off-loaded to the worker nodes"; step 4: "when the
 computation is completed, results and logs are written to the datastore".
 
-The scheduler owns the task table (so the Status component and the gateway
-can look tasks up by id), materialises datasets from the catalog into the
-datastore on first use and, when the last query finishes, serialises the
-rankings into the datastore under the task's comparison id.
+The scheduler owns the job registry, which holds the one record per
+comparison (so the Status component and the gateway can look comparisons up
+by id), materialises datasets from the catalog into the datastore on first
+use and, when the last query finishes, serialises the rankings into the
+datastore under the comparison id.
 
-Dispatch is *batched and cached*: the queries of a task are grouped by
+Dispatch is *batched and cached*: the queries of a comparison are grouped by
 ``(dataset, algorithm, parameters)``, queries whose ranking is already in the
 platform-wide :class:`~repro.platform.cache.ResultCache` are answered without
 touching an executor, and the remainder of each group is submitted as one
 batched execution so the per-dataset work (CSR build, transition matrix) is
 paid once per group instead of once per query.  Identical queries that are
-in flight — whether from the same task or from concurrently submitted ones —
+in flight — whether from the same comparison or from concurrently submitted ones —
 are deduplicated through a single-flight table, so the platform never
 computes the same ranking twice concurrently.
 
-Dispatch is also *event-driven*: every submission registers a
+Dispatch is also *event-driven*: every submission registers its
 :class:`~repro.platform.jobs.JobRecord` in the scheduler's
 :class:`~repro.platform.jobs.JobRegistry` and emits a typed event at every
 state transition (``submitted``, ``query_started``, ``query_cached``,
@@ -40,7 +41,6 @@ query.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
@@ -57,20 +57,20 @@ from ..ranking.result import Ranking
 from .cache import CacheKey, ResultCache, _canonical_parameters
 from .datastore import DataStore
 from .executor import ExecutorPool
-from .jobs import BoundedRecordTable, JobRecord, JobRegistry, JobState
+from .jobs import JobRecord, JobRegistry, JobState
 from .resilience import deadline_scope
-from .tasks import Query, QuerySet, Task, TaskState
+from .tasks import Query, QuerySet, TaskState
 from .telemetry import add_span_event, child_span, trace_scope
 
 __all__ = ["Scheduler"]
 
 #: A group of same-(dataset, algorithm, parameters) queries: the group key
-#: plus the (query index, query) members in task order.
+#: plus the (query index, query) members in query-set order.
 GroupKey = Tuple[str, str, Tuple[Tuple[str, Any], ...]]
 
 
 class Scheduler:
-    """Dispatches tasks to the executor pool and records results.
+    """Dispatches comparisons to the executor pool and records results.
 
     Parameters
     ----------
@@ -82,23 +82,16 @@ class Scheduler:
         (whose ``result_cache`` routes each key to the shard preferred for
         its dataset) drops in without any scheduling change.
     catalog:
-        Source of datasets referenced by task queries.
+        Source of datasets referenced by the queries.
     executor_pool:
         The pool of computational nodes that actually run the algorithms.
-    job_registry:
-        The registry job lifecycles and event logs live in; a fresh bounded
-        :class:`~repro.platform.jobs.JobRegistry` is created when omitted.
     max_finished_tasks:
-        Retention bound of the task table, a
-        :class:`~repro.platform.jobs.BoundedRecordTable` like the job
-        registry: active tasks stay, and the earliest-finished beyond the
-        bound are dropped at O(1) amortised cost.  Their permalinks keep
-        resolving through the result payload persisted in the datastore.
+        Retention bound of the job registry (``None``: the registry's
+        default of 256).  Active comparisons stay; beyond the bound the
+        earliest-finished records are dropped at O(1) amortised cost, and a
+        DONE comparison's permalink keeps resolving through the result
+        payload persisted in the datastore.
     """
-
-    #: Default terminal-task retention (a multiple of the job registry's
-    #: bound; eviction costs O(1) whatever the bound).
-    DEFAULT_MAX_FINISHED_TASKS = 1024
 
     def __init__(
         self,
@@ -106,19 +99,18 @@ class Scheduler:
         catalog: DatasetCatalog,
         executor_pool: ExecutorPool,
         *,
-        job_registry: Optional[JobRegistry] = None,
         max_finished_tasks: Optional[int] = None,
     ) -> None:
-        if max_finished_tasks is None:
-            max_finished_tasks = self.DEFAULT_MAX_FINISHED_TASKS
         self._datastore = datastore
         self._catalog = catalog
         self._pool = executor_pool
         self._cache = datastore.result_cache
-        self.jobs = job_registry if job_registry is not None else JobRegistry()
+        self.jobs = (
+            JobRegistry()
+            if max_finished_tasks is None
+            else JobRegistry(max_finished_jobs=max_finished_tasks)
+        )
         self._lock = threading.RLock()
-        self._task_table = BoundedRecordTable(max_finished_tasks, self._lock, kind="tasks")
-        self._tasks: Dict[str, Task] = self._task_table.records
         #: Single-flight table: cache key -> future of the ranking being
         #: computed right now, so concurrent identical queries never compute
         #: twice.  Entries are published here before dispatch and moved into
@@ -146,22 +138,25 @@ class Scheduler:
         self._materialise_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    # task lookup
+    # comparison lookup
     # ------------------------------------------------------------------ #
-    def get_task(self, task_id: str) -> Task:
-        """Return the task with identifier ``task_id`` (raises if unknown)."""
-        return self._task_table.get(task_id)
+    def get_task(self, task_id: str) -> JobRecord:
+        """Return the comparison record ``task_id`` (raises if unknown or evicted).
 
-    def list_tasks(self) -> List[Task]:
-        """Return every task still in the bounded table, newest last."""
-        return self._task_table.list_records()
+        Storage jobs and event sinks share the registry but carry no query
+        set; they are not comparisons and raise like unknown ids.
+        """
+        record = self.jobs.find(task_id)
+        if record is None or record.query_set is None:
+            raise TaskNotFoundError(task_id)
+        return record
 
     def stored_result(self, task_id: str) -> dict:
-        """Return the persisted result payload of a task (permalink fallback).
+        """Return the persisted result payload of a comparison (permalink fallback).
 
         Raises :class:`TaskNotFoundError` when the datastore holds no result
-        under the id — evicted FAILED/CANCELLED tasks never stored one, so
-        their permalinks genuinely expire with the table entry.
+        under the id — evicted FAILED/CANCELLED comparisons never stored
+        one, so their permalinks genuinely expire with the record.
         """
         try:
             return self._datastore.get_result(task_id)
@@ -191,7 +186,7 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _group_queries(query_set: QuerySet) -> "OrderedDict[GroupKey, List[Tuple[int, Query]]]":
-        """Group a task's queries by (dataset, algorithm, canonical parameters)."""
+        """Group a query set by (dataset, algorithm, canonical parameters)."""
         groups: "OrderedDict[GroupKey, List[Tuple[int, Query]]]" = OrderedDict()
         for index, query in enumerate(query_set):
             group_key: GroupKey = (
@@ -202,44 +197,40 @@ class Scheduler:
             groups.setdefault(group_key, []).append((index, query))
         return groups
 
-    def _register(self, task: Task) -> Tuple[JobRecord, "OrderedDict[GroupKey, List[Tuple[int, Query]]]"]:
-        """Create the job record, register the task and count its work units."""
-        job = self.jobs.create(
-            task.task_id, task.total_queries, trace_id=task.trace_id
-        )
-        groups = self._group_queries(task.query_set)
+    def _register(self, job: JobRecord) -> "OrderedDict[GroupKey, List[Tuple[int, Query]]]":
+        """Register the comparison record and count its work units."""
+        self.jobs.register(job)
+        groups = self._group_queries(job.query_set)
         with self._lock:
-            self._task_table.register(task.task_id, task)
-            self._outstanding[task.task_id] = len(groups)
-        job.append("submitted", total_queries=task.total_queries)
-        task.mark_running()
-        return job, groups
+            self._outstanding[job.job_id] = len(groups)
+        job.append("submitted", total_queries=job.total_queries)
+        return groups
 
     # ------------------------------------------------------------------ #
     # submission
     # ------------------------------------------------------------------ #
-    def submit(self, task: Task) -> str:
-        """Schedule every query of ``task`` for asynchronous execution.
+    def submit(self, job: JobRecord) -> str:
+        """Schedule every query of the comparison ``job`` for asynchronous execution.
 
-        Returns the task id as soon as the job is registered: dataset
+        Returns the comparison id as soon as the job is registered: dataset
         materialisation, cache lookups and batch execution all run on the
         worker pool, so submission never blocks on the comparison itself.
         Progress is observable through the job's event log (the Status
         component, :meth:`events_since` cursors) or :meth:`wait`.
         """
-        job, groups = self._register(task)
+        groups = self._register(job)
         self._datastore.append_log(
-            task.task_id,
-            f"[scheduler] task {task.task_id} accepted with {task.total_queries} queries",
+            job.job_id,
+            f"[scheduler] task {job.job_id} accepted with {job.total_queries} queries",
         )
         for (dataset_id, algorithm, _), members in groups.items():
             self._pool.submit_work(
-                self._run_group_async, job, task, dataset_id, algorithm, members
+                self._run_group_async, job, dataset_id, algorithm, members
             )
-        return task.task_id
+        return job.job_id
 
-    def run_synchronously(self, task: Task) -> Task:
-        """Execute every query of ``task`` on the calling thread (no concurrency).
+    def run_synchronously(self, job: JobRecord) -> JobRecord:
+        """Execute every query of ``job`` on the calling thread (no concurrency).
 
         Useful for the CLI, for tests and for benchmarks where deterministic
         single-threaded timing is preferable.  The result cache is consulted
@@ -248,29 +239,29 @@ class Scheduler:
         so a synchronous run is observable (and cancellable from another
         thread) exactly like an asynchronous one.
         """
-        job, groups = self._register(task)
+        groups = self._register(job)
         try:
             for (dataset_id, algorithm, _), members in groups.items():
                 try:
                     # The trace span rides along with the deadline: whatever
                     # thread serves the group re-installs both, so spans
                     # opened deep in storage land under the submission root.
-                    with trace_scope(task.trace_span), deadline_scope(task.deadline):
+                    with trace_scope(job.trace_span), deadline_scope(job.deadline):
                         proceed = self._process_group(
-                            job, task, dataset_id, algorithm, members, synchronous=True
+                            job, dataset_id, algorithm, members, synchronous=True
                         )
                 finally:
-                    self._work_unit_done(job, task)
-                if not proceed or task.state is TaskState.FAILED:
+                    self._work_unit_done(job)
+                if not proceed or job.state.is_terminal():
                     break
         finally:
             # Breaking out early (cancellation, failed dataset load) leaves
             # the skipped groups' work units undrained — reconcile so a
             # cancelled synchronous run still finalises to CANCELLED.
             with self._lock:
-                self._outstanding.pop(task.task_id, None)
+                self._outstanding.pop(job.job_id, None)
             if job.cancel_requested and not job.state.is_terminal():
-                self._finalise_cancelled(job, task)
+                self._finalise_cancelled(job)
         # The per-future waits inside the groups unblock on set_result,
         # which *precedes* the done-callbacks that record rankings and
         # persist results (they run on the settling thread).  Block on the
@@ -278,36 +269,34 @@ class Scheduler:
         # synchronous caller always returns with the step-4 state readable,
         # exactly like wait_for.
         job.wait_done()
-        return task
+        return job
 
     def _run_group_async(
         self,
         job: JobRecord,
-        task: Task,
         dataset_id: str,
         algorithm: str,
         members: List[Tuple[int, Query]],
     ) -> None:
         """Pool entry point for one group: process it, then settle the unit."""
         try:
-            with trace_scope(task.trace_span), deadline_scope(task.deadline):
+            with trace_scope(job.trace_span), deadline_scope(job.deadline):
                 self._process_group(
-                    job, task, dataset_id, algorithm, members, synchronous=False
+                    job, dataset_id, algorithm, members, synchronous=False
                 )
         finally:
-            self._work_unit_done(job, task)
+            self._work_unit_done(job)
 
     def _process_group(
         self,
         job: JobRecord,
-        task: Task,
         dataset_id: str,
         algorithm: str,
         members: List[Tuple[int, Query]],
         *,
         synchronous: bool,
     ) -> bool:
-        """Serve one (dataset, algorithm, parameters) group of ``task``.
+        """Serve one (dataset, algorithm, parameters) group of ``job``.
 
         Cache hits are recorded immediately, identical in-flight queries are
         joined, and the remaining misses execute as one batched run on the
@@ -316,7 +305,7 @@ class Scheduler:
         at the two dispatch boundaries: before any work, and again after the
         single-flight registration just before the batch executes.
 
-        Returns ``False`` when the remaining groups of the task should not
+        Returns ``False`` when the remaining groups of the job should not
         be processed (cancellation observed, the job already terminal —
         e.g. a sibling group failed — or the dataset failed to load).
         """
@@ -327,13 +316,12 @@ class Scheduler:
             queries=len(members),
         ):
             return self._process_group_traced(
-                job, task, dataset_id, algorithm, members, synchronous=synchronous
+                job, dataset_id, algorithm, members, synchronous=synchronous
             )
 
     def _process_group_traced(
         self,
         job: JobRecord,
-        task: Task,
         dataset_id: str,
         algorithm: str,
         members: List[Tuple[int, Query]],
@@ -343,10 +331,10 @@ class Scheduler:
         if job.cancel_requested or job.state.is_terminal():
             return False
         # Deadline boundary, mirroring the cancel boundary above: an expired
-        # task's group returns without computing, so the deadline costs no
+        # job's group returns without computing, so the deadline costs no
         # worker time beyond this check.
-        if task.deadline_expired():
-            self._settle_deadline_exceeded(job, task)
+        if job.deadline is not None and job.deadline.expired():
+            self._settle_deadline_exceeded(job)
             return False
         try:
             with child_span("dataset_fetch", dataset=dataset_id):
@@ -355,13 +343,12 @@ class Scheduler:
             # The deadline ran out mid-storage-IO (the replicated store
             # checks it between failover sources): settle typed, not as a
             # dataset-load failure.
-            self._settle_deadline_exceeded(job, task)
+            self._settle_deadline_exceeded(job)
             return False
         except Exception as exc:
             message = f"cannot load dataset {dataset_id!r}: {exc}"
-            task.mark_failed(message)
             self._datastore.append_log(
-                task.task_id, f"[scheduler] FAILED to load {dataset_id}: {exc}"
+                job.job_id, f"[scheduler] FAILED to load {dataset_id}: {exc}"
             )
             job.finish(JobState.FAILED, error=message)
             return False
@@ -394,12 +381,12 @@ class Scheduler:
             )
         if hits:
             self._datastore.append_log(
-                task.task_id,
+                job.job_id,
                 f"[scheduler] served {len(hits)} cached result(s) for "
                 f"{algorithm} on {dataset_id}",
             )
             for index, ranking in hits:
-                self._record_ranking(job, task, index, ranking, event="query_cached")
+                self._record_ranking(job, index, ranking, event="query_cached")
         for _, index, joined in waiters:
             payload: Dict[str, Any] = {
                 "query": index, "algorithm": algorithm, "dataset_id": dataset_id,
@@ -413,7 +400,7 @@ class Scheduler:
         for future, index, _ in waiters:
             future.add_done_callback(
                 lambda finished, index=index: self._on_ranking_ready(
-                    job, task, index, finished
+                    job, index, finished
                 )
             )
         if to_compute:
@@ -423,7 +410,7 @@ class Scheduler:
             if job.cancel_requested:
                 to_compute = self._abandon_exclusive_keys(job, to_compute)
             if to_compute:
-                self._execute_group(job, task, to_compute, graph, algorithm)
+                self._execute_group(job, to_compute, graph, algorithm)
         if synchronous:
             with child_span("singleflight_wait", waiters=len(waiters)):
                 for future, _, _ in waiters:
@@ -431,7 +418,7 @@ class Scheduler:
                         future.result()
                     except Exception:
                         # The per-query error was recorded by the done-callback;
-                        # a synchronous run reports it via the task state.
+                        # a synchronous run reports it via the job state.
                         pass
         return True
 
@@ -468,7 +455,6 @@ class Scheduler:
     def _execute_group(
         self,
         job: JobRecord,
-        task: Task,
         to_compute: List[Tuple[CacheKey, Query, int]],
         graph,
         algorithm: str,
@@ -480,15 +466,14 @@ class Scheduler:
         a kernel) gain nothing from a grouped dispatch, so their queries
         spread across the pool as size-1 sub-batches instead.  A failed
         multi-query batch degrades to per-query execution so one bad query
-        cannot poison siblings joined by concurrent tasks.
+        cannot poison siblings joined by concurrent comparisons.
         """
         with child_span("batch_execute", algorithm=algorithm, batch=len(to_compute)):
-            self._execute_group_traced(job, task, to_compute, graph, algorithm)
+            self._execute_group_traced(job, to_compute, graph, algorithm)
 
     def _execute_group_traced(
         self,
         job: JobRecord,
-        task: Task,
         to_compute: List[Tuple[CacheKey, Query, int]],
         graph,
         algorithm: str,
@@ -503,39 +488,39 @@ class Scheduler:
             native_batch = True
         if len(batch) > 1 and not native_batch:
             with self._lock:
-                self._outstanding[task.task_id] = (
-                    self._outstanding.get(task.task_id, 0) + len(to_compute)
+                self._outstanding[job.job_id] = (
+                    self._outstanding.get(job.job_id, 0) + len(to_compute)
                 )
             for key, query, _ in to_compute:
                 try:
-                    single = self._pool.submit_batch([query], graph, log_id=task.task_id)
+                    single = self._pool.submit_batch([query], graph, log_id=job.job_id)
                 except Exception as exc:
                     self._settle_inflight([key], error=exc)
-                    self._work_unit_done(job, task)
+                    self._work_unit_done(job)
                     continue
                 self._note_batch(1)
                 single.add_done_callback(
                     lambda finished, key=key: self._resolve_sub_batch(
-                        job, task, key, finished
+                        job, key, finished
                     )
                 )
             return
         self._note_batch(len(batch))
         try:
-            outcome = self._pool.execute_batch_sync(batch, graph, log_id=task.task_id)
+            outcome = self._pool.execute_batch_sync(batch, graph, log_id=job.job_id)
         except Exception as exc:
             if len(batch) == 1:
                 self._settle_inflight(keys, error=exc)
                 return
             self._datastore.append_log(
-                task.task_id,
+                job.job_id,
                 f"[scheduler] batch of {len(batch)} failed ({exc}); "
                 "retrying queries individually",
             )
             for key, query, _ in to_compute:
                 try:
                     single = self._pool.execute_batch_sync(
-                        [query], graph, log_id=task.task_id
+                        [query], graph, log_id=job.job_id
                     )
                 except Exception as single_exc:
                     self._settle_inflight([key], error=single_exc)
@@ -547,9 +532,7 @@ class Scheduler:
             self._cache.put(key, ranking)
         self._settle_inflight(keys, rankings=outcome.rankings)
 
-    def _resolve_sub_batch(
-        self, job: JobRecord, task: Task, key: CacheKey, future: Future
-    ) -> None:
+    def _resolve_sub_batch(self, job: JobRecord, key: CacheKey, future: Future) -> None:
         """Publish one finished size-1 sub-batch of a spread fallback group."""
         try:
             error = future.exception()
@@ -560,7 +543,7 @@ class Scheduler:
             self._cache.put(key, ranking)
             self._settle_inflight([key], rankings=[ranking])
         finally:
-            self._work_unit_done(job, task)
+            self._work_unit_done(job)
 
     # ------------------------------------------------------------------ #
     # completion handling
@@ -591,21 +574,18 @@ class Scheduler:
             if per_key is not None:
                 per_key.set_result(ranking)
 
-    def _on_ranking_ready(
-        self, job: JobRecord, task: Task, index: int, future: Future
-    ) -> None:
+    def _on_ranking_ready(self, job: JobRecord, index: int, future: Future) -> None:
         error = future.exception()
         if error is None:
-            self._record_ranking(job, task, index, future.result())
+            self._record_ranking(job, index, future.result())
             return
         if isinstance(error, JobCancelledError) and error.job_id == job.job_id:
             # Our own cancellation abandoning the key; the finaliser settles
-            # the job and task state when the outstanding work drains.
+            # the job when the outstanding work drains.
             return
         message = str(error)
-        task.mark_failed(message)
         self._datastore.append_log(
-            task.task_id, f"[scheduler] query {index} FAILED: {error}"
+            job.job_id, f"[scheduler] query {index} FAILED: {error}"
         )
         job.append("query_failed", query=index, error=message)
         job.finish(JobState.FAILED, error=message)
@@ -613,60 +593,51 @@ class Scheduler:
     def _record_ranking(
         self,
         job: JobRecord,
-        task: Task,
         index: int,
         ranking: Ranking,
         *,
         event: str = "query_completed",
     ) -> None:
-        task.record_query_result(index, ranking)
-        appended = job.append(
-            event,
-            query=index,
-            completed_queries=task.completed_queries,
-            total_queries=task.total_queries,
-        )
+        appended = job.append(event, ranking=ranking, query=index)
         # The job stamps its own projected counter into the event under the
         # record lock, so exactly one completion event per job reports the
         # full count — that appender (and only it) persists the results and
         # finishes the job, after every sibling's event is already in the
-        # log.  Deciding on the task state alone would let a racing sibling
-        # finish the job before a slower thread's event was appended,
-        # silently dropping it from the stream.
+        # log.  A failed query never completes, so a job with a failure
+        # never reaches the full count.
         if (
             appended is not None
-            and appended.payload.get("completed_queries") == task.total_queries
-            and task.state is TaskState.COMPLETED
+            and appended.payload.get("completed_queries") == job.total_queries
         ):
-            self._store_results(task)
+            self._store_results(job)
             job.finish(JobState.DONE)
 
-    def _store_results(self, task: Task) -> None:
-        rankings = task.rankings()
+    def _store_results(self, job: JobRecord) -> None:
+        rankings = job.rankings()
+        state = TaskState.COMPLETED.value
         payload = {
-            "comparison_id": task.task_id,
-            "state": task.state.value,
-            "queries": [query.as_dict() for query in task.query_set],
+            "comparison_id": job.job_id,
+            "state": state,
+            "queries": [query.as_dict() for query in job.query_set],
             "rankings": {str(index): ranking for index, ranking in sorted(rankings.items())},
         }
         # The settling thread may be a pool worker inside the group span or a
-        # foreign thread resolving a join: re-install the task's root span so
+        # foreign thread resolving a join: re-install the job's root span so
         # the persistence write (and any replicated per-replica spans under
-        # it) always lands in this task's trace, not the joiner's.
-        with trace_scope(task.trace_span), child_span(
+        # it) always lands in this comparison's trace, not the joiner's.
+        with trace_scope(job.trace_span), child_span(
             "store_results", rankings=len(rankings)
         ):
-            self._datastore.put_result(task.task_id, payload)
+            self._datastore.put_result(job.job_id, payload)
         self._datastore.append_log(
-            task.task_id,
-            f"[scheduler] task {task.task_id} {task.state.value}; results stored",
+            job.job_id, f"[scheduler] task {job.job_id} {state}; results stored"
         )
 
     # ------------------------------------------------------------------ #
     # cancellation
     # ------------------------------------------------------------------ #
     def cancel(self, task_id: str) -> bool:
-        """Request cooperative cancellation of a submitted task.
+        """Request cooperative cancellation of a submitted comparison.
 
         Returns ``True`` if the request was recorded (the job was still
         live).  Groups not yet dispatched are skipped at their next
@@ -674,21 +645,14 @@ class Scheduler:
         results still populate the cache), and the job is finished with
         state ``CANCELLED`` once the outstanding work has drained.
 
-        Registry jobs without a task — the storage maintenance jobs
+        Registry jobs without a query set — the storage maintenance jobs
         (replicate/spill/rebalance) the gateway runs on this registry — are
         purely cooperative: the flag is raised here and the migration loop
         finishes the job at its next item boundary.
         """
-        try:
-            task = self.get_task(task_id)
-        except TaskNotFoundError:
-            job = self.jobs.find(task_id)
-            if job is None:
-                raise
+        job = self.jobs.get(task_id)
+        if job.query_set is None:
             return job.request_cancel()
-        job = self.jobs.find(task_id)
-        if job is None:
-            return False
         if not job.request_cancel():
             return False
         self._datastore.append_log(
@@ -699,19 +663,19 @@ class Scheduler:
         if outstanding == 0:
             # Nothing left on the pool (only joins on other jobs' in-flight
             # computations, or nothing at all): finalise immediately.
-            self._finalise_cancelled(job, task)
+            self._finalise_cancelled(job)
         return True
 
-    def _work_unit_done(self, job: JobRecord, task: Task) -> None:
+    def _work_unit_done(self, job: JobRecord) -> None:
         """Settle one outstanding work unit; finalise a drained cancelled job."""
         with self._lock:
-            remaining = self._outstanding.get(task.task_id, 0) - 1
+            remaining = self._outstanding.get(job.job_id, 0) - 1
             if remaining > 0:
-                self._outstanding[task.task_id] = remaining
+                self._outstanding[job.job_id] = remaining
             else:
-                self._outstanding.pop(task.task_id, None)
+                self._outstanding.pop(job.job_id, None)
         if remaining <= 0 and job.cancel_requested and not job.state.is_terminal():
-            self._finalise_cancelled(job, task)
+            self._finalise_cancelled(job)
         self._run_maintenance_hooks()
 
     # ------------------------------------------------------------------ #
@@ -738,42 +702,39 @@ class Scheduler:
             except Exception:
                 continue  # maintenance must never fail the dispatch path
 
-    def _settle_deadline_exceeded(self, job: JobRecord, task: Task) -> None:
+    def _settle_deadline_exceeded(self, job: JobRecord) -> None:
         """Settle a job whose deadline expired before (or during) dispatch.
 
         Mirrors :meth:`_finalise_cancelled`: the typed event is appended
         *before* the terminal transition (terminal jobs drop appends), the
-        task fails with a deadline message, and sibling groups observe the
+        job fails with a deadline message, and sibling groups observe the
         terminal job at their own boundary check and return immediately.
         """
-        deadline_ms = task.deadline.deadline_ms if task.deadline is not None else None
+        deadline_ms = job.deadline.deadline_ms if job.deadline is not None else None
         message = "deadline expired before execution" + (
             f" (deadline_ms={deadline_ms})" if deadline_ms is not None else ""
         )
-        task.mark_failed(message)
         job.append(
             "deadline_exceeded",
             deadline_ms=deadline_ms,
-            completed_queries=task.completed_queries,
-            total_queries=task.total_queries,
+            completed_queries=job.completed_queries,
+            total_queries=job.total_queries,
         )
         if job.finish(JobState.FAILED, error=message):
             with self._lock:
                 self._deadlines_exceeded += 1
-            self._datastore.append_log(
-                task.task_id,
-                f"[scheduler] task {task.task_id} deadline expired with "
-                f"{task.completed_queries}/{task.total_queries} queries done",
-            )
+            self._log_settled(job, "deadline expired")
 
-    def _finalise_cancelled(self, job: JobRecord, task: Task) -> None:
-        task.mark_cancelled()
+    def _finalise_cancelled(self, job: JobRecord) -> None:
         if job.finish(JobState.CANCELLED):
-            self._datastore.append_log(
-                task.task_id,
-                f"[scheduler] task {task.task_id} cancelled with "
-                f"{task.completed_queries}/{task.total_queries} queries done",
-            )
+            self._log_settled(job, "cancelled")
+
+    def _log_settled(self, job: JobRecord, outcome: str) -> None:
+        self._datastore.append_log(
+            job.job_id,
+            f"[scheduler] task {job.job_id} {outcome} with "
+            f"{job.completed_queries}/{job.total_queries} queries done",
+        )
 
     # ------------------------------------------------------------------ #
     # observability
@@ -821,31 +782,24 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     # waiting
     # ------------------------------------------------------------------ #
-    def wait(self, task_id: str, *, timeout: Optional[float] = None) -> Task:
-        """Block until the task reaches a terminal state (or the timeout expires).
+    def wait(self, task_id: str, *, timeout: Optional[float] = None) -> JobRecord:
+        """Block until the comparison is terminal (or the timeout expires).
 
         Implemented on the job's event cursor: ``task_done`` is emitted
         *after* the results are persisted, so a caller unblocked here always
         observes the complete step-4 state in the datastore.
         """
-        task = self.get_task(task_id)
-        job = self.jobs.find(task_id)
-        if job is not None:
-            job.wait_done(timeout)
-            return task
-        # The job record was evicted (long-finished task): nothing to wait on,
-        # but tolerate a result write that is still racing the eviction.
-        deadline = time.monotonic() + (timeout if timeout is not None else 30.0)
-        while not task.is_done() and time.monotonic() < deadline:
-            time.sleep(0.001)
-        return task
+        job = self.get_task(task_id)
+        job.wait_done(timeout)
+        return job
 
     def rankings_for(self, task_id: str) -> Dict[int, Ranking]:
         """Return the rankings computed so far for ``task_id``.
 
-        A task evicted from the bounded table falls back to the stored result
-        payload (the one reader of its rankings: :class:`Ranking` objects, or
-        dicts read from disk), so old permalinks keep serving their rankings.
+        A record evicted from the registry (always a terminal one) falls
+        back to the stored result payload (the one reader of its rankings:
+        :class:`Ranking` objects, or dicts read from disk), so old
+        permalinks keep serving their rankings.
         """
         try:
             return self.get_task(task_id).rankings()
@@ -855,7 +809,3 @@ class Scheduler:
                 int(index): ranking if isinstance(ranking, Ranking) else Ranking.from_dict(ranking)
                 for index, ranking in payload.get("rankings", {}).items()
             }
-
-    def task_table_stats(self) -> Dict[str, Any]:
-        """Return the bounded task table's occupancy (for ``platform_stats()``)."""
-        return self._task_table.stats()

@@ -4,14 +4,17 @@ Section III, step 3: "while the computation is running, the Status component
 polls the Executor node to monitor its progress"; step 4: "the Status
 component can access [results and logs] in response to user requests."
 
-Since the job/event refactor the component no longer busy-polls mutable
-counters: each submitted comparison owns an append-only event log (see
-:mod:`repro.platform.jobs`), and :meth:`StatusComponent.poll` *projects* the
-job record derived from that log into a :class:`TaskProgress` snapshot.
-:meth:`poll_until_done` blocks on the job's event cursor instead of
-sleeping in a poll loop, and :meth:`events_since` exposes the raw cursor
-read that the REST long-poll/SSE endpoints and the CLI ``--follow`` renderer
-consume.
+The component busy-polls nothing: each submitted comparison has one
+record, a :class:`~repro.platform.jobs.JobRecord` whose append-only event
+log decides its state, and :meth:`StatusComponent.poll` *projects* that
+record into a :class:`TaskProgress` snapshot in the
+:class:`~repro.platform.tasks.TaskState` vocabulary.  A record evicted from
+the bounded registry is always terminal, so the only fallback is one read
+of the stored result: a DONE permalink keeps resolving, a FAILED or
+CANCELLED one expires with its record.  :meth:`poll_until_done` blocks on
+the job's event cursor, and :meth:`events_since` exposes the raw cursor
+read that the REST long-poll/SSE endpoints and the CLI ``--follow``
+renderer consume.
 
 The component also hosts pluggable *stats sections* via
 :meth:`StatusComponent.register_section`: the gateway registers its
@@ -22,11 +25,10 @@ here, so ``platform_stats()`` / ``GET /api/stats`` surface them uniformly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from ..exceptions import StorageError, TaskError, TaskNotFoundError
+from ..exceptions import TaskError
 from .datastore import DataStore
 from .jobs import JobEvent, JobRecord, JobState
 from .scheduler import Scheduler
@@ -114,73 +116,40 @@ class StatusComponent:
         job = self._registry.find(task_id)
         if job is not None:
             return self._project(job)
-        # The job record was evicted from the bounded registry (or the task
-        # was registered without going through submission): fall back to the
-        # task table, which the scheduler keeps for permalink lookups.
-        try:
-            task = self._scheduler.get_task(task_id)
-        except TaskNotFoundError:
-            # The task itself aged out of the bounded table; a completed
-            # comparison still has its result payload persisted in the
-            # datastore, so the permalink keeps resolving.
-            try:
-                payload = self._datastore.get_result(task_id)
-            except StorageError:
-                raise TaskNotFoundError(task_id) from None
-            rankings = payload.get("rankings", {})
-            return TaskProgress(
-                task_id=task_id,
-                state=TaskState(str(payload.get("state", TaskState.COMPLETED.value))),
-                completed_queries=len(rankings),
-                total_queries=len(payload.get("queries", rankings)),
-                error=None,
-            )
+        # The record was evicted from the bounded registry, hence terminal:
+        # a completed comparison still has its result payload persisted in
+        # the datastore, so the permalink keeps resolving.
+        payload = self._scheduler.stored_result(task_id)
+        rankings = payload.get("rankings", {})
         return TaskProgress(
-            task_id=task.task_id,
-            state=task.state,
-            completed_queries=task.completed_queries,
-            total_queries=task.total_queries,
-            error=task.error,
+            task_id=task_id,
+            state=TaskState(str(payload.get("state", TaskState.COMPLETED.value))),
+            completed_queries=len(rankings),
+            total_queries=len(payload.get("queries", rankings)),
+            error=None,
         )
 
-    def poll_until_done(
-        self,
-        task_id: str,
-        *,
-        interval_seconds: float = 0.01,
-        timeout_seconds: float = 60.0,
-    ) -> TaskProgress:
-        """Block until the task reaches a terminal state.
+    def poll_until_done(self, task_id: str, *, timeout_seconds: float = 60.0) -> TaskProgress:
+        """Block on the job's event cursor until the comparison is terminal.
 
-        Blocks on the job's event cursor (no busy-waiting); the poll loop
-        with ``interval_seconds`` survives only as the fallback for records
-        that were evicted from the bounded registry.
+        An evicted record was terminal already, so its snapshot is returned
+        at once.
 
         Raises
         ------
         TaskError
-            If the timeout expires before the task finishes.
+            If the timeout expires before the comparison finishes.
         """
         job = self._registry.find(task_id)
-        if job is not None:
-            if not job.wait_done(timeout_seconds):
-                progress = self._project(job)
-                raise TaskError(
-                    f"task {task_id} did not finish within {timeout_seconds} seconds "
-                    f"({progress.completed_queries}/{progress.total_queries} queries done)"
-                )
-            return self._project(job)
-        deadline = time.monotonic() + timeout_seconds
-        progress = self.poll(task_id)
-        while not progress.state.is_terminal():
-            if time.monotonic() > deadline:
-                raise TaskError(
-                    f"task {task_id} did not finish within {timeout_seconds} seconds "
-                    f"({progress.completed_queries}/{progress.total_queries} queries done)"
-                )
-            time.sleep(interval_seconds)
-            progress = self.poll(task_id)
-        return progress
+        if job is None:
+            return self.poll(task_id)
+        if not job.wait_done(timeout_seconds):
+            progress = self._project(job)
+            raise TaskError(
+                f"task {task_id} did not finish within {timeout_seconds} seconds "
+                f"({progress.completed_queries}/{progress.total_queries} queries done)"
+            )
+        return self._project(job)
 
     # ------------------------------------------------------------------ #
     # event cursors
@@ -225,7 +194,6 @@ class StatusComponent:
             "batches": self._scheduler.batch_stats(),
             "artifacts": self._scheduler.artifact_stats(),
             "jobs": self._registry.stats(),
-            "tasks": self._scheduler.task_table_stats(),
         }
         shard_stats = getattr(self._datastore, "shard_stats", None)
         if callable(shard_stats):

@@ -4,8 +4,10 @@ A *query* is one (dataset, algorithm, source, parameters) quadruple — one row
 of the task-builder interface.  A *query set* is the ordered collection of
 queries the user has assembled; it is identified by a UUID that doubles as a
 permalink for retrieving the results later ("Comparison id" in Figure 2).
-A *task* is a query set submitted for execution, carrying its lifecycle
-state.
+:meth:`TaskBuilder.build_task` turns a query set into the comparison's one
+record, a :class:`~repro.platform.jobs.JobRecord`, whose event log decides
+its lifecycle.  :class:`TaskState` is only the status vocabulary the Status
+component projects that lifecycle onto.
 
 The :class:`TaskBuilder` validates each query against the dataset catalog and
 the algorithm registry *before* it enters the query set, mirroring the web
@@ -17,18 +19,17 @@ rejected at build time rather than at execution time.
 from __future__ import annotations
 
 import enum
-import threading
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..algorithms.registry import get_algorithm
 from ..datasets.catalog import DatasetCatalog
 from ..exceptions import InvalidParameterError, TaskError
-from ..ranking.result import Ranking
+from .jobs import JobRecord
 from .resilience import Deadline
 
-__all__ = ["Query", "QuerySet", "Task", "TaskState", "TaskBuilder"]
+__all__ = ["Query", "QuerySet", "TaskState", "TaskBuilder"]
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,11 @@ class QuerySet:
 
 
 class TaskState(enum.Enum):
-    """Lifecycle of a submitted task (Section III, steps 1-5)."""
+    """The status vocabulary of a comparison (Section III, steps 1-5).
+
+    REST bodies, the CLI and stored results report these values; the Status
+    component maps each :class:`~repro.platform.jobs.JobState` onto one.
+    """
 
     PENDING = "pending"
     RUNNING = "running"
@@ -128,137 +133,8 @@ class TaskState(enum.Enum):
     CANCELLED = "cancelled"
 
     def is_terminal(self) -> bool:
-        """Return ``True`` once the task can no longer change state."""
+        """Return ``True`` for the states a comparison never leaves."""
         return self in (TaskState.COMPLETED, TaskState.FAILED, TaskState.CANCELLED)
-
-
-class Task:
-    """A query set submitted for execution, with per-query progress.
-
-    Parameters
-    ----------
-    query_set:
-        The validated queries to execute.
-    deadline_ms:
-        Optional overall deadline in milliseconds, counted from task
-        construction (submission time).  The scheduler refuses to start
-        work for an expired task and settles it with a typed
-        ``deadline_exceeded`` event instead of occupying a worker.
-
-    The gateway additionally attaches ``trace_span`` — the telemetry root
-    span of the submission — before handing the task to the scheduler, which
-    re-installs it (alongside the deadline) on whatever pool thread picks a
-    group up, exactly the way the deadline rides along.
-    """
-
-    def __init__(self, query_set: QuerySet, *, deadline_ms: Optional[int] = None) -> None:
-        self.task_id = query_set.comparison_id
-        self.query_set = query_set
-        self.deadline: Optional[Deadline] = (
-            Deadline.from_ms(deadline_ms) if deadline_ms is not None else None
-        )
-        self.trace_span: Optional[Any] = None
-        self._lock = threading.RLock()
-        self._state = TaskState.PENDING
-        self._completed_queries = 0
-        self._error: Optional[str] = None
-        self._rankings: Dict[int, Ranking] = {}
-        #: Called once, outside the task lock, when the task becomes terminal.
-        self.on_terminal: Optional[Callable[["Task"], None]] = None
-
-    # ------------------------------------------------------------------ #
-    # state transitions (called by the scheduler / executors)
-    # ------------------------------------------------------------------ #
-    def mark_running(self) -> None:
-        """Transition PENDING -> RUNNING."""
-        with self._lock:
-            if self._state is TaskState.PENDING:
-                self._state = TaskState.RUNNING
-
-    def record_query_result(self, index: int, ranking: Ranking) -> None:
-        """Record the ranking produced for the query at ``index``."""
-        with self._lock:
-            self._rankings[index] = ranking
-            self._completed_queries += 1
-            finished = (
-                self._completed_queries >= len(self.query_set)
-                and not self._state.is_terminal()
-            )
-            if finished:
-                self._state = TaskState.COMPLETED
-        self._notify_terminal(finished)
-
-    def mark_failed(self, error: str) -> None:
-        """Transition to FAILED with an error message."""
-        with self._lock:
-            finished = not self._state.is_terminal()
-            if self._state is not TaskState.CANCELLED:
-                self._state = TaskState.FAILED
-                self._error = error
-        self._notify_terminal(finished)
-
-    def mark_cancelled(self) -> None:
-        """Transition to CANCELLED (a no-op once the task is terminal)."""
-        with self._lock:
-            finished = not self._state.is_terminal()
-            if finished:
-                self._state = TaskState.CANCELLED
-        self._notify_terminal(finished)
-
-    def _notify_terminal(self, finished: bool) -> None:
-        if finished and self.on_terminal is not None:
-            self.on_terminal(self)
-
-    # ------------------------------------------------------------------ #
-    # inspection
-    # ------------------------------------------------------------------ #
-    @property
-    def state(self) -> TaskState:
-        """Return the current lifecycle state."""
-        with self._lock:
-            return self._state
-
-    @property
-    def error(self) -> Optional[str]:
-        """Return the failure message, if the task failed."""
-        with self._lock:
-            return self._error
-
-    @property
-    def completed_queries(self) -> int:
-        """Return how many queries have finished."""
-        with self._lock:
-            return self._completed_queries
-
-    @property
-    def total_queries(self) -> int:
-        """Return how many queries the task contains."""
-        return len(self.query_set)
-
-    @property
-    def trace_id(self) -> Optional[str]:
-        """Return the telemetry trace id, when the gateway attached a span."""
-        span = self.trace_span
-        return span.trace_id if span is not None else None
-
-    def rankings(self) -> Dict[int, Ranking]:
-        """Return the rankings computed so far, keyed by query index."""
-        with self._lock:
-            return dict(self._rankings)
-
-    def deadline_expired(self) -> bool:
-        """Return ``True`` when the task carries a deadline that has passed."""
-        return self.deadline is not None and self.deadline.expired()
-
-    def is_done(self) -> bool:
-        """Return ``True`` once the task reached a terminal state."""
-        return self.state.is_terminal()
-
-    def __repr__(self) -> str:
-        return (
-            f"<Task {self.task_id[:8]} {self.state.value} "
-            f"{self.completed_queries}/{self.total_queries}>"
-        )
 
 
 class TaskBuilder:
@@ -317,8 +193,10 @@ class TaskBuilder:
         """Return an empty query set with a fresh comparison id."""
         return QuerySet()
 
-    def build_task(self, query_set: QuerySet, *, deadline_ms: Optional[int] = None) -> Task:
-        """Wrap a non-empty query set into a :class:`Task` ready for scheduling.
+    def build_task(
+        self, query_set: QuerySet, *, deadline_ms: Optional[int] = None
+    ) -> JobRecord:
+        """Wrap a non-empty query set into its comparison record, ready for scheduling.
 
         ``deadline_ms``, when given, starts the submission's deadline clock
         here — validation errors from a non-positive value surface as
@@ -327,6 +205,12 @@ class TaskBuilder:
         if len(query_set) == 0:
             raise TaskError("cannot submit an empty query set")
         try:
-            return Task(query_set, deadline_ms=deadline_ms)
+            deadline = Deadline.from_ms(deadline_ms) if deadline_ms is not None else None
         except (TypeError, ValueError) as exc:
             raise TaskError(f"invalid deadline_ms: {exc}") from exc
+        return JobRecord(
+            query_set.comparison_id,
+            len(query_set),
+            query_set=query_set,
+            deadline=deadline,
+        )

@@ -25,6 +25,7 @@ from repro.graph.generators import preferential_attachment_graph
 from repro.platform.datastore import DataStore
 from repro.platform.executor import ExecutorNode
 from repro.platform.gateway import ApiGateway
+from repro.platform.jobs import JobState
 from repro.platform.tasks import Query
 
 NUM_SEEDS = 32
@@ -198,7 +199,7 @@ class TestBatchFailureIsolation:
             synchronous=False,
         )
         toy_gateway.wait_for(follow_up, timeout_seconds=30.0)
-        assert toy_gateway.get_task(follow_up).state.value == "completed"
+        assert toy_gateway.get_task(follow_up).state is JobState.DONE
         assert toy_gateway.executor_pool.total_executed() == executed
         assert toy_gateway.get_rankings(follow_up)[0].reference == "R"
 
@@ -215,7 +216,7 @@ class TestBatchFailureIsolation:
             [{"dataset_id": "toy", "algorithm": "personalized-pagerank", "source": "A"}],
             synchronous=True,
         )
-        assert toy_gateway.get_task(follow_up).state.value == "completed"
+        assert toy_gateway.get_task(follow_up).state is JobState.DONE
         assert toy_gateway.executor_pool.total_executed() == executed
 
 
@@ -277,7 +278,7 @@ class TestFallbackParallelism:
             ]
             comparison_id = toy_gateway.run_queries(queries, synchronous=False)
             toy_gateway.wait_for(comparison_id, timeout_seconds=30.0)
-            assert toy_gateway.get_task(comparison_id).state.value == "completed"
+            assert toy_gateway.get_task(comparison_id).state is JobState.DONE
             stats = toy_gateway.get_platform_stats()
             assert stats["batches"]["batches"] == len(sources)
             assert stats["batches"]["largest_batch"] == 1

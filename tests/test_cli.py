@@ -163,16 +163,6 @@ class TestStatsFlag:
         assert "cache:" in output
         assert "1 dispatched" in output or "dispatched" in output
 
-    def test_cache_stats_is_a_deprecated_alias(self, tiny_catalog, capsys):
-        exit_code = main(
-            ["run", "toy", "cyclerank", "--source", "R", "--cache-stats"]
-        )
-        assert exit_code == 0
-        captured = capsys.readouterr()
-        assert "cache:" in captured.out
-        assert "telemetry:" in captured.out
-        assert "--cache-stats is deprecated" in captured.err
-
     def test_stats_are_omitted_without_the_flag(self, tiny_catalog, capsys):
         assert main(["run", "toy", "cyclerank", "--source", "R"]) == 0
         output = capsys.readouterr().out
@@ -210,7 +200,7 @@ class TestShardsFlag:
     def test_run_command_on_a_sharded_store(self, tiny_catalog, capsys):
         exit_code = main(
             ["run", "toy", "cyclerank", "--source", "R", "--shards", "3",
-             "--cache-stats"]
+             "--stats"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
@@ -221,7 +211,7 @@ class TestShardsFlag:
     def test_compare_command_on_a_sharded_store(self, tiny_catalog, capsys):
         exit_code = main(
             ["compare", "toy", "--source", "R", "--algorithms",
-             "personalized-pagerank", "--shards", "2", "--cache-stats"]
+             "personalized-pagerank", "--shards", "2", "--stats"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
@@ -234,7 +224,7 @@ class TestShardsFlag:
         reason="the scaled-topology runs make every default gateway sharded",
     )
     def test_shard_line_is_omitted_on_a_single_store(self, tiny_catalog, capsys):
-        assert main(["run", "toy", "cyclerank", "--source", "R", "--cache-stats"]) == 0
+        assert main(["run", "toy", "cyclerank", "--source", "R", "--stats"]) == 0
         assert "shards:" not in capsys.readouterr().out
 
     def test_non_positive_shards_is_rejected(self, tiny_catalog, capsys):
@@ -246,7 +236,7 @@ class TestReplicasFlag:
     def test_run_command_on_a_replicated_store(self, tiny_catalog, capsys, tmp_path):
         exit_code = main(
             ["run", "toy", "cyclerank", "--source", "R", "--shards", "3",
-             "--replicas", "2", "--spill-dir", str(tmp_path), "--cache-stats"]
+             "--replicas", "2", "--spill-dir", str(tmp_path), "--stats"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
@@ -258,7 +248,7 @@ class TestReplicasFlag:
     def test_replicas_without_shards_builds_a_default_ring(self, tiny_catalog, capsys):
         exit_code = main(
             ["run", "toy", "cyclerank", "--source", "R", "--replicas", "2",
-             "--cache-stats"]
+             "--stats"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out

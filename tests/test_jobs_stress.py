@@ -454,7 +454,7 @@ class TestSynchronousJoinPersistence:
             # Joins the async twin's in-flight computation; must not return
             # before the join's done-callback has recorded and persisted.
             outcome["id"] = toy_gateway.run_queries(query, synchronous=True)
-            outcome["done"] = toy_gateway.get_task(outcome["id"]).is_done()
+            outcome["done"] = toy_gateway.get_task(outcome["id"]).state.is_terminal()
             outcome["stored"] = toy_gateway.datastore.has_result(outcome["id"])
 
         thread = threading.Thread(target=sync_runner)

@@ -22,6 +22,7 @@ from repro.algorithms.personalized_pagerank import personalized_pagerank
 from repro.datasets.catalog import DatasetCatalog
 from repro.graph.generators import reciprocal_communities_graph
 from repro.platform.gateway import ApiGateway
+from repro.platform.jobs import JobState
 
 SPY_NAME = "spy-counting-ppr"
 
@@ -127,7 +128,7 @@ class TestSingleFlightUnderContention:
         }
         for comparison_id in results:
             task = stress_gateway.get_task(comparison_id)
-            assert task.state.value == "completed"
+            assert task.state is JobState.DONE
             rankings = stress_gateway.get_rankings(comparison_id)
             assert len(rankings) == len(queries)
             for source, ranking in zip(sources, rankings):
@@ -171,7 +172,7 @@ class TestSingleFlightUnderContention:
         assert spy_algorithm.total_computations() == len(all_sources)
         for window, comparison_id in completed:
             task = stress_gateway.get_task(comparison_id)
-            assert task.state.value == "completed"
+            assert task.state is JobState.DONE
             rankings = stress_gateway.get_rankings(comparison_id)
             assert len(rankings) == len(window)
             for source, ranking in zip(window, rankings):

@@ -14,7 +14,8 @@ from repro.platform.executor import ExecutorNode, ExecutorPool
 from repro.platform.gateway import ApiGateway
 from repro.platform.scheduler import Scheduler
 from repro.platform.status import StatusComponent
-from repro.platform.tasks import Query, QuerySet, Task, TaskBuilder, TaskState
+from repro.platform.jobs import JobRecord, JobState
+from repro.platform.tasks import Query, QuerySet, TaskBuilder, TaskState
 
 
 @pytest.fixture
@@ -37,7 +38,7 @@ def platform(catalog):
     pool.shutdown()
 
 
-def make_task(builder, *specs) -> Task:
+def make_task(builder, *specs) -> JobRecord:
     query_set = builder.new_query_set()
     for dataset_id, algorithm, source, parameters in specs:
         query_set.add(
@@ -214,19 +215,19 @@ class TestScheduler:
         datastore, _, scheduler, status, builder = platform
         task = make_task(builder, ("triangle", "pagerank", None, None))
         scheduler.submit(task)
-        scheduler.wait(task.task_id, timeout=30)
-        status.poll_until_done(task.task_id, timeout_seconds=30)
-        stored = datastore.get_result(task.task_id)
-        assert stored["comparison_id"] == task.task_id
+        scheduler.wait(task.job_id, timeout=30)
+        status.poll_until_done(task.job_id, timeout_seconds=30)
+        stored = datastore.get_result(task.job_id)
+        assert stored["comparison_id"] == task.job_id
         assert stored["state"] == "completed"
         assert "0" in stored["rankings"]
-        assert any("scheduler" in line for line in status.logs(task.task_id))
+        assert any("scheduler" in line for line in status.logs(task.job_id))
 
     def test_stored_rankings_match_computed_ones(self, platform):
         datastore, _, scheduler, status, builder = platform
         task = make_task(builder, ("two-triangles", "cyclerank", "R", {"k": 3}))
         scheduler.run_synchronously(task)
-        stored = datastore.get_result(task.task_id)
+        stored = datastore.get_result(task.job_id)
         # One copy per result: the stored payload holds the task's ranking.
         assert stored["rankings"]["0"] is task.rankings()[0]
 
@@ -234,7 +235,7 @@ class TestScheduler:
         _, _, scheduler, _, builder = platform
         task = make_task(builder, ("communities", "personalized-pagerank", "c0-n0", None))
         finished = scheduler.run_synchronously(task)
-        assert finished.state is TaskState.COMPLETED
+        assert finished.state is JobState.DONE
         assert finished.rankings()[0].reference == "c0-n0"
 
     def test_failing_query_marks_task_failed(self, platform):
@@ -243,8 +244,8 @@ class TestScheduler:
         # using a source node that does not exist in the dataset.
         task = make_task(builder, ("triangle", "cyclerank", "ghost-node", {"k": 3}))
         scheduler.submit(task)
-        scheduler.wait(task.task_id, timeout=30)
-        progress = status.poll_until_done(task.task_id, timeout_seconds=30)
+        scheduler.wait(task.job_id, timeout=30)
+        progress = status.poll_until_done(task.job_id, timeout_seconds=30)
         assert progress.state is TaskState.FAILED
         assert progress.error
 
@@ -257,7 +258,7 @@ class TestScheduler:
         _, _, scheduler, _, builder = platform
         task = make_task(builder, ("triangle", "pagerank", None, None))
         scheduler.run_synchronously(task)
-        assert task in scheduler.list_tasks()
+        assert task in scheduler.jobs.list_records()
 
 
 class TestStatusComponent:
@@ -265,24 +266,24 @@ class TestStatusComponent:
         _, _, scheduler, status, builder = platform
         task = make_task(builder, ("triangle", "pagerank", None, None))
         scheduler.run_synchronously(task)
-        progress = status.poll(task.task_id)
-        assert progress.task_id == task.task_id
+        progress = status.poll(task.job_id)
+        assert progress.task_id == task.job_id
         assert progress.total_queries == 1
         assert "completed" in progress.describe()
 
     def test_poll_until_done_times_out(self, platform):
         _, _, scheduler, status, builder = platform
-        # A task that is registered but never scheduled stays pending forever.
+        # A record that is registered but never scheduled stays queued forever.
         task = make_task(builder, ("triangle", "pagerank", None, None))
-        scheduler._tasks[task.task_id] = task
+        scheduler.jobs.register(task)
         with pytest.raises(TaskError):
-            status.poll_until_done(task.task_id, interval_seconds=0.01, timeout_seconds=0.05)
+            status.poll_until_done(task.job_id, timeout_seconds=0.05)
 
     def test_stored_result_accessible_via_status(self, platform):
         _, _, scheduler, status, builder = platform
         task = make_task(builder, ("triangle", "cheirank", None, None))
         scheduler.run_synchronously(task)
-        assert status.stored_result(task.task_id)["state"] == "completed"
+        assert status.stored_result(task.job_id)["state"] == "completed"
 
     def test_empty_task_progress_fraction(self):
         from repro.platform.status import TaskProgress

@@ -157,7 +157,8 @@ class TestComparisons:
     def test_get_task_returns_underlying_object(self, gateway):
         comparison = gateway.run_queries([{"dataset_id": "toy", "algorithm": "pagerank"}])
         task = gateway.get_task(comparison)
-        assert task.task_id == comparison
+        assert task.job_id == comparison
+        assert task.query_set.queries[0].algorithm == "pagerank"
 
 
 class TestWebUI:

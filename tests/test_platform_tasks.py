@@ -8,7 +8,9 @@ import pytest
 
 from repro.datasets.catalog import DatasetCatalog
 from repro.exceptions import TaskError
-from repro.platform.tasks import Query, QuerySet, Task, TaskBuilder, TaskState
+from repro.platform.jobs import JobRecord, JobState
+from repro.platform.status import StatusComponent
+from repro.platform.tasks import Query, QuerySet, TaskBuilder, TaskState
 from repro.ranking.result import Ranking
 
 
@@ -121,49 +123,57 @@ class TestTaskBuilder:
         query_set = builder.new_query_set()
         query_set.add(builder.build_query("triangle", "pagerank"))
         task = builder.build_task(query_set)
-        assert task.task_id == query_set.comparison_id
+        assert task.job_id == query_set.comparison_id
+        assert task.query_set is query_set
 
 
 class TestTaskLifecycle:
-    def _task(self, n_queries: int = 2) -> Task:
+    """The comparison record's lifecycle, in the status vocabulary."""
+
+    def _task(self, n_queries: int = 2) -> JobRecord:
         query_set = QuerySet([Query("d", "pagerank") for _ in range(n_queries)])
-        return Task(query_set)
+        return TaskBuilder(DatasetCatalog()).build_task(query_set)
+
+    @staticmethod
+    def _state(task: JobRecord) -> TaskState:
+        return StatusComponent._project(task).state
 
     def test_initial_state_is_pending(self):
         task = self._task()
-        assert task.state is TaskState.PENDING
-        assert not task.is_done()
+        assert self._state(task) is TaskState.PENDING
+        assert not task.state.is_terminal()
         assert task.total_queries == 2
 
     def test_running_then_completed(self):
         task = self._task(2)
-        task.mark_running()
-        assert task.state is TaskState.RUNNING
-        task.record_query_result(0, Ranking([1.0]))
-        assert task.state is TaskState.RUNNING
+        task.append("submitted", total_queries=2)
+        task.append("query_completed", ranking=Ranking([1.0]), query=0)
+        assert self._state(task) is TaskState.RUNNING
         assert task.completed_queries == 1
-        task.record_query_result(1, Ranking([1.0]))
-        assert task.state is TaskState.COMPLETED
-        assert task.is_done()
+        task.append("query_completed", ranking=Ranking([1.0]), query=1)
+        task.finish(JobState.DONE)
+        assert self._state(task) is TaskState.COMPLETED
+        assert task.state.is_terminal()
         assert set(task.rankings()) == {0, 1}
 
     def test_failure_is_terminal(self):
         task = self._task(2)
-        task.mark_running()
-        task.mark_failed("boom")
-        assert task.state is TaskState.FAILED
+        task.append("submitted", total_queries=2)
+        task.finish(JobState.FAILED, error="boom")
+        assert self._state(task) is TaskState.FAILED
         assert task.error == "boom"
-        assert task.is_done()
-        # A late result does not resurrect a failed task.
-        task.record_query_result(0, Ranking([1.0]))
-        task.record_query_result(1, Ranking([1.0]))
-        assert task.state is TaskState.FAILED
+        assert task.state.is_terminal()
+        # A late result does not resurrect a failed comparison.
+        task.append("query_completed", ranking=Ranking([1.0]), query=0)
+        task.append("query_completed", ranking=Ranking([1.0]), query=1)
+        assert self._state(task) is TaskState.FAILED
+        assert task.rankings() == {}
 
     def test_mark_running_only_from_pending(self):
         task = self._task(1)
-        task.mark_failed("boom")
-        task.mark_running()
-        assert task.state is TaskState.FAILED
+        task.finish(JobState.FAILED, error="boom")
+        assert task.append("query_started", query=0) is None
+        assert self._state(task) is TaskState.FAILED
 
     def test_terminal_state_helper(self):
         assert TaskState.COMPLETED.is_terminal()

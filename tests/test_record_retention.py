@@ -1,24 +1,32 @@
-"""Finish-order retention of the job registry and the scheduler's task table.
+"""Finish-order retention of the job registry, the one table of records.
 
-Both tables share :class:`~repro.platform.jobs.BoundedRecordTable`: active
-records are never evicted, and once more than the bound are terminal the
-earliest-finished ones are dropped.  A property test drives both tables
-against a two-list oracle; a regression test checks that registering a
-record does not read the state of the records already retained.
+Active records are never evicted, and once more than the bound are terminal
+the earliest-finished ones are dropped.  A property test drives the registry
+against a two-list oracle, both directly and through the scheduler's
+registration path; a regression test checks that registering a record does
+not read the state of the records already retained.  The permalink tests
+check that an evicted DONE comparison keeps serving the same bytes from its
+stored result, and that a FAILED one expires with its record.
 """
 
 from __future__ import annotations
+
+import json
+import urllib.request
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.catalog import DatasetCatalog
+from repro.exceptions import TaskNotFoundError
 from repro.platform.datastore import DataStore
 from repro.platform.executor import ExecutorPool
+from repro.platform.gateway import ApiGateway
 from repro.platform.jobs import JobRecord, JobRegistry, JobState
+from repro.platform.restapi import RestApiServer
 from repro.platform.scheduler import Scheduler
-from repro.platform.tasks import Query, QuerySet, Task
+from repro.platform.tasks import Query, QuerySet, TaskBuilder
 
 
 class RegistryTable:
@@ -44,8 +52,8 @@ class RegistryTable:
         pass
 
 
-class TaskTable:
-    """Drives a :class:`Scheduler`'s task table: registration, then a settle."""
+class SchedulerTable:
+    """Registers comparison records through a :class:`Scheduler`, then fails them."""
 
     def __init__(self, bound: int) -> None:
         datastore = DataStore()
@@ -53,29 +61,30 @@ class TaskTable:
         self.scheduler = Scheduler(
             datastore, DatasetCatalog(), self.pool, max_finished_tasks=bound
         )
+        self.builder = TaskBuilder(DatasetCatalog())
 
-    def create(self, record_id: str) -> Task:
+    def create(self, record_id: str) -> JobRecord:
         query_set = QuerySet([Query("unused", "pagerank")])
         query_set.comparison_id = record_id
-        task = Task(query_set)
-        self.scheduler._register(task)
-        return task
+        record = self.builder.build_task(query_set)
+        self.scheduler._register(record)
+        return record
 
     @staticmethod
-    def finish(task: Task) -> None:
-        task.mark_failed("settled by the test")
+    def finish(record: JobRecord) -> None:
+        record.finish(JobState.FAILED, error="settled by the test")
 
     def retained(self) -> dict:
-        return {task.task_id: task for task in self.scheduler.list_tasks()}
+        return {record.job_id: record for record in self.scheduler.jobs.list_records()}
 
     def evicted(self) -> int:
-        return self.scheduler.task_table_stats()["evicted"]
+        return self.scheduler.jobs.stats()["evicted"]
 
     def close(self) -> None:
         self.pool.shutdown()
 
 
-TABLES = [RegistryTable, TaskTable]
+TABLES = [RegistryTable, SchedulerTable]
 
 #: A move creates (or re-creates) one of a few ids, or finishes a record by
 #: its creation index — possibly a replaced, finished or evicted one.
@@ -136,18 +145,13 @@ def test_retention_matches_a_two_list_oracle(table_class, bound, steps):
 def test_registration_reads_no_retained_record_state(table_class, monkeypatch):
     """Registering one record costs the same at bound 8 and at bound 1024."""
     reads = {"count": 0}
+    original = JobRecord.state
 
-    def counting(record_class):
-        original = record_class.state
+    def state(record):
+        reads["count"] += 1
+        return original.fget(record)
 
-        def state(record):
-            reads["count"] += 1
-            return original.fget(record)
-
-        monkeypatch.setattr(record_class, "state", property(state))
-
-    counting(Task)
-    counting(JobRecord)
+    monkeypatch.setattr(JobRecord, "state", property(state))
     for bound in (8, 1024):
         table = table_class(bound)
         try:
@@ -159,3 +163,70 @@ def test_registration_reads_no_retained_record_state(table_class, monkeypatch):
             assert len(table.retained()) == bound + 1
         finally:
             table.close()
+
+
+def test_the_default_bound_is_the_registrys():
+    with ApiGateway(catalog=DatasetCatalog()) as gateway:
+        assert gateway.get_platform_stats()["jobs"]["max_finished_jobs"] == 256
+        assert "tasks" not in gateway.get_platform_stats()
+
+
+@pytest.fixture
+def evicting_gateway(two_triangles):
+    """A gateway that keeps one finished comparison, served over REST."""
+    catalog = DatasetCatalog()
+    catalog.register_graph("toy", two_triangles, description="two triangles")
+    with ApiGateway(catalog=catalog, num_workers=1, max_finished_tasks=1) as gateway:
+        server = RestApiServer(gateway)
+        server.start()
+        try:
+            yield gateway, server.url
+        finally:
+            server.stop()
+
+
+def _surfaces(gateway: ApiGateway, url: str, comparison_id: str) -> dict:
+    with urllib.request.urlopen(
+        f"{url}/api/comparisons/{comparison_id}/results?k=10", timeout=30
+    ) as response:
+        body = response.read()
+    return {
+        "status": gateway.get_status(comparison_id),
+        "rankings": [ranking.to_dict() for ranking in gateway.get_rankings(comparison_id)],
+        "table": json.dumps(
+            gateway.get_comparison_table(comparison_id).as_dict(), default=str
+        ),
+        "rest_results": body,
+    }
+
+
+def test_an_evicted_done_permalink_serves_the_same_bytes(evicting_gateway):
+    gateway, url = evicting_gateway
+    done = gateway.run_queries(
+        [
+            {"dataset_id": "toy", "algorithm": "cyclerank", "source": "R",
+             "parameters": {"k": 3}},
+            {"dataset_id": "toy", "algorithm": "personalized-pagerank", "source": "R"},
+            {"dataset_id": "toy", "algorithm": "personalized-2drank", "source": "R"},
+        ],
+        synchronous=True,
+    )
+    before = _surfaces(gateway, url, done)
+    gateway.run_queries([{"dataset_id": "toy", "algorithm": "pagerank"}])
+    assert gateway.scheduler.jobs.find(done) is None, "the bound of 1 evicts it"
+    with pytest.raises(TaskNotFoundError):
+        gateway.get_task(done)
+    assert _surfaces(gateway, url, done) == before
+
+
+def test_an_evicted_failed_permalink_expires(evicting_gateway):
+    gateway, _ = evicting_gateway
+    failed = gateway.run_queries(
+        [{"dataset_id": "toy", "algorithm": "personalized-pagerank", "source": "ghost"}]
+    )
+    assert gateway.get_status(failed).state.value == "failed"
+    gateway.run_queries([{"dataset_id": "toy", "algorithm": "pagerank"}])
+    with pytest.raises(TaskNotFoundError):
+        gateway.get_status(failed)
+    with pytest.raises(TaskNotFoundError):
+        gateway.wait_for(failed)

@@ -555,17 +555,17 @@ class TestBoundedTaskTable:
                 comparison: gateway.get_rankings(comparison)[0].to_dict()
                 for comparison in comparisons
             }
-            # The table is bounded: eviction runs at each registration, so at
+            # The registry is bounded: eviction runs as records finish, so at
             # most max_finished_tasks + the newest submission stay hot — it
             # can never grow with lifetime submission count.
-            assert len(gateway.scheduler.list_tasks()) <= 3
-            table_stats = gateway.get_platform_stats()["tasks"]
-            assert table_stats["tasks"] <= 3
+            assert len(gateway.scheduler.jobs.list_records()) <= 3
+            table_stats = gateway.get_platform_stats()["jobs"]
+            assert table_stats["jobs"] <= 3
             assert table_stats["evicted"] >= 2
-            assert table_stats["max_finished_tasks"] == 2
+            assert table_stats["max_finished_jobs"] == 2
 
-            # Simulate a long-lived server where the job registry also aged
-            # the records out, so every lookup goes through the datastore.
+            # Simulate a long-lived server where the registry aged every
+            # record out, so every lookup goes through the datastore.
             gateway.scheduler.jobs._jobs.clear()
 
             for comparison in comparisons:
@@ -611,7 +611,7 @@ class TestBoundedTaskTable:
                 for _ in range(3)
             ]
             # The newest terminal task survives in the table.
-            assert gateway.scheduler.get_task(ids[-1]).task_id == ids[-1]
+            assert gateway.scheduler.get_task(ids[-1]).job_id == ids[-1]
 
 
 # --------------------------------------------------------------------------- #
