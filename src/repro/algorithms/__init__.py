@@ -41,7 +41,7 @@ from .cycle_enumeration import (
 from .cyclerank import cyclerank, cyclerank_batch, CycleRankStatistics
 from .hits import hits, personalized_hits, personalized_hits_batch
 from .katz import katz_centrality, personalized_katz, personalized_katz_batch
-from .pagerank import pagerank, power_iteration, power_iteration_batch
+from .pagerank import pagerank, power_iteration_batch
 from .personalized_pagerank import personalized_pagerank, personalized_pagerank_batch
 from .ppr_montecarlo import ppr_montecarlo, ppr_montecarlo_batch
 from .ppr_push import ppr_push, ppr_push_batch
@@ -84,7 +84,6 @@ __all__ = [
     "katz_centrality",
     "personalized_katz",
     "personalized_katz_batch",
-    "power_iteration",
     "power_iteration_batch",
     # cycle enumeration
     "CycleSearchEngine",

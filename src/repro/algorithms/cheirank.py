@@ -24,8 +24,7 @@ from .pagerank import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    power_iteration,
-    power_iteration_batch,
+    _power_iteration_rankings,
 )
 from .personalized_pagerank import (
     DEFAULT_PPR_ALPHA,
@@ -49,16 +48,16 @@ def cheirank(
     Parameters mirror :func:`~repro.algorithms.pagerank.pagerank`; the only
     difference is that the random surfer follows edges backwards.
     """
-    transposed = graph.transpose()
-    csr = transposed.to_csr()
-    scores, iterations = power_iteration(csr, alpha=alpha, tol=tol, max_iter=max_iter)
-    return Ranking(
-        scores,
-        labels=graph.labels(),
+    compiled = compiled_of(graph)
+    return _power_iteration_rankings(
+        compiled,
+        np.ones((compiled.number_of_nodes(), 1)),
         algorithm="CheiRank",
-        parameters={"alpha": alpha, "tol": tol, "max_iter": max_iter, "iterations": iterations},
-        graph_name=graph.name,
-    )
+        alpha=alpha,
+        tol=tol,
+        max_iter=max_iter,
+        reverse=True,
+    )[0]
 
 
 def personalized_cheirank(
@@ -76,21 +75,9 @@ def personalized_cheirank(
     but the walk follows reversed edges, measuring relevance through
     *outgoing* connectivity of the reference node.
     """
-    transposed = graph.transpose()
-    teleport = teleport_vector_for(transposed, reference)
-    csr = transposed.to_csr()
-    scores, iterations = power_iteration(
-        csr, alpha=alpha, teleport=teleport, tol=tol, max_iter=max_iter
-    )
-    reference_label = _reference_label_for(graph, reference)
-    return Ranking(
-        scores,
-        labels=graph.labels(),
-        algorithm="Personalized CheiRank",
-        parameters={"alpha": alpha, "tol": tol, "max_iter": max_iter, "iterations": iterations},
-        graph_name=graph.name,
-        reference=reference_label,
-    )
+    return personalized_cheirank_batch(
+        graph, [reference], alpha=alpha, tol=tol, max_iter=max_iter
+    )[0]
 
 
 def personalized_cheirank_batch(
@@ -103,43 +90,26 @@ def personalized_cheirank_batch(
 ) -> List[Ranking]:
     """Compute Personalized CheiRank for many references in one pass.
 
-    The reversed-graph CSR and the alpha-folded transition matrix come from
-    the graph's :class:`~repro.graph.compiled.CompiledGraph` artifact
-    (``reverse=True`` direction), so a batch shares them across every
-    reference — and repeat batches on a platform-cached artifact skip the
-    build entirely; all teleport vectors then power-iterate together (the
-    batched analogue of :func:`personalized_cheirank`).
+    The reversed-graph folded transition matrix comes from the graph's
+    :class:`~repro.graph.compiled.CompiledGraph` artifact (``reverse=True``
+    direction), so a batch shares it across every reference — and repeat
+    batches on a platform-cached artifact skip the build entirely; all
+    teleport vectors then power-iterate together, each column bit for bit as
+    :func:`personalized_cheirank` computes it alone.
     """
     references = list(references)
     if not references:
         return []
-    compiled = compiled_of(graph)
     teleports = np.column_stack(
         [teleport_vector_for(graph, reference) for reference in references]
     )
-    scores, iterations = power_iteration_batch(
-        compiled.transpose_csr(),
+    return _power_iteration_rankings(
+        compiled_of(graph),
+        teleports,
+        algorithm="Personalized CheiRank",
         alpha=alpha,
-        teleports=teleports,
         tol=tol,
         max_iter=max_iter,
-        transition_t=compiled.folded_transition_transpose(alpha, reverse=True),
+        reverse=True,
+        references=[_reference_label_for(graph, reference) for reference in references],
     )
-    # One shared label array for the whole batch (Ranking reuses it as-is).
-    labels = compiled.labels_array()
-    return [
-        Ranking(
-            scores[:, column],
-            labels=labels,
-            algorithm="Personalized CheiRank",
-            parameters={
-                "alpha": alpha,
-                "tol": tol,
-                "max_iter": max_iter,
-                "iterations": iterations,
-            },
-            graph_name=graph.name,
-            reference=_reference_label_for(graph, reference),
-        )
-        for column, reference in enumerate(references)
-    ]

@@ -7,24 +7,30 @@ probability ``1 - alpha``.  Dangling nodes (no outgoing edges) redistribute
 their mass according to the teleport distribution, the standard fix that
 keeps the iteration stochastic.
 
-The same power-iteration core (:func:`power_iteration`) is shared by
-Personalized PageRank and CheiRank: they only differ in the teleport vector
-and in whether the graph is transposed first.
+One power-iteration kernel (:func:`power_iteration_batch`) serves the whole
+family.  Global PageRank is a batch of one with a uniform teleport,
+Personalized PageRank puts the teleport on the reference, and CheiRank runs
+either on the reversed graph.  Every column of a batch iterates exactly as it
+would alone, so a query's scores do not depend on what it was batched with.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+# Private SciPy API (checked against SciPy 1.17): imported here so that a
+# SciPy without it fails at import rather than mid-query.
+from scipy.sparse import _sparsetools
 
-from .._validation import require_positive_int, require_probability
+from .._validation import require_positive_int
 from ..exceptions import ConvergenceError
+from ..graph.compiled import CompiledGraph, compiled_of
 from ..graph.csr import CSRGraph
 from ..graph.digraph import DirectedGraph
 from ..ranking.result import Ranking
 
-__all__ = ["pagerank", "power_iteration", "power_iteration_batch", "transition_matrix"]
+__all__ = ["pagerank", "power_iteration_batch", "transition_matrix"]
 
 #: Damping factor used by the paper for the global PageRank columns.
 DEFAULT_ALPHA = 0.85
@@ -38,8 +44,8 @@ def transition_matrix(csr: CSRGraph):
     """Return the row-stochastic transition matrix ``P`` of a graph.
 
     ``P[u, v] = 1 / outdeg(u)`` for each edge ``u -> v``; rows of dangling
-    nodes are left all-zero (their mass is handled separately by
-    :func:`power_iteration`).
+    nodes are left all-zero (the mass they lose goes back through the
+    teleport in :func:`power_iteration_batch`).
     """
     adjacency = csr.to_scipy(dtype=np.float64)
     out_degrees = np.asarray(adjacency.sum(axis=1)).ravel()
@@ -51,189 +57,179 @@ def transition_matrix(csr: CSRGraph):
     return diags(inverse_out) @ adjacency
 
 
-def power_iteration(
-    csr: CSRGraph,
-    *,
-    alpha: float,
-    teleport: Optional[np.ndarray] = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> Tuple[np.ndarray, int]:
-    """Run the PageRank power iteration and return ``(scores, iterations)``.
+def _csr_product(
+    matrix: Tuple[np.ndarray, np.ndarray, np.ndarray], block: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Write ``matrix @ block`` into ``out`` with every column summed in row order.
 
-    Parameters
-    ----------
-    csr:
-        The graph in CSR form.
-    alpha:
-        Damping factor in [0, 1].
-    teleport:
-        Teleport (personalization) distribution; uniform when ``None``.  It is
-        normalised to sum to 1.
-    tol:
-        L1 convergence threshold between successive iterates.
-    max_iter:
-        Maximum number of iterations before raising
-        :class:`~repro.exceptions.ConvergenceError`.
-
-    Returns
-    -------
-    (scores, iterations):
-        ``scores`` is a probability vector over nodes; ``iterations`` is the
-        number of power-iteration steps performed.
+    ``matrix`` is a CSR ``(indptr, indices, data)`` triple; ``block`` and
+    ``out`` are C-ordered ``(columns, k)`` and ``(rows, k)`` arrays.  SciPy's
+    ``csr_matvec`` (``k == 1``) and ``csr_matvecs`` (``k >= 2``) accumulate
+    each output entry over the row's nonzeros in storage order, column by
+    column, so a column of the result is bit-identical whatever the width of
+    the block it rode in.  Calling them directly also skips SciPy's operator
+    dispatch and lets the loop reuse its buffers.
     """
-    alpha = require_probability(alpha, "alpha")
-    require_positive_int(max_iter, "max_iter")
-    n = csr.number_of_nodes()
-    if n == 0:
-        return np.zeros(0, dtype=np.float64), 0
-    if teleport is None:
-        teleport_vector = np.full(n, 1.0 / n, dtype=np.float64)
-    else:
-        teleport_vector = np.asarray(teleport, dtype=np.float64)
-        if teleport_vector.shape != (n,):
-            raise ValueError(
-                f"teleport vector has shape {teleport_vector.shape}, expected ({n},)"
-            )
-        if np.any(teleport_vector < 0):
-            raise ValueError("teleport vector must be non-negative")
-        total = teleport_vector.sum()
-        if total <= 0:
-            raise ValueError("teleport vector must have positive mass")
-        teleport_vector = teleport_vector / total
-
-    transition = transition_matrix(csr)
-    dangling_mask = np.asarray(csr.out_degrees() == 0, dtype=np.float64)
-    scores = teleport_vector.copy()
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        dangling_mass = float(scores @ dangling_mask)
-        updated = (
-            alpha * (scores @ transition)
-            + alpha * dangling_mass * teleport_vector
-            + (1.0 - alpha) * teleport_vector
+    indptr, indices, data = matrix
+    rows, k = out.shape
+    out.fill(0.0)
+    if k == 1:
+        _sparsetools.csr_matvec(
+            rows, block.shape[0], indptr, indices, data, block.ravel(), out.ravel()
         )
-        updated = np.asarray(updated).ravel()
-        # Guard against numerical drift so scores remain a distribution.
-        updated_sum = updated.sum()
-        if updated_sum > 0:
-            updated = updated / updated_sum
-        residual = float(np.abs(updated - scores).sum())
-        scores = updated
-        if residual < tol:
-            return scores, iterations
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations "
-        f"(last residual {residual:.3e}, tol {tol:.3e})",
-        iterations=max_iter,
-        residual=residual,
-    )
+    else:
+        _sparsetools.csr_matvecs(
+            rows, block.shape[0], k, indptr, indices, data, block.ravel(), out.ravel()
+        )
+    return out
 
 
 def power_iteration_batch(
-    csr: CSRGraph,
-    *,
-    alpha: float,
+    transition,
     teleports: np.ndarray,
+    *,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    transition_t=None,
-) -> Tuple[np.ndarray, int]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Run the PageRank power iteration for ``k`` teleport vectors at once.
 
-    The transition matrix and the dangling mask are built a single time and
-    every iteration advances a dense ``n x k`` score matrix, so the shared
-    per-graph work (the dominant cost for batches of personalized queries on
-    the same dataset) is paid once instead of ``k`` times.
+    Every column iterates exactly as it would alone: each step multiplies the
+    still-running columns by the folded transition matrix, adds back through
+    the teleport the mass each column lost (to dangling nodes and to
+    teleportation), and sums each column's L1 residual in row order.  A
+    column that converges is frozen and stops being multiplied.  A query's
+    scores and iteration count therefore do not depend on the other columns
+    of its batch.
 
     Parameters
     ----------
-    csr:
-        The graph in CSR form.
-    alpha:
-        Damping factor in [0, 1].
+    transition:
+        The ``(n + 1) x n`` ``scipy.sparse`` CSR matrix ``[alpha * P^T ;
+        alpha * nd]`` that
+        :meth:`~repro.graph.compiled.CompiledGraph.folded_transition_transpose`
+        builds and caches: ``P`` is the row-stochastic transition matrix and
+        ``nd`` is 1 on every node with out-edges.  Row ``n`` of the product is
+        the mass each column keeps.
     teleports:
         ``(n, k)`` matrix whose columns are teleport (personalization)
         distributions; each column is normalised to sum to 1.
     tol:
-        L1 convergence threshold, applied per column.
+        L1 convergence threshold between successive iterates, per column.
     max_iter:
         Maximum number of iterations before raising
         :class:`~repro.exceptions.ConvergenceError`.
-    transition_t:
-        Optional prebuilt ``alpha * P^T`` in ``scipy.sparse`` CSR form — the
-        matrix a :class:`~repro.graph.compiled.CompiledGraph` caches per
-        alpha (:meth:`~repro.graph.compiled.CompiledGraph.folded_transition_transpose`),
-        so repeat batches on a cached artifact skip the rebuild.  Built from
-        ``csr`` when omitted; must correspond to the same graph and alpha.
 
     Returns
     -------
     (scores, iterations):
         ``scores`` is an ``(n, k)`` matrix whose columns are probability
-        vectors; ``iterations`` is the number of steps until the *slowest*
-        column converged.
+        vectors; ``iterations[j]`` is the number of steps column ``j`` took
+        to converge.
     """
-    alpha = require_probability(alpha, "alpha")
     require_positive_int(max_iter, "max_iter")
-    n = csr.number_of_nodes()
-    teleport_matrix = np.asarray(teleports, dtype=np.float64)
+    n = transition.shape[1]
+    teleport_matrix = np.ascontiguousarray(teleports, dtype=np.float64)
     if teleport_matrix.ndim != 2 or teleport_matrix.shape[0] != n:
         raise ValueError(
             f"teleports has shape {teleport_matrix.shape}, expected ({n}, k)"
         )
     k = teleport_matrix.shape[1]
+    scores = np.zeros((n, k), dtype=np.float64)
+    iterations = np.zeros(k, dtype=np.int64)
     if n == 0 or k == 0:
-        return np.zeros((n, k), dtype=np.float64), 0
+        return scores, iterations
     if np.any(teleport_matrix < 0):
         raise ValueError("teleport vectors must be non-negative")
-    column_mass = teleport_matrix.sum(axis=0)
+    # A 1 x n row of ones: its product sums each column in row order.
+    ones_row = (np.array([0, n]), np.arange(n), np.ones(n))
+    column_mass = _csr_product(ones_row, teleport_matrix, np.empty((1, k)))[0]
     if np.any(column_mass <= 0):
         raise ValueError("every teleport vector must have positive mass")
     teleport_matrix = teleport_matrix / column_mass
 
-    # `scores @ P` for a batch of columns is `P.T @ scores`; materialise the
-    # transpose in CSR form once, with alpha folded into the matrix data so
-    # the iteration body is one sparse-dense product plus in-place updates.
-    if transition_t is None:
-        transition_t = transition_matrix(csr).transpose().tocsr()
-        transition_t.data = transition_t.data * alpha
-    dangling_mask = np.asarray(csr.out_degrees() == 0, dtype=np.float64)
-    has_dangling = bool(dangling_mask.any())
-    scores = teleport_matrix.copy()
-    scratch = np.empty_like(scores)
-    if not has_dangling:
-        # Without dangling nodes the teleport contribution is constant, so it
-        # is hoisted out of the loop entirely.
-        constant_teleport_term = teleport_matrix * (1.0 - alpha)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        updated = transition_t @ scores
-        if has_dangling:
-            teleport_coefficients = alpha * (dangling_mask @ scores) + (1.0 - alpha)  # (k,)
-            np.multiply(teleport_matrix, teleport_coefficients, out=scratch)
-            updated += scratch
-        else:
-            updated += constant_teleport_term
-        # The update preserves column mass exactly in exact arithmetic, so the
-        # drift guard only needs to run occasionally (and once on return).
-        if iterations % 16 == 0:
-            column_sums = updated.sum(axis=0)
-            updated /= np.where(column_sums > 0, column_sums, 1.0)
-        np.subtract(updated, scores, out=scratch)
+    folded = (transition.indptr, transition.indices, transition.data)
+    running = np.arange(k)
+    current = teleport_matrix
+    width = 0
+    for step in range(1, max_iter + 1):
+        if current.shape[1] != width:
+            # First step, or columns froze: size the buffers to the running
+            # columns.  Two product buffers take turns holding the iterate.
+            width = current.shape[1]
+            product, spare = np.empty((n + 1, width)), np.empty((n + 1, width))
+            scratch = np.empty((n, width))
+            # The teleport is added through its nonzeros only (one per column
+            # for a single reference node); adding zeros would change no bit.
+            rows, columns = np.nonzero(teleport_matrix)
+            weights = teleport_matrix[rows, columns]
+            positions = rows * width + columns
+        _csr_product(folded, current, product)
+        updated = product[:n]
+        updated.ravel()[positions] += weights * (1.0 - product[n])[columns]
+        np.subtract(updated, current, out=scratch)
         np.abs(scratch, out=scratch)
-        residual = scratch.sum(axis=0)
-        scores = updated
-        if float(residual.max()) < tol:
-            column_sums = scores.sum(axis=0)
-            scores /= np.where(column_sums > 0, column_sums, 1.0)
-            return scores, iterations
+        residual = _csr_product(ones_row, scratch, np.empty((1, width)))[0]
+        converged = residual < tol
+        if np.count_nonzero(converged):
+            scores[:, running[converged]] = updated[:, converged]
+            iterations[running[converged]] = step
+            if converged.all():
+                return scores, iterations
+            still = ~converged
+            running = running[still]
+            teleport_matrix = teleport_matrix.compress(still, axis=1)
+            updated = updated.compress(still, axis=1)
+        current = updated
+        product, spare = spare, product
     raise ConvergenceError(
-        f"batched power iteration did not converge within {max_iter} iterations "
+        f"power iteration did not converge within {max_iter} iterations "
         f"(worst residual {float(residual.max()):.3e}, tol {tol:.3e})",
         iterations=max_iter,
         residual=float(residual.max()),
     )
+
+
+def _power_iteration_rankings(
+    compiled: CompiledGraph,
+    teleports: np.ndarray,
+    *,
+    algorithm: str,
+    alpha: float,
+    tol: float,
+    max_iter: int,
+    reverse: bool = False,
+    references: Sequence[Optional[str]] = (None,),
+) -> List[Ranking]:
+    """Run :func:`power_iteration_batch` on an artifact; one ranking per column.
+
+    ``reverse`` walks the reversed graph (CheiRank); ``references`` holds
+    the display label of each column's reference node, ``None`` for a
+    global ranking.
+    """
+    scores, iterations = power_iteration_batch(
+        compiled.folded_transition_transpose(alpha, reverse=reverse),
+        teleports,
+        tol=tol,
+        max_iter=max_iter,
+    )
+    # One shared label array for the whole batch (Ranking reuses it as-is).
+    labels = compiled.labels_array()
+    return [
+        Ranking(
+            scores[:, column],
+            labels=labels,
+            algorithm=algorithm,
+            parameters={
+                "alpha": alpha,
+                "tol": tol,
+                "max_iter": max_iter,
+                "iterations": int(iterations[column]),
+            },
+            graph_name=compiled.name,
+            reference=reference,
+        )
+        for column, reference in enumerate(references)
+    ]
 
 
 def pagerank(
@@ -260,12 +256,12 @@ def pagerank(
     Ranking
         Scores summing to 1, with provenance ``algorithm="PageRank"``.
     """
-    csr = graph.to_csr()
-    scores, iterations = power_iteration(csr, alpha=alpha, tol=tol, max_iter=max_iter)
-    return Ranking(
-        scores,
-        labels=graph.labels(),
+    compiled = compiled_of(graph)
+    return _power_iteration_rankings(
+        compiled,
+        np.ones((compiled.number_of_nodes(), 1)),
         algorithm="PageRank",
-        parameters={"alpha": alpha, "tol": tol, "max_iter": max_iter, "iterations": iterations},
-        graph_name=graph.name,
-    )
+        alpha=alpha,
+        tol=tol,
+        max_iter=max_iter,
+    )[0]

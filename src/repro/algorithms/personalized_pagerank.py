@@ -23,12 +23,7 @@ from ..exceptions import InvalidParameterError
 from ..graph.compiled import compiled_of
 from ..graph.digraph import DirectedGraph, NodeRef
 from ..ranking.result import Ranking
-from .pagerank import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    power_iteration,
-    power_iteration_batch,
-)
+from .pagerank import DEFAULT_MAX_ITER, DEFAULT_TOL, _power_iteration_rankings
 
 __all__ = [
     "personalized_pagerank",
@@ -102,22 +97,9 @@ def personalized_pagerank(
         Scores summing to 1, with ``reference`` recorded in the provenance
         (as a label when a single reference node is given).
     """
-    teleport = teleport_vector_for(graph, reference)
-    csr = graph.to_csr()
-    scores, iterations = power_iteration(
-        csr, alpha=alpha, teleport=teleport, tol=tol, max_iter=max_iter
-    )
-    reference_label: Optional[str] = None
-    if isinstance(reference, (str, int)) and not isinstance(reference, bool):
-        reference_label = graph.label_of(graph.resolve(reference))
-    return Ranking(
-        scores,
-        labels=graph.labels(),
-        algorithm="Personalized PageRank",
-        parameters={"alpha": alpha, "tol": tol, "max_iter": max_iter, "iterations": iterations},
-        graph_name=graph.name,
-        reference=reference_label,
-    )
+    return personalized_pagerank_batch(
+        graph, [reference], alpha=alpha, tol=tol, max_iter=max_iter
+    )[0]
 
 
 def _reference_label_for(graph: DirectedGraph, reference: ReferenceSpec) -> Optional[str]:
@@ -137,15 +119,14 @@ def personalized_pagerank_batch(
 ) -> List[Ranking]:
     """Compute Personalized PageRank for many references in one pass.
 
-    The CSR form, the transition matrix and the dangling mask are built once
-    and shared by every reference; the power iteration advances all teleport
-    vectors simultaneously as a dense ``n x k`` matrix (see
-    :func:`~repro.algorithms.pagerank.power_iteration_batch`).  The
-    alpha-folded transposed transition matrix comes from the graph's
-    :class:`~repro.graph.compiled.CompiledGraph` artifact, so when the
-    platform hands a cached artifact to repeated groups with the same alpha
-    the rebuild is skipped entirely.  Results match per-reference
-    :func:`personalized_pagerank` calls up to the convergence tolerance.
+    The folded transition matrix is built once and shared by every
+    reference; the power iteration advances all teleport vectors together as
+    a dense ``n x k`` matrix (see
+    :func:`~repro.algorithms.pagerank.power_iteration_batch`).  The matrix
+    comes from the graph's :class:`~repro.graph.compiled.CompiledGraph`
+    artifact, so when the platform hands a cached artifact to repeated
+    groups with the same alpha the rebuild is skipped entirely.  Results
+    match per-reference :func:`personalized_pagerank` calls bit for bit.
 
     Parameters
     ----------
@@ -167,30 +148,12 @@ def personalized_pagerank_batch(
     teleports = np.column_stack(
         [teleport_vector_for(graph, reference) for reference in references]
     )
-    compiled = compiled_of(graph)
-    scores, iterations = power_iteration_batch(
-        compiled.to_csr(),
+    return _power_iteration_rankings(
+        compiled_of(graph),
+        teleports,
+        algorithm="Personalized PageRank",
         alpha=alpha,
-        teleports=teleports,
         tol=tol,
         max_iter=max_iter,
-        transition_t=compiled.folded_transition_transpose(alpha),
+        references=[_reference_label_for(graph, reference) for reference in references],
     )
-    # One shared label array for the whole batch (Ranking reuses it as-is).
-    labels = compiled.labels_array()
-    return [
-        Ranking(
-            scores[:, column],
-            labels=labels,
-            algorithm="Personalized PageRank",
-            parameters={
-                "alpha": alpha,
-                "tol": tol,
-                "max_iter": max_iter,
-                "iterations": iterations,
-            },
-            graph_name=graph.name,
-            reference=_reference_label_for(graph, reference),
-        )
-        for column, reference in enumerate(references)
-    ]

@@ -2,12 +2,12 @@
 
 Each relevance algorithm derives the same handful of structures from a
 :class:`~repro.graph.digraph.DirectedGraph` before doing any real work — the
-CSR adjacency (and its transpose), the out-degree vector, the dangling-node
-mask, the :mod:`scipy.sparse` adjacency matrix, and (for CycleRank) flat
-adjacency lists the cycle-search engine can walk without per-node dict
-lookups.  Rebuilding them per query is pure overhead: on the platform's
-dominant workload (many queries against the same dataset) the conversions can
-cost more than the algorithms themselves.
+CSR adjacency (and its transpose), the out-degree vector, the transition
+matrix the power iteration multiplies by, the :mod:`scipy.sparse` adjacency
+matrix, and (for CycleRank) flat adjacency lists the cycle-search engine can
+walk without per-node dict lookups.  Rebuilding them per query is pure
+overhead: on the platform's dominant workload (many queries against the same
+dataset) the conversions can cost more than the algorithms themselves.
 
 :class:`CompiledGraph` bundles those structures as a frozen, lazily-built,
 thread-safe artifact.  It is a drop-in stand-in for the source graph —
@@ -29,7 +29,9 @@ from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
+from .._validation import require_probability
 from .csr import CSRGraph
 from .digraph import DirectedGraph
 
@@ -53,15 +55,14 @@ class CompiledGraph:
 
     * :meth:`to_csr` — the CSR adjacency snapshot;
     * :meth:`transpose_csr` — the CSR snapshot of the reversed graph;
-    * :meth:`out_degrees` / :meth:`dangling_mask` — degree structure used by
-      the power-iteration family;
+    * :meth:`out_degrees` — the out-degree of every node;
     * :meth:`adjacency` / :meth:`adjacency_transpose` — ``scipy.sparse``
       matrices for the matrix-shaped kernels (HITS, Katz);
     * :meth:`adjacency_lists` — flat Python-list CSR for the cycle engine;
     * :meth:`folded_transition_transpose` — the alpha-folded transposed
-      transition matrix the batched power iteration multiplies by, cached
-      per ``(alpha, direction)`` so repeat PPR/CheiRank groups skip the
-      rebuild.
+      transition matrix plus its mass row, which the power iteration
+      multiplies by, cached per ``(alpha, direction)`` so repeat
+      PageRank-family queries skip the rebuild.
 
     Any other attribute (``resolve``, ``labels``, ``successors``, ...) is
     delegated to the wrapped :class:`DirectedGraph`, so a ``CompiledGraph``
@@ -76,13 +77,12 @@ class CompiledGraph:
         self._csr: Optional[CSRGraph] = csr
         self._transpose: Optional[CSRGraph] = None
         self._out_degrees: Optional[np.ndarray] = None
-        self._dangling: Optional[np.ndarray] = None
         self._scipy_adjacency = None
         self._scipy_transpose = None
         self._lists: Optional[AdjacencyLists] = None
         self._labels_array: Optional[np.ndarray] = None
-        #: (alpha, reverse) -> alpha-folded transposed transition matrix; the
-        #: batched power iteration fetches these instead of rebuilding per
+        #: (alpha, reverse) -> folded matrix ``[alpha * P^T ; alpha * nd]``;
+        #: the power iteration fetches these instead of rebuilding per
         #: query group.  Bounded LRU: each entry is an |E|-sized matrix and
         #: the artifact lives as long as the dataset, so a client sweeping
         #: alphas must not grow it without limit.
@@ -133,15 +133,6 @@ class CompiledGraph:
                     self._out_degrees = csr.out_degrees()
         return self._out_degrees
 
-    def dangling_mask(self) -> np.ndarray:
-        """Return the float mask of dangling nodes (cached, do not mutate)."""
-        if self._dangling is None:
-            degrees = self.out_degrees()
-            with self._build_lock:
-                if self._dangling is None:
-                    self._dangling = np.asarray(degrees == 0, dtype=np.float64)
-        return self._dangling
-
     def adjacency(self):
         """Return the ``scipy.sparse.csr_matrix`` adjacency (cached, read-only)."""
         if self._scipy_adjacency is None:
@@ -181,34 +172,44 @@ class CompiledGraph:
         return self._lists
 
     def folded_transition_transpose(self, alpha: float, *, reverse: bool = False):
-        """Return ``alpha * P^T`` in CSR form, cached per ``(alpha, reverse)``.
+        """Return ``[alpha * P^T ; alpha * nd]`` in CSR form, cached per alpha.
 
         ``P`` is the row-stochastic transition matrix of the graph (rows of
         dangling nodes all-zero) — of the *reversed* graph when ``reverse``
-        is true, which is what personalized CheiRank iterates on.  The
-        batched power iteration multiplies by this transposed matrix every
-        step with the damping factor folded into the data, so caching it per
-        alpha lets repeat PPR/CheiRank groups on the platform skip the
-        rebuild entirely.  At most :data:`MAX_FOLDED_TRANSITIONS` distinct
-        matrices are retained (least recently used evicted), bounding the
-        artifact's footprint against alpha-sweeping clients.  The returned
-        matrix is shared: treat it as read-only.
+        is true, which is what CheiRank iterates on — and ``nd`` is the row
+        that is 1 on every node with out-edges.  The matrix has ``n + 1``
+        rows and ``n`` columns: the power iteration multiplies its scores by
+        it every step, and the last row of the product is the mass each
+        column kept, so the mass lost to dangling nodes and teleportation
+        comes out of the same sparse product.  Matrices are cached per
+        ``(alpha, reverse)``; at most :data:`MAX_FOLDED_TRANSITIONS` are
+        retained (least recently used evicted), bounding the artifact's
+        footprint against alpha-sweeping clients.  The returned matrix is
+        shared: treat it as read-only.
         """
-        key = (float(alpha), bool(reverse))
+        alpha = require_probability(alpha, "alpha")
+        key = (alpha, bool(reverse))
         with self._build_lock:
             cached = self._folded_transitions.get(key)
             if cached is not None:
                 self._folded_transitions.move_to_end(key)
                 return cached
         # Function-local import: repro.algorithms imports this module at
-        # package-init time, so a top-level import would be circular.  The
-        # shared builder keeps this cache exactly equivalent to the rebuild
-        # path in power_iteration_batch.
+        # package-init time, so a top-level import would be circular.
         from ..algorithms.pagerank import transition_matrix
 
         csr = self.transpose_csr() if reverse else self.to_csr()
-        folded = transition_matrix(csr).transpose().tocsr()
-        folded.data = folded.data * float(alpha)
+        transposed = transition_matrix(csr).transpose().tocsr()
+        # The mass row is appended to the CSR arrays directly.
+        leaving = np.flatnonzero(csr.out_degrees())
+        folded = csr_matrix(
+            (
+                np.append(transposed.data * alpha, np.full(leaving.size, alpha)),
+                np.append(transposed.indices, leaving),
+                np.append(transposed.indptr, transposed.nnz + leaving.size),
+            ),
+            shape=(csr.number_of_nodes() + 1, csr.number_of_nodes()),
+        )
         with self._build_lock:
             existing = self._folded_transitions.setdefault(key, folded)
             self._folded_transitions.move_to_end(key)

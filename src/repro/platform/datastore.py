@@ -15,8 +15,8 @@ Compiled-artifact cache
 -----------------------
 Alongside each dataset graph the datastore caches one
 :class:`~repro.graph.compiled.CompiledGraph` — the frozen CSR adjacency, its
-transpose, out-degrees, dangling mask and flat adjacency lists that every
-executor dispatch would otherwise rebuild from the mutable
+transpose, out-degrees, folded transition matrices and flat adjacency lists
+that every executor dispatch would otherwise rebuild from the mutable
 :class:`DirectedGraph`.  The invalidation contract mirrors the result
 cache's: the artifact is keyed by the dataset's *upload version*, the entry
 is dropped whenever :meth:`DataStore.store_dataset` replaces or
@@ -370,11 +370,11 @@ class DataStore:
 
         The artifact is compiled on first use and cached keyed by the
         dataset's upload version; a hit returns the cached instance, whose
-        lazily-built structures (CSR, transpose, dangling mask, adjacency
-        lists) are shared by every executor dispatch.  On re-upload the entry
-        is dropped and the version re-checked before a fresh artifact is
-        published, so a stale CSR is never served (see the module docstring
-        for the full invalidation contract).
+        lazily-built structures (CSR, transpose, folded transition matrices,
+        adjacency lists) are shared by every executor dispatch.  On re-upload
+        the entry is dropped and the version re-checked before a fresh
+        artifact is published, so a stale CSR is never served (see the module
+        docstring for the full invalidation contract).
         """
         with self._lock:
             graph = self._datasets.get(dataset_id)

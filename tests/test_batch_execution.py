@@ -69,9 +69,9 @@ class TestBatchSpeedup:
             f"batched PPR over {NUM_SEEDS} seeds is only {speedup:.1f}x faster "
             f"(batch {min(batch_times):.3f}s vs sequential {min(sequential_times):.3f}s)"
         )
-        # The speedup must not come at the cost of accuracy.
+        # The speedup must not change a single bit of any ranking.
         for batch_ranking, single_ranking in zip(batched, singles):
-            assert np.allclose(batch_ranking.scores, single_ranking.scores, atol=1e-8)
+            assert np.array_equal(batch_ranking.scores, single_ranking.scores)
 
 
 @pytest.fixture

@@ -48,13 +48,12 @@ class TestCompiledGraphStructures:
             row = transpose.successors(node)
             assert np.all(np.diff(row) > 0)
 
-    def test_out_degrees_and_dangling_mask(self):
+    def test_out_degrees(self):
         graph = DirectedGraph(name="dangling")
         graph.add_edge("a", "b")
         graph.add_edge("b", "c")  # c is dangling
         compiled = CompiledGraph(graph)
         assert compiled.out_degrees().tolist() == [1, 1, 0]
-        assert compiled.dangling_mask().tolist() == [0.0, 0.0, 1.0]
 
     def test_adjacency_matrices_match_scipy_conversion(self, random_graph):
         compiled = CompiledGraph(random_graph)
@@ -92,21 +91,26 @@ class TestGraphFacade:
     def test_folded_transition_transpose_matches_direct_build(self, random_graph):
         from repro.algorithms.pagerank import transition_matrix
 
+        def direct_build(graph, alpha):
+            # [alpha * P^T ; alpha * nd], nd = 1 on every node with out-edges.
+            csr = graph.to_csr()
+            transposed = transition_matrix(csr).transpose().toarray() * alpha
+            mass_row = alpha * (csr.out_degrees() > 0)
+            return np.vstack([transposed, mass_row])
+
         compiled = CompiledGraph(random_graph)
+        n = random_graph.number_of_nodes()
         for alpha in (0.3, 0.85):
-            expected = transition_matrix(random_graph.to_csr()).transpose().tocsr()
-            expected.data = expected.data * alpha
             folded = compiled.folded_transition_transpose(alpha)
-            assert np.allclose((folded - expected).toarray(), 0.0)
+            assert folded.shape == (n + 1, n)
+            assert np.array_equal(folded.toarray(), direct_build(random_graph, alpha))
             # Cached: the same object comes back for the same alpha.
             assert compiled.folded_transition_transpose(alpha) is folded
         # The reversed direction is the transition of the transposed graph.
-        reverse_expected = (
-            transition_matrix(random_graph.transpose().to_csr()).transpose().tocsr()
-        )
-        reverse_expected.data = reverse_expected.data * 0.85
         reverse_folded = compiled.folded_transition_transpose(0.85, reverse=True)
-        assert np.allclose((reverse_folded - reverse_expected).toarray(), 0.0)
+        assert np.array_equal(
+            reverse_folded.toarray(), direct_build(random_graph.transpose(), 0.85)
+        )
 
     def test_folded_transition_cache_is_bounded(self, random_graph):
         from repro.graph.compiled import MAX_FOLDED_TRANSITIONS

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.pagerank import pagerank, power_iteration, transition_matrix
+from repro.algorithms.pagerank import pagerank, power_iteration_batch, transition_matrix
 from repro.exceptions import ConvergenceError, InvalidParameterError
+from repro.graph.compiled import compiled_of
 from repro.graph.digraph import DirectedGraph
 from repro.graph.generators import complete_graph, cycle_graph, star_graph
 
@@ -92,33 +93,38 @@ class TestPageRank:
         assert np.array_equal(first.scores, second.scores)
 
 
+def _folded(graph, alpha):
+    return compiled_of(graph).folded_transition_transpose(alpha)
+
+
 class TestPowerIteration:
     def test_respects_custom_teleport(self, triangle):
-        csr = triangle.to_csr()
-        teleport = np.array([1.0, 0.0, 0.0])
-        scores, _ = power_iteration(csr, alpha=0.5, teleport=teleport)
-        assert scores[0] == max(scores)
+        teleport = np.array([[1.0], [0.0], [0.0]])
+        scores, _ = power_iteration_batch(_folded(triangle, 0.5), teleport)
+        assert scores[0, 0] == scores[:, 0].max()
 
     def test_teleport_shape_mismatch_fails(self, triangle):
         with pytest.raises(ValueError):
-            power_iteration(triangle.to_csr(), alpha=0.5, teleport=np.array([1.0, 0.0]))
+            power_iteration_batch(_folded(triangle, 0.5), np.array([[1.0], [0.0]]))
 
     def test_negative_teleport_fails(self, triangle):
         with pytest.raises(ValueError):
-            power_iteration(
-                triangle.to_csr(), alpha=0.5, teleport=np.array([1.0, -1.0, 0.0])
-            )
+            power_iteration_batch(_folded(triangle, 0.5), np.array([[1.0], [-1.0], [0.0]]))
 
     def test_zero_mass_teleport_fails(self, triangle):
         with pytest.raises(ValueError):
-            power_iteration(triangle.to_csr(), alpha=0.5, teleport=np.zeros(3))
+            power_iteration_batch(_folded(triangle, 0.5), np.zeros((3, 1)))
 
     def test_non_convergence_raises(self, community_graph):
+        n = community_graph.number_of_nodes()
         with pytest.raises(ConvergenceError) as excinfo:
-            power_iteration(community_graph.to_csr(), alpha=0.99, tol=1e-16, max_iter=2)
+            power_iteration_batch(
+                _folded(community_graph, 0.99), np.ones((n, 2)), tol=1e-16, max_iter=2
+            )
         assert excinfo.value.iterations == 2
         assert excinfo.value.residual is not None
 
     def test_iteration_count_reported(self, triangle):
-        _, iterations = power_iteration(triangle.to_csr(), alpha=0.85)
-        assert iterations >= 1
+        _, iterations = power_iteration_batch(_folded(triangle, 0.85), np.ones((3, 1)))
+        assert iterations.shape == (1,)
+        assert iterations[0] >= 1

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import urllib.request
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from repro.graph.digraph import DirectedGraph
 from repro.platform.cache import ResultCache
 from repro.platform.datastore import DataStore
 from repro.platform.gateway import ApiGateway
+from repro.platform.restapi import RestApiServer
 from repro.ranking.result import Ranking
 
 
@@ -211,6 +215,67 @@ class TestGatewayReupload:
             assert gateway.executor_pool.total_executed() == executed + 1
             assert second_scores.size == 3  # the new upload's z node is ranked
             assert not np.allclose(first_scores, second_scores[:2])
+
+
+class TestCacheStateDoesNotChangeResults:
+    """The scheduler batches only a group's cache misses, so which sources
+    share a batch depends on what is already cached.  A comparison must
+    serve the same rankings whatever that was."""
+
+    ALGORITHMS = ("personalized-pagerank", "personalized-cheirank")
+
+    def _serve(self, graph, sources, *, precached_source=None):
+        catalog = DatasetCatalog()
+        catalog.register_graph("enwiki", graph)
+        with ApiGateway(catalog=catalog, num_workers=2) as gateway:
+            if precached_source is not None:
+                gateway.run_queries(
+                    [
+                        {
+                            "dataset_id": "enwiki",
+                            "algorithm": algorithm,
+                            "source": precached_source,
+                        }
+                        for algorithm in self.ALGORITHMS
+                    ],
+                    synchronous=True,
+                )
+            comparison_id = gateway.run_queries(
+                [
+                    {"dataset_id": "enwiki", "algorithm": algorithm, "source": source}
+                    for algorithm in self.ALGORITHMS
+                    for source in sources
+                ],
+                synchronous=True,
+            )
+            rankings = [
+                ranking.to_dict() for ranking in gateway.get_rankings(comparison_id)
+            ]
+            api = RestApiServer(gateway)
+            api.start()
+            try:
+                url = f"{api.url}/api/comparisons/{comparison_id}/results?k=10"
+                with urllib.request.urlopen(url, timeout=10) as response:
+                    raw = response.read().decode("utf-8")
+                # The title and metadata name the comparison; nothing else may differ.
+                body = json.loads(raw.replace(comparison_id, "<comparison>"))
+            finally:
+                api.stop()
+        return rankings, body
+
+    def test_cold_and_partly_warm_cache_serve_identical_results(self, small_enwiki):
+        sources = small_enwiki.labels()[:3]
+        cold_rankings, cold_body = self._serve(small_enwiki, sources)
+        assert len(cold_rankings) == len(self.ALGORITHMS) * len(sources)
+        # Each source in turn is already cached, so the other two run as a
+        # batch of two instead of three.
+        for precached in sources:
+            warm_rankings, warm_body = self._serve(
+                small_enwiki, sources, precached_source=precached
+            )
+            for cold, warm in zip(cold_rankings, warm_rankings):
+                assert cold == warm
+            assert cold_body == warm_body
 
 
 class TestDatasetVersioning:

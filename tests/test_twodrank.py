@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.cheirank import cheirank, personalized_cheirank
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.personalized_pagerank import personalized_pagerank
 from repro.algorithms.twodrank import (
+    _tie_aware_ranks,
     personalized_twodrank,
     personalized_twodrank_batch,
     twodrank,
@@ -16,6 +19,24 @@ from repro.algorithms.twodrank import (
 )
 from repro.graph.digraph import DirectedGraph
 from repro.graph.generators import star_graph
+from repro.ranking.result import Ranking
+
+
+def _square_scan_oracle(pagerank_ranking, cheirank_ranking):
+    """The square-scanning rule node by node, as a plain loop."""
+    pagerank_ranks = _tie_aware_ranks(pagerank_ranking).tolist()
+    cheirank_ranks = _tie_aware_ranks(cheirank_ranking).tolist()
+    entries = []
+    for node, (k, k_star) in enumerate(zip(pagerank_ranks, cheirank_ranks)):
+        r = max(k, k_star)
+        if k == r and k_star == r:
+            side, offset = 2, 0  # the corner of the square enters last
+        elif k == r:
+            side, offset = 0, k_star  # vertical side, scanned by increasing K*
+        else:
+            side, offset = 1, k  # horizontal side, scanned by increasing K
+        entries.append((r, side, offset, node))
+    return [node for _, _, _, node in sorted(entries)]
 
 
 class TestTwoDimensionalOrder:
@@ -46,8 +67,6 @@ class TestTwoDimensionalOrder:
         # Build rankings by hand: node 0 has (K=1, K*=3), node 1 has (2, 2),
         # node 2 has (3, 1).  All enter at r = max(K, K*); ties broken by
         # vertical side first (K = r), then horizontal (K* = r).
-        from repro.ranking.result import Ranking
-
         pr = Ranking([3.0, 2.0, 1.0], labels=["n0", "n1", "n2"])  # ranks 1, 2, 3
         chei = Ranking([1.0, 2.0, 3.0], labels=["n0", "n1", "n2"])  # ranks 3, 2, 1
         order = two_dimensional_order(pr, chei)
@@ -56,11 +75,24 @@ class TestTwoDimensionalOrder:
         # At r=3: node 2 (K=3, the vertical side) precedes node 0 (K*=3).
         assert order[1:] == [2, 0]
 
-    def test_ulp_split_ties_are_read_as_ties(self):
-        # Nodes 0 and 1 tie exactly in theory; kernels that sum in another
-        # order split the tie by an ulp either way, which must not reorder.
-        from repro.ranking.result import Ranking
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from("abc")),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_square_scan_loop(self, nodes):
+        # Small integer scores and repeated labels exercise every tie rule.
+        labels = [label for _, _, label in nodes]
+        pr = Ranking([float(score) for score, _, _ in nodes], labels=labels)
+        chei = Ranking([float(score) for _, score, _ in nodes], labels=labels)
+        assert two_dimensional_order(pr, chei) == _square_scan_oracle(pr, chei)
 
+    def test_ulp_split_ties_are_read_as_ties(self):
+        # Nodes 0 and 1 tie exactly in theory; the sparse product can split
+        # the tie by an ulp either way, which must not reorder.
         pr_tie, chei_tie = 0.2580536346790024, 0.2451509529451092
         labels = ["a", "b", "c"]
         for direction in (1.0, 0.0):
@@ -71,8 +103,8 @@ class TestTwoDimensionalOrder:
             assert two_dimensional_order(pr, chei) == [0, 1, 2]
 
     def test_batched_and_single_personalized_runs_agree_on_ties(self):
-        # Nodes 0 and 3 are symmetric here, and the batched and single-source
-        # kernels split their tie differently, by an ulp.
+        # Nodes 0 and 3 are symmetric here, so their scores can tie or split
+        # by an ulp; a batch and a single run must still agree.
         graph = DirectedGraph()
         for node in range(4):
             graph.add_node(f"node-{node}")
