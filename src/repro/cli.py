@@ -55,11 +55,10 @@ bounds how long a submission may wait before it is settled with a typed
 (shed submissions are retried client-side after the server's hinted delay,
 bounded by ``--shed-retries``; ``--no-retry`` fails fast), and
 ``--retry-budget``/``--breaker-cooldown`` tune the ring store's retry
-token bucket and per-shard circuit breakers.
-``--read-consistency quorum`` makes every dataset read open with a
-version-digest round over the live replicas, so a known-stale copy is
-never served (requires ``--shards`` or ``--replicas``; the default ``one``
-keeps the single-source fast path).
+token bucket and per-shard circuit breakers.  On the ring store every
+dataset read opens with a version-digest round over the live replicas, so
+a copy below the acked version floor is never served; there is no read
+mode to choose.
 
 Observability rides on ``run``/``compare`` too: ``--stats`` prints the
 platform serving counters after the results — the cache/batch/storage
@@ -129,14 +128,6 @@ def _add_storage_flags(parser: argparse.ArgumentParser) -> None:
         metavar="BYTES",
         help="automatic spill policy: demote cold datasets whenever the "
         "estimated resident graph bytes exceed BYTES (requires --spill-dir)",
-    )
-    parser.add_argument(
-        "--read-consistency",
-        choices=("one", "quorum"),
-        help="ring-store read consistency: 'one' (default) serves the "
-        "first answering replica, 'quorum' polls the replicas' version "
-        "digests first and never serves a copy below the known version "
-        "floor (requires --shards or --replicas)",
     )
 
 
@@ -385,10 +376,9 @@ def _print_cache_stats(gateway: ApiGateway) -> None:
                 f"lag {'unknown' if lag is None else lag}"
             )
             print(
-                f"reads: {replication.get('read_consistency', 'one')} "
-                f"consistency, {replication.get('digest_reads', 0)} digest "
-                f"rounds, {replication.get('stale_reads', 0)} stale detected "
-                f"/ {replication.get('stale_reads_prevented', 0)} withheld, "
+                f"reads: {replication.get('digest_reads', 0)} digest "
+                f"rounds, {replication.get('stale_reads_prevented', 0)} "
+                f"below-floor copies withheld, "
                 f"{replication.get('version_conflicts_resolved', 0)} version "
                 f"conflicts resolved"
             )
@@ -825,8 +815,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         gateway_options["admission_retry_after_seconds"] = arguments.admission_retry_after
     if workers is not None:
         gateway_options["num_workers"] = workers
-    if getattr(arguments, "read_consistency", None) is not None:
-        gateway_options["read_consistency"] = arguments.read_consistency
     try:
         with ApiGateway(
             shards=shards,

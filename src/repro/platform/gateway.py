@@ -79,8 +79,10 @@ class ApiGateway:
         provided backends.  Mutually exclusive with ``datastore``.
     replicas:
         Keep R copies of every dataset and result on the ring (quorum-acked
-        writes, failover reads); ``1`` (the default with ``shards`` or
-        ``spill_dir``) keeps each key on its primary only.  Builds the ring
+        writes, failover reads; every dataset read is a version-quorum
+        read that never serves a copy below the acked version floor);
+        ``1`` (the default with ``shards`` or ``spill_dir``) keeps each key
+        on its primary only.  Builds the ring
         store with ``replicas + 1`` backends when ``shards`` is omitted;
         mutually exclusive with ``datastore``.
     spill_dir:
@@ -131,13 +133,6 @@ class ApiGateway:
     breaker_failure_threshold, breaker_cooldown_seconds:
         Forwarded to the store's per-shard circuit breakers.  ``None``
         keeps the store's defaults.
-    read_consistency:
-        Dataset read consistency on a ring store: ``"one"`` serves
-        the first answering source (detecting but serving below-floor
-        answers), ``"quorum"`` opens every dataset read with a
-        version-digest round over the live replicas and never serves a
-        copy below the known version floor.  ``None`` keeps the store's
-        default (``"one"``).
     telemetry_enabled:
         Build the gateway's :class:`~repro.platform.telemetry.MetricsRegistry`
         and :class:`~repro.platform.telemetry.Tracer` in recording mode (the
@@ -171,7 +166,6 @@ class ApiGateway:
         retry_budget_refill_per_second: Optional[float] = None,
         breaker_failure_threshold: Optional[int] = None,
         breaker_cooldown_seconds: Optional[float] = None,
-        read_consistency: Optional[str] = None,
         telemetry_enabled: bool = True,
         slow_span_threshold_ms: float = 500.0,
     ) -> None:
@@ -318,13 +312,6 @@ class ApiGateway:
                     "build the gateway with shards=N or replicas=R"
                 )
             self.datastore.configure_resilience(**storage_resilience)
-        if read_consistency is not None:
-            if not ring:
-                raise InvalidParameterError(
-                    "read_consistency requires a ring datastore; build the "
-                    "gateway with shards=N or replicas=R"
-                )
-            self.datastore.set_read_consistency(read_consistency)
         self.status.register_section("overload", self._overload_stats)
         self.status.register_section("telemetry", self._telemetry_stats)
         self.status.register_section("executors", self._executor_stats)
@@ -632,8 +619,6 @@ class ApiGateway:
             payload["storage"] = {
                 "retries": replication["retries"],
                 "breakers": replication["breakers"],
-                "read_consistency": replication["read_consistency"],
-                "stale_reads": replication["stale_reads"],
                 "stale_reads_prevented": replication["stale_reads_prevented"],
                 "digest_reads": replication["digest_reads"],
                 "version_conflicts_resolved": replication[
@@ -797,14 +782,9 @@ class ApiGateway:
         if isinstance(self.datastore, ReplicatedShardedDataStore):
             replication = self.datastore.replication_stats()
             self.metrics.gauge_set(
-                "storage_stale_reads", replication["stale_reads"],
-                help="Below-floor replica answers detected on the read path",
-                consistency=replication["read_consistency"],
-            )
-            self.metrics.gauge_set(
                 "storage_stale_reads_prevented",
                 replication["stale_reads_prevented"],
-                help="Below-floor replica answers withheld by quorum reads",
+                help="Below-floor replica answers withheld by the read path",
             )
             self.metrics.gauge_set(
                 "storage_digest_reads", replication["digest_reads"],

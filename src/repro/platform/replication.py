@@ -81,26 +81,26 @@ Overload protection
     and :meth:`ReplicatedShardedDataStore.configure_resilience`.
 
 Read-path version quorum
-    With ``read_consistency="quorum"`` a dataset read opens with a *digest
-    round*: the live R-successors are polled for their cheap per-key
-    version counters (deadline- and breaker-aware, under the same retry
-    discipline as data reads, one ``digest_attempt`` span per replica) and
-    the read then serves only a copy at the maximum of the digests and the
-    router's known version floor — a caller can never receive a graph
-    below the floor.  Every dataset read surface routes through the
-    versioned fetch (including plain ``fetch_dataset`` and the
-    compiled-artifact path), so the floor check covers all of them;
-    divergence the digest round discovers is flagged on the single-key
-    read-repair queue instead of merely counted.  On the write side the
-    divergence source is closed at the root: each upload reserves its
-    version against the router's high-water mark under the routing lock (a
-    CAS-style reservation), so concurrent re-uploads of the same dataset
-    mint distinct, ordered versions, and each replica write supersedes
-    only strictly older copies — the losing writer's copies are purged (or
-    refused at the backend) rather than resurrected above the winner.  The
-    back-compat default ``read_consistency="one"`` keeps the single-source
-    fast path, where a below-floor answer is still detected
-    (``stale_reads``) and flagged for repair but served.
+    Every dataset read opens with a *digest round*: the live R-successors
+    are polled for the version of the copy they hold (``0`` when they hold
+    none — a replica votes only for a copy it has, never for the counter a
+    drop or spill left behind), deadline- and breaker-aware, under the same
+    retry discipline as data reads, inside the read's ``storage_read``
+    span.  The read then serves only a copy at the maximum of the
+    digests and the router's known version floor — a caller can never
+    receive a graph below the floor, and a below-floor copy the walk meets
+    is withheld (``stale_reads_prevented``) and flagged for repair.  Every
+    dataset read surface routes through the versioned fetch (including
+    plain ``fetch_dataset`` and the compiled-artifact path), so the floor
+    check covers all of them; divergence the digest round discovers is
+    flagged on the single-key read-repair queue instead of merely counted.
+    On the write side the divergence source is closed at the root: each
+    upload reserves its version against the router's high-water mark under
+    the routing lock (a CAS-style reservation), so concurrent re-uploads of
+    the same dataset mint distinct, ordered versions, and each replica
+    write supersedes only strictly older copies — the losing writer's
+    copies are purged (or refused at the backend) rather than resurrected
+    above the winner.
 """
 
 from __future__ import annotations
@@ -301,12 +301,6 @@ class ReplicatedShardedDataStore:
         ``probe_failure_threshold``) the breaker opens and reads
         short-circuit straight past the shard to its next successor; after
         the cooldown the prober's next success closes it again.
-    read_consistency:
-        ``"one"`` (the back-compat default) serves the first answering
-        source, detecting but still serving below-floor answers;
-        ``"quorum"`` opens every dataset read with a version-digest round
-        over the live R-successors and never serves a copy below the
-        maximum of the digests and the router's known version floor.
     """
 
     def __init__(
@@ -330,14 +324,8 @@ class ReplicatedShardedDataStore:
         retry_budget_refill_per_second: float = 8.0,
         breaker_failure_threshold: Optional[int] = None,
         breaker_cooldown_seconds: float = 2.0,
-        read_consistency: str = "one",
     ) -> None:
         require_positive_int(replicas, "replicas")
-        if read_consistency not in ("one", "quorum"):
-            raise InvalidParameterError(
-                f"read_consistency must be 'one' or 'quorum', got "
-                f"{read_consistency!r}"
-            )
         require_positive_int(probe_failure_threshold, "probe_failure_threshold")
         require_positive_int(read_repair_queue_limit, "read_repair_queue_limit")
         if probe_transition_interval_seconds < 0:
@@ -434,16 +422,13 @@ class ReplicatedShardedDataStore:
         self._tombstones_written = 0
         self._tombstones_reaped = 0
         self._last_underreplicated: Optional[int] = None
-        #: Stale-read detection: the highest dataset version this store has
-        #: itself written or served, per dataset.  A failover read answering
-        #: below the floor is counted and flagged for read-repair.
+        #: The highest dataset version this store has itself written or
+        #: served, per dataset: no read serves a copy below it.
         self._known_version_floor: Dict[str, int] = {}
-        self._stale_reads = 0
-        #: Read-path version quorum: mode, digest/prevention counters, and
-        #: the CAS-style upload reservations concurrent re-uploads of one
+        #: Read-path version quorum: digest/prevention counters, and the
+        #: CAS-style upload reservations concurrent re-uploads of one
         #: dataset mint their distinct versions against (dataset id → the
         #: highest version an in-flight write has claimed).
-        self._read_consistency = read_consistency
         self._digest_reads = 0
         self._stale_reads_prevented = 0
         self._version_conflicts_resolved = 0
@@ -549,25 +534,6 @@ class ReplicatedShardedDataStore:
     def spill_store(self) -> Optional[DataStore]:
         """Return the cold file tier, if one is configured."""
         return self._spill
-
-    @property
-    def read_consistency(self) -> str:
-        """Return the read consistency mode (``"one"`` or ``"quorum"``)."""
-        return self._read_consistency
-
-    def set_read_consistency(self, mode: str) -> None:
-        """Switch between ``"one"`` and ``"quorum"`` dataset reads.
-
-        The knob is safe to flip at runtime: it only selects whether the
-        next read opens with a digest round, so in-flight reads finish
-        under the mode they started with.
-        """
-        if mode not in ("one", "quorum"):
-            raise InvalidParameterError(
-                f"read_consistency must be 'one' or 'quorum', got {mode!r}"
-            )
-        with self._lock:
-            self._read_consistency = mode
 
     def mark_down(self, shard_id: str) -> None:
         """Declare a shard unreachable: reads and writes skip it from now on.
@@ -895,7 +861,7 @@ class ReplicatedShardedDataStore:
     # ------------------------------------------------------------------ #
     # replicated reads
     # ------------------------------------------------------------------ #
-    def _route_read(self, key: str, operation, *, missed=None):
+    def _route_read(self, key: str, operation, *, missed=None, versioned=False):
         """Read with failover: replicas in ring order, spill tier, full scan.
 
         The primary answers on the fast path.  A replica that raises a
@@ -908,6 +874,15 @@ class ReplicatedShardedDataStore:
         ``missed`` covers readers that signal absence with a value
         (``has_*``, ``dataset_version``, ``get_logs``).
 
+        A ``versioned`` read — every dataset read surface, whose
+        ``operation`` answers ``(payload, version)`` — opens with the
+        version-digest round (:meth:`_digest_round`) and then *withholds*
+        any source answering below the round's target: the copy is counted
+        as ``stale_reads_prevented``, the key is flagged for read-repair,
+        and the walk moves on to the next source.  The version served
+        raises the router's known floor, so the floor tracks reality even
+        for datasets stored before this store started (or by a peer).
+
         Overload discipline: each source attempt runs under the shared
         retry policy (transient faults retry with jittered backoff, capped
         by the store-wide retry budget); a ring source whose circuit
@@ -919,179 +894,163 @@ class ReplicatedShardedDataStore:
 
         When a telemetry span is ambient on the calling thread, the whole
         read is wrapped in a ``storage_read`` span with one
-        ``replica_attempt`` child per consulted source; breaker
-        short-circuits land as events on the read span.
+        ``replica_attempt`` child per consulted source; the digest round
+        runs in the read span itself (annotated with ``digest_replicas``
+        and ``version_target``), and breaker short-circuits, failed digest
+        polls and withheld copies land as events on it.
         """
         with child_span("storage_read", key=key) as read_span:
-            return self._route_read_traced(
-                key, operation, read_span, missed=missed
-            )
-
-    def _route_read_traced(
-        self, key: str, operation, read_span, *, missed=None, reject=None
-    ):
-        """The failover walk of :meth:`_route_read`, inside ``read_span``.
-
-        Kept apart from :meth:`_route_read` because the quorum read opens
-        its own ``storage_read`` span, runs the digest round in it, and then
-        walks the successors inside that same span with a ``reject`` guard.
-        """
-        with self._lock:
-            live, down = self._placement_locked(key)
-            primary = self._ring.successors(key, 1)[0]
-            plan = [(sid, self._backends[sid]) for sid in live[: self._replicas]]
-            tail = [
-                (sid, self._backends[sid])
-                for sid in live[self._replicas:] + down
-            ]
-        sources: List[Tuple[Optional[str], DataStore]] = list(plan)
-        if self._spill is not None:
-            sources.append((None, self._spill))
-        sources.extend(tail)
-        missing = object()
-        fallback = missing
-        first_error: Optional[BaseException] = None
-        deadline = current_deadline()
-        consulted = 0
-        rejected = 0
-        for shard_id, backend in sources:
-            if consulted and deadline is not None and deadline.expired():
-                raise DeadlineExceededError(
-                    f"deadline expired during read failover for {key!r} "
-                    f"after {consulted} source(s)",
-                    deadline_ms=deadline.deadline_ms,
-                )
-            if shard_id is not None and not self._shard_allowed(shard_id):
-                read_span.add_event("breaker_skip", shard=shard_id)
-                continue  # open breaker: straight to the next successor
-            consulted += 1
-            try:
-                with child_span(
-                    "replica_attempt",
-                    shard=shard_id if shard_id is not None else "spill",
-                ):
-                    value = self._retry_policy.run(
-                        lambda backend=backend: operation(backend)
+            with self._lock:
+                live, down = self._placement_locked(key)
+                primary = self._ring.assign(key)
+                plan = [(sid, self._backends[sid]) for sid in live[: self._replicas]]
+                tail = [
+                    (sid, self._backends[sid])
+                    for sid in live[self._replicas:] + down
+                ]
+            target = self._digest_round(key, plan, read_span) if versioned else 0
+            sources: List[Tuple[Optional[str], DataStore]] = list(plan)
+            if self._spill is not None:
+                sources.append((None, self._spill))
+            sources.extend(tail)
+            missing = object()
+            fallback = missing
+            first_error: Optional[BaseException] = None
+            deadline = current_deadline()
+            consulted = 0
+            rejected = 0
+            for shard_id, backend in sources:
+                if consulted and deadline is not None and deadline.expired():
+                    raise DeadlineExceededError(
+                        f"deadline expired during read failover for {key!r} "
+                        f"after {consulted} source(s)",
+                        deadline_ms=deadline.deadline_ms,
                     )
-            except StorageError as exc:
-                if first_error is None:
-                    first_error = exc
-                continue
-            except DeadlineExceededError:
-                # The *caller's* clock ran out mid-attempt.  That is not a
-                # shard fault: re-raise without feeding the failure streak
-                # or circuit breaker of a shard that did nothing wrong.
-                raise
-            except Exception as exc:
-                if first_error is None:
-                    first_error = exc
-                with self._lock:
-                    self._note_shard_error_locked(shard_id)
-                continue
-            if missed is not None and missed(value):
-                if fallback is missing:
-                    fallback = value
-                continue
-            if reject is not None and reject(value):
-                # A healthy source answered with a copy the caller must not
-                # see (below the quorum's version target): withhold it, flag
-                # the key for repair and keep walking the successor list.
-                rejected += 1
+                if shard_id is not None and not self._shard_allowed(shard_id):
+                    read_span.add_event("breaker_skip", shard=shard_id)
+                    continue  # open breaker: straight to the next successor
+                consulted += 1
+                try:
+                    with child_span(
+                        "replica_attempt",
+                        shard=shard_id if shard_id is not None else "spill",
+                    ):
+                        value = self._retry_policy.run(
+                            lambda backend=backend: operation(backend)
+                        )
+                except StorageError as exc:
+                    if first_error is None:
+                        first_error = exc
+                    continue
+                except DeadlineExceededError:
+                    # The *caller's* clock ran out mid-attempt.  That is not
+                    # a shard fault: re-raise without feeding the failure
+                    # streak or circuit breaker of a shard that did nothing
+                    # wrong.
+                    raise
+                except Exception as exc:
+                    if first_error is None:
+                        first_error = exc
+                    with self._lock:
+                        self._note_shard_error_locked(shard_id)
+                    continue
+                if missed is not None and missed(value):
+                    if fallback is missing:
+                        fallback = value
+                    continue
+                if versioned and value[1] < target:
+                    # A healthy source answered with a copy the caller must
+                    # not see (below the digest round's target): withhold
+                    # it, flag the key for repair and keep walking.
+                    rejected += 1
+                    with self._lock:
+                        self._note_shard_success_locked(shard_id)
+                        self._stale_reads_prevented += 1
+                        enqueued = self._queue_read_repair_locked(key)
+                    read_span.add_event(
+                        "stale_skip",
+                        shard=shard_id if shard_id is not None else "spill",
+                    )
+                    if enqueued:
+                        self._kick_repair_launcher()
+                    continue
                 enqueued = False
                 with self._lock:
                     self._note_shard_success_locked(shard_id)
-                    self._stale_reads += 1
-                    self._stale_reads_prevented += 1
-                    enqueued = self._queue_read_repair_locked(key)
-                read_span.add_event(
-                    "stale_skip",
-                    shard=shard_id if shard_id is not None else "spill",
-                )
+                    if versioned:
+                        floor = self._known_version_floor.get(key, 0)
+                        self._known_version_floor[key] = max(floor, value[1])
+                    if shard_id != primary:
+                        # Answered by a replica, the spill tier or the scan —
+                        # the canonical primary was down, erroring, or
+                        # missing the key.  Flag the key for single-key
+                        # read-repair so its R copies converge without
+                        # waiting for a full replicate() scan.
+                        self._failover_reads += 1
+                        enqueued = self._queue_read_repair_locked(key)
+                if shard_id != primary:
+                    read_span.annotate(
+                        failover=True,
+                        served_by=shard_id if shard_id is not None else "spill",
+                    )
                 if enqueued:
                     self._kick_repair_launcher()
-                continue
-            enqueued = False
-            with self._lock:
-                self._note_shard_success_locked(shard_id)
-                if shard_id != primary:
-                    # Answered by a replica, the spill tier or the scan — the
-                    # canonical primary was down, erroring, or missing the
-                    # key.  Flag the key for single-key read-repair so its R
-                    # copies converge without waiting for a full replicate()
-                    # scan.
-                    self._failover_reads += 1
-                    enqueued = self._queue_read_repair_locked(key)
-            if shard_id != primary:
-                read_span.annotate(
-                    failover=True,
-                    served_by=shard_id if shard_id is not None else "spill",
+                return value
+            if missed is not None and fallback is not missing:
+                return fallback
+            if rejected:
+                raise StorageError(
+                    f"every reachable copy of {key!r} is below the version "
+                    f"floor the quorum established ({rejected} stale "
+                    "answer(s) withheld)"
                 )
-            if enqueued:
-                self._kick_repair_launcher()
-            return value
-        if missed is not None and fallback is not missing:
-            return fallback
-        if rejected:
-            raise StorageError(
-                f"every reachable copy of {key!r} is below the version floor "
-                f"the quorum established ({rejected} stale answer(s) withheld)"
-            )
-        if isinstance(first_error, StorageError):
-            raise first_error
-        if first_error is not None:
-            raise StorageError(
-                f"no shard could answer the read for {key!r}: {first_error}"
-            ) from first_error
-        raise StorageError(f"key {key!r} is not stored on any shard")
+            if isinstance(first_error, StorageError):
+                raise first_error
+            if first_error is not None:
+                raise StorageError(
+                    f"no shard could answer the read for {key!r}: {first_error}"
+                ) from first_error
+            raise StorageError(f"key {key!r} is not stored on any shard")
 
-    # ------------------------------------------------------------------ #
-    # stale-read detection (the observable first step toward a read-path
-    # version quorum: failover answers are checked against the version
-    # floor this store itself established)
-    # ------------------------------------------------------------------ #
-    def _note_read_version(self, dataset_id: str, version: int) -> None:
-        """Compare a read's version against the caller-known floor.
+    @staticmethod
+    def _held_version(backend: DataStore, dataset_id: str) -> int:
+        """The version of the copy ``backend`` holds; ``0`` when it holds none.
 
-        A read below the floor means a failover source served a pre-outage
-        copy: count it and flag the key for single-key read-repair (the
-        version-keyed result cache already protects rankings — this makes
-        the staleness *observable* and self-healing).  A read at or above
-        the floor raises it, so the floor tracks reality even for datasets
-        stored before this store started (or by a peer).
+        A backend's upload counter outlives its copy (``drop_dataset``
+        raises it, so a spilled or migrated-away copy leaves a counter one
+        past the real copies).  The counter is read first and presence
+        second, so a copy dropped in between votes ``0``, never that
+        phantom version.
         """
-        enqueued = False
-        with self._lock:
-            floor = self._known_version_floor.get(dataset_id, 0)
-            if version < floor:
-                self._stale_reads += 1
-                enqueued = self._queue_read_repair_locked(dataset_id)
-            elif version > floor:
-                self._known_version_floor[dataset_id] = version
-        if enqueued:
-            self._kick_repair_launcher()
+        version = backend.dataset_version(dataset_id)
+        return version if backend.has_dataset(dataset_id) else 0
 
-    # ------------------------------------------------------------------ #
-    # read-path version quorum (digest-first reads)
-    # ------------------------------------------------------------------ #
-    def _digest_round(self, dataset_id: str, read_span) -> Dict[str, int]:
-        """Poll the live R-successors for their version digest of a key.
+    def _digest_round(
+        self, dataset_id: str, plan: Sequence[Tuple[str, DataStore]], read_span
+    ) -> int:
+        """Poll the ``plan`` (the live R-successors) for their version
+        digests; return the read's version target.
 
-        The digest is the cheapest question a replica can answer — its
-        local ``dataset_version`` counter (``0`` when it does not hold the
-        key) — polled under the same per-replica discipline as data reads:
-        a successor whose circuit breaker is open is skipped without
-        touching the backend, each poll runs under the shared retry policy
-        inside a ``digest_attempt`` span, and the caller's deadline is
-        checked between hops (the first successor is always consulted,
-        mirroring the failover read loop).  Returns ``{shard_id: version}``
-        for every successor that answered.
+        The digest is the cheapest question a replica can answer — the
+        version of the copy it holds (:meth:`_held_version`) — polled under
+        the same per-replica discipline as data reads: a successor whose
+        circuit breaker is open is skipped without touching the backend,
+        each poll runs under the shared retry policy, and the caller's
+        deadline is checked between hops (the first successor is always
+        consulted, mirroring the failover walk).  A failed poll counts
+        against the shard like a failed read; an answered one leaves its
+        failure streak and breaker alone, because only the data path may
+        vouch for a shard — a shard whose reads fail while its digests
+        answer must still be marked down.
+
+        The target is the maximum of the digests and the router's known
+        version floor.  Holders at more than one version are resolved for
+        the caller by serving the maximum, and the key is queued on the
+        single-key read-repair queue so the replicas themselves converge.
         """
-        with self._lock:
-            live, _ = self._placement_locked(dataset_id)
-            plan = [(sid, self._backends[sid]) for sid in live[: self._replicas]]
         deadline = current_deadline()
-        digests: Dict[str, int] = {}
-        polled = 0
+        held: List[int] = []
+        polled = answered = 0
         for shard_id, backend in plan:
             if polled and deadline is not None:
                 deadline.raise_if_expired(
@@ -1101,11 +1060,12 @@ class ReplicatedShardedDataStore:
                 read_span.add_event("breaker_skip", shard=shard_id)
                 continue
             polled += 1
+            # No span per poll: a recorded span costs several times the
+            # poll itself, so the round runs in the read's own span.
             try:
-                with child_span("digest_attempt", shard=shard_id):
-                    version = self._retry_policy.run(
-                        lambda backend=backend: backend.dataset_version(dataset_id)
-                    )
+                version = self._retry_policy.run(
+                    lambda backend=backend: self._held_version(backend, dataset_id)
+                )
             except DeadlineExceededError:
                 raise  # the caller's clock, not a shard fault
             except StorageError:
@@ -1113,74 +1073,41 @@ class ReplicatedShardedDataStore:
             except Exception:
                 with self._lock:
                     self._note_shard_error_locked(shard_id)
+                read_span.add_event("digest_error", shard=shard_id)
                 continue
-            with self._lock:
-                self._note_shard_success_locked(shard_id)
-            digests[shard_id] = version
-        return digests
-
-    def _quorum_fetch_versioned(self, dataset_id: str, operation):
-        """Serve ``(payload, version)`` at the digest round's maximum version.
-
-        The version target is the maximum of the digests and the router's
-        known version floor; the failover walk then *withholds* any source
-        answering below it (counted as ``stale_reads_prevented``, flagged
-        for read-repair) instead of serving it.  Divergence among the
-        digests — holders at more than one version — is resolved for the
-        caller by serving the maximum, and the key is queued on the
-        single-key read-repair queue so the replicas themselves converge.
-        """
-        with child_span(
-            "storage_read", key=dataset_id, consistency="quorum"
-        ) as read_span:
-            digests = self._digest_round(dataset_id, read_span)
-            held = [version for version in digests.values() if version > 0]
-            enqueued = False
-            with self._lock:
-                self._digest_reads += 1
-                floor = self._known_version_floor.get(dataset_id, 0)
-                target = max([floor] + held)
-                if held and any(version < target for version in held):
-                    self._version_conflicts_resolved += 1
-                    enqueued = self._queue_read_repair_locked(dataset_id)
-            if enqueued:
-                self._kick_repair_launcher()
-            read_span.annotate(digest_replicas=len(digests), version_target=target)
-            value = self._route_read_traced(
-                dataset_id,
-                operation,
-                read_span,
-                reject=lambda value: value[1] < target,
-            )
-            self._note_read_version(dataset_id, value[1])
-            return value
-
-    def _fetch_versioned(self, dataset_id: str, operation):
-        """Serve ``(payload, version)`` under the configured read consistency.
-
-        Every dataset read surface goes through here, so the one-mode floor
-        check and the quorum's digest round guard all of them alike.
-        """
-        if self._read_consistency == "quorum":
-            return self._quorum_fetch_versioned(dataset_id, operation)
-        value = self._route_read(dataset_id, operation)
-        self._note_read_version(dataset_id, value[1])
-        return value
+            answered += 1
+            if version > 0:
+                held.append(version)
+        enqueued = False
+        with self._lock:
+            self._digest_reads += 1
+            target = max([self._known_version_floor.get(dataset_id, 0)] + held)
+            if any(version < target for version in held):
+                self._version_conflicts_resolved += 1
+                enqueued = self._queue_read_repair_locked(dataset_id)
+        if enqueued:
+            self._kick_repair_launcher()
+        read_span.annotate(digest_replicas=answered, version_target=target)
+        return target
 
     def fetch_dataset(self, dataset_id: str) -> DirectedGraph:
         """Return the dataset graph (a versioned fetch, floor-checked)."""
         return self.fetch_dataset_with_version(dataset_id)[0]
 
     def fetch_dataset_with_version(self, dataset_id: str) -> Tuple[DirectedGraph, int]:
-        """Return ``(graph, version)`` from the first source that holds it."""
-        return self._fetch_versioned(
-            dataset_id, lambda backend: backend.fetch_dataset_with_version(dataset_id)
+        """Return ``(graph, version)``, never below the version floor."""
+        return self._route_read(
+            dataset_id,
+            lambda backend: backend.fetch_dataset_with_version(dataset_id),
+            versioned=True,
         )
 
     def fetch_compiled_with_version(self, dataset_id: str) -> Tuple[CompiledGraph, int]:
         """Return ``(compiled artifact, version)``, compiled where the graph lives."""
-        return self._fetch_versioned(
-            dataset_id, lambda backend: backend.fetch_compiled_with_version(dataset_id)
+        return self._route_read(
+            dataset_id,
+            lambda backend: backend.fetch_compiled_with_version(dataset_id),
+            versioned=True,
         )
 
     def fetch_compiled(self, dataset_id: str) -> CompiledGraph:
@@ -1455,8 +1382,8 @@ class ReplicatedShardedDataStore:
                         pass
                 with self._lock:
                     # Every acked replica holds at least ``minted``: that is now
-                    # the caller-known version floor stale-read detection and
-                    # the quorum's digest round hold future reads to.
+                    # the caller-known version floor the digest round holds
+                    # future reads to.
                     self._known_version_floor[dataset_id] = max(
                         self._known_version_floor.get(dataset_id, 0), minted
                     )
@@ -1680,66 +1607,6 @@ class ReplicatedShardedDataStore:
         self._tolerant_drop(lambda backend: backend.drop_logs(log_id))
 
     # ------------------------------------------------------------------ #
-    # deletion tombstones (fanned out like the drops they harden)
-    # ------------------------------------------------------------------ #
-    def set_dataset_tombstone(self, dataset_id: str, version: int) -> bool:
-        """Record a versioned deletion marker on every shard.
-
-        Returns ``True`` if any shard accepted it (a shard holding a
-        strictly newer live copy declines — the write won the race).
-        """
-        accepted = False
-        with self._lock:
-            for backend in self._backends.values():
-                if backend.set_dataset_tombstone(dataset_id, version):
-                    accepted = True
-        return accepted
-
-    def dataset_tombstone(self, dataset_id: str) -> int:
-        """Return the highest tombstone version any shard records (0 = none)."""
-        version = 0
-        for backend in self.shard_stores().values():
-            version = max(version, backend.dataset_tombstone(dataset_id))
-        return version
-
-    def clear_dataset_tombstone(self, dataset_id: str) -> None:
-        """Reap a dataset tombstone from every shard."""
-        for backend in self.shard_stores().values():
-            backend.clear_dataset_tombstone(dataset_id)
-
-    def list_dataset_tombstones(self) -> Dict[str, int]:
-        """Merged ``{dataset_id: version}`` tombstones across the shards."""
-        merged: Dict[str, int] = {}
-        for backend in self.shard_stores().values():
-            for dataset_id, version in backend.list_dataset_tombstones().items():
-                merged[dataset_id] = max(merged.get(dataset_id, 0), version)
-        return merged
-
-    def set_result_tombstone(self, result_id: str) -> None:
-        """Record a result deletion marker on every shard."""
-        for backend in self.shard_stores().values():
-            backend.set_result_tombstone(result_id)
-
-    def has_result_tombstone(self, result_id: str) -> bool:
-        """Return whether any shard records a tombstone for ``result_id``."""
-        return any(
-            backend.has_result_tombstone(result_id)
-            for backend in self.shard_stores().values()
-        )
-
-    def clear_result_tombstone(self, result_id: str) -> None:
-        """Reap a result tombstone from every shard."""
-        for backend in self.shard_stores().values():
-            backend.clear_result_tombstone(result_id)
-
-    def list_result_tombstones(self) -> List[str]:
-        """Sorted union of result tombstones across the shards."""
-        identifiers: set = set()
-        for backend in self.shard_stores().values():
-            identifiers.update(backend.list_result_tombstones())
-        return sorted(identifiers)
-
-    # ------------------------------------------------------------------ #
     # compiled-artifact counters and occupancy
     # ------------------------------------------------------------------ #
     #: Counter keys summed across shards by :meth:`artifact_stats`.
@@ -1935,6 +1802,30 @@ class ReplicatedShardedDataStore:
             if not holders:
                 return 0
             best = max(holders, key=lambda shard_id: holders[shard_id])
+            spilled = 0
+            if self._spill is not None:
+                try:
+                    if self._spill.has_dataset(dataset_id):
+                        spilled = self._spill.dataset_version(dataset_id)
+                except Exception:
+                    pass
+            floor = max(spilled, self._known_version_floor.get(dataset_id, 0))
+            if holders[best] < floor:
+                # Every reachable ring copy is below the acked floor: copying
+                # one would re-mint superseded data above the real copy (a
+                # target's counter may already sit past it).  Copies below a
+                # newer spilled copy are leftovers of the spill and are
+                # purged; otherwise the repair waits for the floor's holder.
+                purged = 0
+                for shard_id, version in holders.items():
+                    if version >= spilled:
+                        continue
+                    try:
+                        self._backends[shard_id].drop_dataset(dataset_id)
+                        purged += 1
+                    except Exception:
+                        self._note_shard_error_locked(shard_id)
+                return purged
             if all(holders.get(shard_id) == holders[best] for shard_id in targets):
                 return 0  # fully replicated and version-aligned: nothing to fetch
             try:
@@ -2523,12 +2414,10 @@ class ReplicatedShardedDataStore:
         :meth:`replicate` or :meth:`drain_read_repairs` scan (``None``
         before the first one); ``degraded_writes`` counts writes acked
         below full replication and ``failover_reads`` reads answered by a
-        non-primary source.  ``stale_reads`` counts below-floor answers
-        detected; under ``read_consistency="quorum"`` those answers are
-        also withheld (``stale_reads_prevented``), ``digest_reads`` counts
-        digest rounds and ``version_conflicts_resolved`` the replica
-        version divergences a digest round discovered and flagged for
-        repair.  The anti-entropy counters sit alongside:
+        non-primary source.  ``stale_reads_prevented`` counts below-floor
+        copies a read met and withheld, ``digest_reads`` counts digest
+        rounds and ``version_conflicts_resolved`` the replica version
+        divergences a digest round discovered and flagged for repair.  The anti-entropy counters sit alongside:
         read-repair queue depth and totals, tombstone writes/reaps, and the
         failure detector's transition counts (see :meth:`health_stats` for
         its per-shard detail).
@@ -2537,9 +2426,7 @@ class ReplicatedShardedDataStore:
             return {
                 "replicas": self._replicas,
                 "quorum": self._quorum,
-                "read_consistency": self._read_consistency,
                 "failover_reads": self._failover_reads,
-                "stale_reads": self._stale_reads,
                 "digest_reads": self._digest_reads,
                 "stale_reads_prevented": self._stale_reads_prevented,
                 "version_conflicts_resolved": self._version_conflicts_resolved,

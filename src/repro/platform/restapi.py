@@ -53,11 +53,9 @@ Endpoints
                                                 shard topology, per-shard health/occupancy and hit rates;
                                                 the ``overload`` section reports deadline, admission
                                                 (shed/admitted), storage-retry and circuit-breaker counters
-                                                plus the read-consistency mode and its quorum counters
-                                                (``digest_reads``, ``stale_reads_prevented``,
-                                                ``version_conflicts_resolved`` — also under
-                                                ``shards.replication``, fed by the gateway's
-                                                ``read_consistency="one"|"quorum"`` knob);
+                                                plus the version-quorum read counters (``digest_reads``,
+                                                ``stale_reads_prevented``, ``version_conflicts_resolved``
+                                                — also under ``shards.replication``);
                                                 the ``telemetry`` section reports tracer occupancy, the
                                                 slow-span ring and a snapshot of the metrics registry
 ``GET    /api/comparisons/<id>/trace``          reconstructed telemetry span tree of a submission
@@ -67,7 +65,7 @@ Endpoints
                                                 trace aged out of the tracer's bounded store
 ``GET    /metrics``                             Prometheus text exposition of the gateway's metrics
                                                 registry: request/submission counters, runtime gauges
-                                                (including the replicated store's stale-read/digest
+                                                (including the replicated store's withheld-read/digest
                                                 counters) and the per-span-name latency histograms
 
 Errors are returned as ``{"error": "..."}`` with an appropriate status code

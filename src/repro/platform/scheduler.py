@@ -315,112 +315,102 @@ class Scheduler:
             algorithm=algorithm,
             queries=len(members),
         ):
-            return self._process_group_traced(
-                job, dataset_id, algorithm, members, synchronous=synchronous
-            )
-
-    def _process_group_traced(
-        self,
-        job: JobRecord,
-        dataset_id: str,
-        algorithm: str,
-        members: List[Tuple[int, Query]],
-        *,
-        synchronous: bool,
-    ) -> bool:
-        if job.cancel_requested or job.state.is_terminal():
-            return False
-        # Deadline boundary, mirroring the cancel boundary above: an expired
-        # job's group returns without computing, so the deadline costs no
-        # worker time beyond this check.
-        if job.deadline is not None and job.deadline.expired():
-            self._settle_deadline_exceeded(job)
-            return False
-        try:
-            with child_span("dataset_fetch", dataset=dataset_id):
-                graph, version = self._fetch_dataset(dataset_id)
-        except DeadlineExceededError:
-            # The deadline ran out mid-storage-IO (the replicated store
-            # checks it between failover sources): settle typed, not as a
-            # dataset-load failure.
-            self._settle_deadline_exceeded(job)
-            return False
-        except Exception as exc:
-            message = f"cannot load dataset {dataset_id!r}: {exc}"
-            self._datastore.append_log(
-                job.job_id, f"[scheduler] FAILED to load {dataset_id}: {exc}"
-            )
-            job.finish(JobState.FAILED, error=message)
-            return False
-        hits: List[Tuple[int, Ranking]] = []
-        waiters: List[Tuple["Future[Ranking]", int, bool]] = []
-        to_compute: List[Tuple[CacheKey, Query, int]] = []
-        with child_span("cache_lookup", dataset=dataset_id, algorithm=algorithm) as lookup:
-            with self._lock:
-                for index, query in members:
-                    key = ResultCache.key_for(
-                        query.dataset_id, query.algorithm, query.parameters,
-                        query.source, version=version,
-                    )
-                    cached = self._cache.get(key)
-                    if cached is not None:
-                        hits.append((index, cached))
-                        continue
-                    future = self._inflight.get(key)
-                    joined = future is not None
-                    if future is None:
-                        future = Future()
-                        self._inflight[key] = future
-                        to_compute.append((key, query, index))
-                    self._inflight_jobs.setdefault(key, set()).add(job.job_id)
-                    waiters.append((future, index, joined))
-            lookup.annotate(
-                hits=len(hits),
-                joined=sum(1 for _, _, was_joined in waiters if was_joined),
-                misses=len(to_compute),
-            )
-        if hits:
-            self._datastore.append_log(
-                job.job_id,
-                f"[scheduler] served {len(hits)} cached result(s) for "
-                f"{algorithm} on {dataset_id}",
-            )
-            for index, ranking in hits:
-                self._record_ranking(job, index, ranking, event="query_cached")
-        for _, index, joined in waiters:
-            payload: Dict[str, Any] = {
-                "query": index, "algorithm": algorithm, "dataset_id": dataset_id,
-            }
-            if joined:
-                payload["joined"] = True
-                # The group span records each single-flight join: this query
-                # rides a computation some other group already dispatched.
-                add_span_event("singleflight_join", query=index)
-            job.append("query_started", **payload)
-        for future, index, _ in waiters:
-            future.add_done_callback(
-                lambda finished, index=index: self._on_ranking_ready(
-                    job, index, finished
+            if job.cancel_requested or job.state.is_terminal():
+                return False
+            # Deadline boundary, mirroring the cancel boundary above: an
+            # expired job's group returns without computing, so the deadline
+            # costs no worker time beyond this check.
+            if job.deadline is not None and job.deadline.expired():
+                self._settle_deadline_exceeded(job)
+                return False
+            try:
+                with child_span("dataset_fetch", dataset=dataset_id):
+                    graph, version = self._fetch_dataset(dataset_id)
+            except DeadlineExceededError:
+                # The deadline ran out mid-storage-IO (the replicated store
+                # checks it between failover sources): settle typed, not as
+                # a dataset-load failure.
+                self._settle_deadline_exceeded(job)
+                return False
+            except Exception as exc:
+                message = f"cannot load dataset {dataset_id!r}: {exc}"
+                self._datastore.append_log(
+                    job.job_id, f"[scheduler] FAILED to load {dataset_id}: {exc}"
                 )
-            )
-        if to_compute:
-            # Second cancellation boundary: the single-flight entries are
-            # published, so a concurrent identical query may already depend
-            # on them — abandon only the keys no other job has joined.
-            if job.cancel_requested:
-                to_compute = self._abandon_exclusive_keys(job, to_compute)
+                job.finish(JobState.FAILED, error=message)
+                return False
+            hits: List[Tuple[int, Ranking]] = []
+            waiters: List[Tuple["Future[Ranking]", int, bool]] = []
+            to_compute: List[Tuple[CacheKey, Query, int]] = []
+            with child_span(
+                "cache_lookup", dataset=dataset_id, algorithm=algorithm
+            ) as lookup:
+                with self._lock:
+                    for index, query in members:
+                        key = ResultCache.key_for(
+                            query.dataset_id, query.algorithm, query.parameters,
+                            query.source, version=version,
+                        )
+                        cached = self._cache.get(key)
+                        if cached is not None:
+                            hits.append((index, cached))
+                            continue
+                        future = self._inflight.get(key)
+                        joined = future is not None
+                        if future is None:
+                            future = Future()
+                            self._inflight[key] = future
+                            to_compute.append((key, query, index))
+                        self._inflight_jobs.setdefault(key, set()).add(job.job_id)
+                        waiters.append((future, index, joined))
+                lookup.annotate(
+                    hits=len(hits),
+                    joined=sum(1 for _, _, was_joined in waiters if was_joined),
+                    misses=len(to_compute),
+                )
+            if hits:
+                self._datastore.append_log(
+                    job.job_id,
+                    f"[scheduler] served {len(hits)} cached result(s) for "
+                    f"{algorithm} on {dataset_id}",
+                )
+                for index, ranking in hits:
+                    self._record_ranking(job, index, ranking, event="query_cached")
+            for _, index, joined in waiters:
+                payload: Dict[str, Any] = {
+                    "query": index, "algorithm": algorithm, "dataset_id": dataset_id,
+                }
+                if joined:
+                    payload["joined"] = True
+                    # The group span records each single-flight join: this query
+                    # rides a computation some other group already dispatched.
+                    add_span_event("singleflight_join", query=index)
+                job.append("query_started", **payload)
+            for future, index, _ in waiters:
+                future.add_done_callback(
+                    lambda finished, index=index: self._on_ranking_ready(
+                        job, index, finished
+                    )
+                )
             if to_compute:
-                self._execute_group(job, to_compute, graph, algorithm)
-        if synchronous:
-            with child_span("singleflight_wait", waiters=len(waiters)):
-                for future, _, _ in waiters:
-                    try:
-                        future.result()
-                    except Exception:
-                        # The per-query error was recorded by the done-callback;
-                        # a synchronous run reports it via the job state.
-                        pass
-        return True
+                # Second cancellation boundary: the single-flight entries are
+                # published, so a concurrent identical query may already depend
+                # on them — abandon only the keys no other job has joined.
+                if job.cancel_requested:
+                    to_compute = self._abandon_exclusive_keys(job, to_compute)
+                if to_compute:
+                    self._execute_group(job, to_compute, graph, algorithm)
+            if synchronous:
+                with child_span("singleflight_wait", waiters=len(waiters)):
+                    for future, _, _ in waiters:
+                        try:
+                            future.result()
+                        except Exception:
+                            # The per-query error was recorded by the
+                            # done-callback; a synchronous run reports it via
+                            # the job state.
+                            pass
+            return True
 
     def _abandon_exclusive_keys(
         self,
@@ -469,68 +459,63 @@ class Scheduler:
         cannot poison siblings joined by concurrent comparisons.
         """
         with child_span("batch_execute", algorithm=algorithm, batch=len(to_compute)):
-            self._execute_group_traced(job, to_compute, graph, algorithm)
-
-    def _execute_group_traced(
-        self,
-        job: JobRecord,
-        to_compute: List[Tuple[CacheKey, Query, int]],
-        graph,
-        algorithm: str,
-    ) -> None:
-        keys = [key for key, _, _ in to_compute]
-        batch = [query for _, query, _ in to_compute]
-        try:
-            native_batch = get_algorithm(algorithm).has_native_batch
-        except Exception:
-            # Let the executor's error machinery surface unknown algorithms
-            # through the normal failure path.
-            native_batch = True
-        if len(batch) > 1 and not native_batch:
-            with self._lock:
-                self._outstanding[job.job_id] = (
-                    self._outstanding.get(job.job_id, 0) + len(to_compute)
-                )
-            for key, query, _ in to_compute:
-                try:
-                    single = self._pool.submit_batch([query], graph, log_id=job.job_id)
-                except Exception as exc:
-                    self._settle_inflight([key], error=exc)
-                    self._work_unit_done(job)
-                    continue
-                self._note_batch(1)
-                single.add_done_callback(
-                    lambda finished, key=key: self._resolve_sub_batch(
-                        job, key, finished
+            keys = [key for key, _, _ in to_compute]
+            batch = [query for _, query, _ in to_compute]
+            try:
+                native_batch = get_algorithm(algorithm).has_native_batch
+            except Exception:
+                # Let the executor's error machinery surface unknown algorithms
+                # through the normal failure path.
+                native_batch = True
+            if len(batch) > 1 and not native_batch:
+                with self._lock:
+                    self._outstanding[job.job_id] = (
+                        self._outstanding.get(job.job_id, 0) + len(to_compute)
                     )
-                )
-            return
-        self._note_batch(len(batch))
-        try:
-            outcome = self._pool.execute_batch_sync(batch, graph, log_id=job.job_id)
-        except Exception as exc:
-            if len(batch) == 1:
-                self._settle_inflight(keys, error=exc)
+                for key, query, _ in to_compute:
+                    try:
+                        single = self._pool.submit_batch(
+                            [query], graph, log_id=job.job_id
+                        )
+                    except Exception as exc:
+                        self._settle_inflight([key], error=exc)
+                        self._work_unit_done(job)
+                        continue
+                    self._note_batch(1)
+                    single.add_done_callback(
+                        lambda finished, key=key: self._resolve_sub_batch(
+                            job, key, finished
+                        )
+                    )
                 return
-            self._datastore.append_log(
-                job.job_id,
-                f"[scheduler] batch of {len(batch)} failed ({exc}); "
-                "retrying queries individually",
-            )
-            for key, query, _ in to_compute:
-                try:
-                    single = self._pool.execute_batch_sync(
-                        [query], graph, log_id=job.job_id
-                    )
-                except Exception as single_exc:
-                    self._settle_inflight([key], error=single_exc)
-                    continue
-                self._cache.put(key, single.rankings[0])
-                self._settle_inflight([key], rankings=[single.rankings[0]])
-            return
-        for key, ranking in zip(keys, outcome.rankings):
-            self._cache.put(key, ranking)
-        self._settle_inflight(keys, rankings=outcome.rankings)
+            self._note_batch(len(batch))
+            try:
+                outcome = self._pool.execute_batch_sync(
+                    batch, graph, log_id=job.job_id
+                )
+            except Exception as exc:
+                if len(batch) == 1:
+                    self._settle_inflight(keys, error=exc)
+                    return
+                self._datastore.append_log(
+                    job.job_id,
+                    f"[scheduler] batch of {len(batch)} failed ({exc}); "
+                    "retrying queries individually",
+                )
+                for key, query, _ in to_compute:
+                    try:
+                        single = self._pool.execute_batch_sync(
+                            [query], graph, log_id=job.job_id
+                        )
+                    except Exception as single_exc:
+                        self._settle_inflight([key], error=single_exc)
+                        continue
+                    self._cache.put(key, single.rankings[0])
+                    self._settle_inflight([key], rankings=[single.rankings[0]])
+                return
+            for key, ranking in zip(keys, outcome.rankings):
+                self._cache.put(key, ranking)
+            self._settle_inflight(keys, rankings=outcome.rankings)
 
     def _resolve_sub_batch(self, job: JobRecord, key: CacheKey, future: Future) -> None:
         """Publish one finished size-1 sub-batch of a spread fallback group."""

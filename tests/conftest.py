@@ -38,22 +38,13 @@ def _sharded_default_datastore():
     :class:`~repro.platform.replication.ReplicatedShardedDataStore` instead
     of a single :class:`DataStore`: N backends (``max(R + 1, 3)`` when only
     R is set) keeping R copies per key (``1`` when only N is set, the
-    unreplicated ring).  ``REPRO_TEST_READ_CONSISTENCY=quorum`` additionally
-    runs every dataset read through the digest-first quorum (implying
-    ``R = 2`` when ``REPRO_TEST_REPLICAS`` is unset).  CI runs the platform
-    suite at R=1 on 4 shards, at R=2 *and* on the quorum axis so all of them
-    stay green; locally the suite runs on a single store unless a variable
-    is set.
+    unreplicated ring).  Every ring dataset read is a version-quorum read,
+    so there is no read-mode axis.  CI runs the platform suite at R=1 on 4
+    shards and at R=2 so both stay green; locally the suite runs on a
+    single store unless a variable is set.
     """
     num_shards = int(os.environ.get("REPRO_TEST_SHARDS", "0") or 0)
     replicas = int(os.environ.get("REPRO_TEST_REPLICAS", "0") or 0)
-    consistency = (
-        os.environ.get("REPRO_TEST_READ_CONSISTENCY", "").strip().lower()
-    )
-    if consistency not in ("one", "quorum"):
-        consistency = ""
-    if consistency == "quorum" and replicas <= 0:
-        replicas = 2
     if num_shards <= 0 and replicas <= 0:
         yield
         return
@@ -64,9 +55,7 @@ def _sharded_default_datastore():
     replicas = replicas if replicas > 0 else 1
     backing = num_shards if num_shards > 0 else max(replicas + 1, 3)
     gateway_module.DataStore = lambda: ReplicatedShardedDataStore(
-        num_shards=backing,
-        replicas=replicas,
-        read_consistency=consistency or "one",
+        num_shards=backing, replicas=replicas
     )
     try:
         yield

@@ -246,9 +246,8 @@ def stale_primary(store, dataset_id: str, graph) -> str:
     be a :class:`FlakyStore`) goes physically down, a re-upload of
     ``graph`` lands the next version on the surviving successors via
     hinted handoff, and the primary comes back holding the pre-outage
-    copy — below the version floor the write established.  A
-    ``read_consistency="one"`` store now serves that stale copy (counted
-    as ``stale_reads``); a ``"quorum"`` store's digest round withholds it.
+    copy — below the version floor the write established.  The store's
+    digest round must withhold that copy (``stale_reads_prevented``).
     Returns the primary's shard id.
     """
     primary = store.replica_shards_for(dataset_id)[0]

@@ -620,61 +620,27 @@ class TestBoundedTaskTable:
 class TestQuorumReads:
     """Digest-first quorum reads: a known-stale replica is never served."""
 
-    def _stale_primary_store(self, *, read_consistency):
+    def _stale_primary_store(self):
         backends = [FlakyStore(DataStore()) for _ in range(4)]
-        store = ReplicatedShardedDataStore(
-            shards=backends, replicas=2, read_consistency=read_consistency
-        )
+        store = ReplicatedShardedDataStore(shards=backends, replicas=2)
         old = cycle_graph(4)
         fresh = star_graph(6)
         store.store_dataset("ds", old)
         primary = stale_primary(store, "ds", fresh)
         return store, primary, old, fresh
 
-    def test_invalid_modes_are_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            ReplicatedShardedDataStore(
-                num_shards=3, replicas=2, read_consistency="all"
-            )
-        store = ReplicatedShardedDataStore(num_shards=3, replicas=2)
-        assert store.read_consistency == "one"
-        with pytest.raises(InvalidParameterError):
-            store.set_read_consistency("most")
-        store.set_read_consistency("quorum")
-        assert store.read_consistency == "quorum"
-        assert store.replication_stats()["read_consistency"] == "quorum"
-
-    def test_one_mode_detects_but_serves_the_stale_primary(self):
-        store, primary, old, fresh = self._stale_primary_store(
-            read_consistency="one"
-        )
-        # The documented pre-quorum gap: the recovered primary answers first
-        # with the pre-outage copy, which is detected — and served anyway.
-        graph, version = store.fetch_dataset_with_version("ds")
-        assert version == 1
-        assert graph.edge_list() == old.edge_list()
-        stats = store.replication_stats()
-        assert stats["stale_reads"] >= 1
-        assert stats["stale_reads_prevented"] == 0
-        assert stats["digest_reads"] == 0
-
     def test_quorum_read_never_serves_below_the_version_floor(self):
-        store, primary, old, fresh = self._stale_primary_store(
-            read_consistency="quorum"
-        )
+        store, primary, old, fresh = self._stale_primary_store()
         graph, version = store.fetch_dataset_with_version("ds")
         assert version == 2
         assert graph.edge_list() == fresh.edge_list()
         stats = store.replication_stats()
         assert stats["digest_reads"] >= 1
-        assert stats["stale_reads"] >= 1
         assert stats["stale_reads_prevented"] >= 1
         assert stats["version_conflicts_resolved"] >= 1
 
     def test_quorum_covers_the_unversioned_and_compiled_surfaces(self):
-        store, primary, old, fresh = self._stale_primary_store(
-            read_consistency="quorum"
-        )
+        store, primary, old, fresh = self._stale_primary_store()
         # Plain fetch_dataset and the compiled-artifact path route through
         # the versioned fetch, so the floor check covers them too.
         assert store.fetch_dataset("ds").edge_list() == fresh.edge_list()
@@ -683,9 +649,7 @@ class TestQuorumReads:
         assert store.replication_stats()["stale_reads_prevented"] >= 1
 
     def test_quorum_divergence_is_flagged_and_repaired(self):
-        store, primary, old, fresh = self._stale_primary_store(
-            read_consistency="quorum"
-        )
+        store, primary, old, fresh = self._stale_primary_store()
         store.fetch_dataset("ds")
         assert store.pending_read_repairs() >= 1
         store.drain_read_repairs()
@@ -694,9 +658,7 @@ class TestQuorumReads:
         assert backend.fetch_dataset("ds").edge_list() == fresh.edge_list()
 
     def test_quorum_refuses_when_only_stale_copies_are_reachable(self):
-        store, primary, old, fresh = self._stale_primary_store(
-            read_consistency="quorum"
-        )
+        store, primary, old, fresh = self._stale_primary_store()
         for shard_id in _holders(store, "ds"):
             if shard_id != primary:
                 store.shard_stores()[shard_id].go_down()
@@ -705,14 +667,60 @@ class TestQuorumReads:
             store.fetch_dataset_with_version("ds")
         assert store.replication_stats()["stale_reads_prevented"] >= 1
 
+    def test_a_holder_that_lost_its_copy_does_not_outvote_the_replica(self):
+        store = ReplicatedShardedDataStore(num_shards=4, replicas=2)
+        graph = cycle_graph(5)
+        store.store_dataset("ds", graph)
+        primary = store.replica_shards_for("ds")[0]
+        # Dropping a copy raises the backend's upload counter: the primary
+        # now reports a version one above the copy it no longer holds.
+        store.shard_stores()[primary].drop_dataset("ds")
+        served, version = store.fetch_dataset_with_version("ds")
+        assert version == 1
+        assert served.edge_list() == graph.edge_list()
+        stats = store.replication_stats()
+        assert stats["digest_reads"] >= 1
+        assert stats["stale_reads_prevented"] == 0
+
+    def test_a_spilled_dataset_reads_at_its_spilled_version(self, tmp_path):
+        store = ReplicatedShardedDataStore(
+            num_shards=3, replicas=2, spill_dir=str(tmp_path)
+        )
+        graph = star_graph(5)
+        store.store_dataset("cold", cycle_graph(3))
+        store.store_dataset("cold", graph)
+        store.spill(dataset_ids=["cold"])
+        assert _holders(store, "cold") == []
+        # Every ring holder dropped its copy on the spill, leaving only the
+        # raised counter behind; the spill tier's copy is the real one.
+        served, version = store.fetch_dataset_with_version("cold")
+        assert version == store.spill_store.dataset_version("cold")
+        assert served.edge_list() == graph.edge_list()
+        assert store.replication_stats()["stale_reads_prevented"] == 0
+
+    def test_digest_answers_leave_the_data_path_streak_alone(self):
+        backends = [FlakyStore(DataStore()) for _ in range(4)]
+        store = ReplicatedShardedDataStore(
+            shards=backends, replicas=2, probe_failure_threshold=5
+        )
+        store.store_dataset("ds", cycle_graph(4))
+        primary = store.replica_shards_for("ds")[0]
+        store.shard_stores()[primary].fail_on(
+            "fetch_dataset_with_version", times=None
+        )
+        # The primary answers every digest poll but fails every data read:
+        # each read adds one to its streak, and no digest answer resets it.
+        for _ in range(2):
+            assert store.fetch_dataset("ds") is not None
+        assert store.health_stats()["consecutive_failures"] == {primary: 2}
+        assert store.marked_down() == []
+
 
 class TestDeadlineAttribution:
     """A caller's expired clock must never feed shard health streaks."""
 
     def test_expired_deadline_against_a_healthy_ring_moves_no_streaks(self):
-        store = ReplicatedShardedDataStore(
-            num_shards=4, replicas=2, read_consistency="quorum"
-        )
+        store = ReplicatedShardedDataStore(num_shards=4, replicas=2)
         store.store_dataset("ds", cycle_graph(4))
         expired = Deadline.from_ms(1)
         time.sleep(0.005)
@@ -748,9 +756,7 @@ class TestConcurrentReuploads:
     """CAS version reservations order racing re-uploads of one dataset."""
 
     def test_racing_reuploads_mint_distinct_versions_and_converge(self):
-        store = ReplicatedShardedDataStore(
-            num_shards=4, replicas=2, read_consistency="quorum"
-        )
+        store = ReplicatedShardedDataStore(num_shards=4, replicas=2)
         store.store_dataset("ds", cycle_graph(3))
         graphs = [cycle_graph(5), star_graph(7), cycle_graph(8)]
         barrier = threading.Barrier(len(graphs))
@@ -808,41 +814,46 @@ class TestConcurrentReuploads:
         assert store.fetch_dataset_with_version("ds")[1] == 2
 
 
-class TestGatewayReadConsistency:
+class TestGatewayQuorumCounters:
     @pytest.fixture
     def catalog(self, community_graph):
         catalog = DatasetCatalog()
         catalog.register_graph("toy", community_graph, description="communities")
         return catalog
 
-    def test_gateway_wires_the_knob_and_surfaces_the_counters(self, catalog):
+    def test_gateway_surfaces_the_quorum_counters(self, catalog):
         with ApiGateway(
-            catalog=catalog,
-            replicas=2,
-            read_consistency="quorum",
-            probe_interval_seconds=0,
+            catalog=catalog, replicas=2, probe_interval_seconds=0
         ) as gateway:
-            assert gateway.datastore.read_consistency == "quorum"
             comparison = gateway.run_queries(
                 [{"dataset_id": "toy", "algorithm": "pagerank"}], synchronous=True
             )
             assert gateway.get_rankings(comparison)
             stats = gateway.get_platform_stats()
             replication = stats["shards"]["replication"]
-            assert replication["read_consistency"] == "quorum"
             assert replication["digest_reads"] >= 1
             storage = stats["overload"]["storage"]
-            assert storage["read_consistency"] == "quorum"
             assert storage["stale_reads_prevented"] == 0
             rendered = gateway.render_metrics()
             assert "repro_storage_digest_reads" in rendered
             assert "repro_storage_stale_reads_prevented" in rendered
 
-    def test_read_consistency_requires_a_replicated_store(self, catalog):
-        # Pin an explicit single store so the CI topology fixtures (which
-        # swap the *default* datastore) cannot turn this into a replicated
-        # gateway.
-        with pytest.raises(InvalidParameterError):
-            ApiGateway(
-                catalog=catalog, datastore=DataStore(), read_consistency="quorum"
-            )
+    def test_gateway_never_ranks_a_stale_primary_copy(self, catalog):
+        backends = [FlakyStore(DataStore()) for _ in range(4)]
+        store = ReplicatedShardedDataStore(shards=backends, replicas=2)
+        with ApiGateway(
+            catalog=catalog, datastore=store, probe_interval_seconds=0
+        ) as gateway:
+            query = [{"dataset_id": "toy", "algorithm": "pagerank"}]
+            first = gateway.get_rankings(gateway.run_queries(query, synchronous=True))
+            assert len(first[0]) == 32  # the catalog's 4 x 8 communities
+            # A re-upload lands v2 while the primary is down; it comes back
+            # holding the 32-node v1 copy, which no comparison may rank.
+            fresh = star_graph(6)
+            stale_primary(store, "toy", fresh)
+            second = gateway.get_rankings(gateway.run_queries(query, synchronous=True))
+            assert len(second[0]) == len(fresh)
+            # The digest round saw both versions; whether the walk then met
+            # the stale copy depends on how soon read-repair converged it.
+            replication = gateway.get_platform_stats()["shards"]["replication"]
+            assert replication["version_conflicts_resolved"] >= 1

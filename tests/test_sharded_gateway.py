@@ -228,7 +228,6 @@ class TestShardedGatewayEndToEnd:
         with ApiGateway(
             catalog=_build_catalog(),
             shards=2,
-            read_consistency="quorum",
             breaker_cooldown_seconds=1.0,
             num_workers=1,
             probe_interval_seconds=0,
@@ -236,7 +235,6 @@ class TestShardedGatewayEndToEnd:
             store = gateway.datastore
             assert isinstance(store, ReplicatedShardedDataStore)
             assert store.replicas == 1
-            assert store.read_consistency == "quorum"
             comparison_id = gateway.run_queries(
                 [{"dataset_id": "e2e-0", "algorithm": "pagerank"}], synchronous=True
             )

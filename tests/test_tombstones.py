@@ -35,10 +35,10 @@ from repro.platform.replication import ReplicatedShardedDataStore
 TOPOLOGIES = [(4, 2), (3, 2)]
 
 
-def _build(num_shards: int, replicas: int, read_consistency: str = "one"):
+def _build(num_shards: int, replicas: int, **kwargs):
     backends = [FlakyStore(DataStore()) for _ in range(num_shards)]
     store = ReplicatedShardedDataStore(
-        shards=backends, replicas=replicas, read_consistency=read_consistency
+        shards=backends, replicas=replicas, **kwargs
     )
     return backends, store
 
@@ -48,6 +48,14 @@ def _live_holders(store, dataset_id):
         shard_id
         for shard_id, backend in store.shard_stores().items()
         if not backend.is_down and backend.has_dataset(dataset_id)
+    )
+
+
+def _held_at(source, dataset_id, version):
+    """Does ``source`` hold a copy of ``dataset_id`` at ``version`` or newer?"""
+    return (
+        source.has_dataset(dataset_id)
+        and source.dataset_version(dataset_id) >= version
     )
 
 
@@ -238,6 +246,8 @@ def _ops(num_shards: int):
             st.tuples(st.just("race"), dataset),
             st.tuples(st.just("down"), shard),
             st.tuples(st.just("up"), shard),
+            st.tuples(st.just("lose"), st.tuples(dataset, shard)),
+            st.tuples(st.just("spill"), dataset),
             st.tuples(st.just("maintain"), st.just(0)),
         ),
         min_size=1,
@@ -249,27 +259,37 @@ class TestInterleavingProperty:
     @settings(max_examples=fault_rounds(30), deadline=None)
     @given(data=st.data())
     def test_any_interleaving_converges_with_no_resurrection(self, data):
-        """Store/drop/race/outage/recover/maintenance in any order: after
-        full recovery plus repair passes, every successfully dropped dataset
-        is gone from every backend, every live dataset serves its last
-        successfully stored graph at full replication (a raced re-upload
-        converges every replica on ONE terminal version holding one of the
-        contending graphs), and version counters only ever move forward (no
-        stale cache keyspace is ever reused).  The store runs with
-        ``read_consistency="quorum"``, and after *every* step a quorum read
-        of each known dataset must either refuse outright or return a copy
-        at (or past) the router's known version floor — never below it."""
+        """Store/drop/race/outage/recover/lose/spill/maintenance in any
+        order: after full recovery plus repair passes, every successfully
+        dropped dataset is gone from every backend, every live dataset
+        serves its last successfully stored graph (at full replication
+        unless it sits on the spill tier; a raced re-upload converges every
+        replica on ONE terminal version holding one of the contending
+        graphs), and version counters only ever move forward (no stale
+        cache keyspace is ever reused).  After *every* step a read of each
+        known dataset must never return a copy below the router's known
+        version floor, and must succeed whenever a reachable source — an
+        up shard whose breaker is not open, or the spill tier — holds a
+        copy at that floor.  A holder losing its copy leaves a drop's
+        counter behind on it, and a spill leaves one on every ring holder;
+        neither may outvote the real copies."""
         num_shards, replicas = data.draw(
             st.sampled_from(TOPOLOGIES), label="topology"
         )
-        backends, store = _build(num_shards, replicas, read_consistency="quorum")
+        spill = DataStore()
+        backends, store = _build(num_shards, replicas, spill_store=spill)
         ops = data.draw(_ops(num_shards), label="timeline")
 
         UNKNOWN = object()  # a write that failed its quorum mid-outage
         expected: Dict[str, object] = {}
         floor_versions: Dict[str, int] = {}
+        spilled = set()
+        #: (dataset, backend) → the counter a "lose" step left behind.
+        lost_counters: Dict[tuple, int] = {}
         generation = 0
         for kind, arg in ops:
+            if kind in ("store", "drop", "race"):
+                spilled.discard(f"ds-{arg}")
             if kind == "store":
                 dataset_id = f"ds-{arg}"
                 generation += 1
@@ -319,6 +339,28 @@ class TestInterleavingProperty:
                 backends[arg].go_down()
             elif kind == "up":
                 backends[arg].come_up()
+            elif kind == "lose":
+                # A holder loses its copy (a crash that kept the counter),
+                # but only while another reachable source still holds the
+                # same or a newer copy — the dataset itself survives.
+                dataset_id = f"ds-{arg[0]}"
+                victim = backends[arg[1]]
+                if not victim.is_down and victim.has_dataset(dataset_id):
+                    lost = victim.dataset_version(dataset_id)
+                    others = [spill] + [
+                        backend
+                        for backend in backends
+                        if backend is not victim and not backend.is_down
+                    ]
+                    if any(_held_at(other, dataset_id, lost) for other in others):
+                        victim.drop_dataset(dataset_id)
+                        lost_counters[(dataset_id, id(victim))] = (
+                            victim.dataset_version(dataset_id)
+                        )
+            elif kind == "spill":
+                dataset_id = f"ds-{arg}"
+                if store.spill(dataset_ids=[dataset_id]):
+                    spilled.add(dataset_id)
             else:
                 store.replicate()
             for dataset_id, backend in (
@@ -326,25 +368,40 @@ class TestInterleavingProperty:
             ):
                 if backend.is_down:
                     continue
-                seen = max(
-                    backend.dataset_version(dataset_id),
-                    backend.dataset_tombstone(dataset_id),
-                )
+                counter = backend.dataset_version(dataset_id)
+                if lost_counters.get(
+                    (dataset_id, id(backend))
+                ) == counter and not backend.has_dataset(dataset_id):
+                    counter = 0  # a lost copy's leftover: no copy carried it
+                seen = max(counter, backend.dataset_tombstone(dataset_id))
                 floor = floor_versions.get(dataset_id, 0)
                 assert seen >= 0
                 floor_versions[dataset_id] = max(floor, seen)
-            # The tentpole acceptance property, checked at EVERY step of
-            # the timeline: a quorum read either refuses (all reachable
-            # copies below the digest-established floor, or outright
-            # unreachable/dropped) or serves at/past the router's floor.
+            # The read acceptance property, checked at EVERY step of the
+            # timeline: a read serves at/past the router's floor, and may
+            # refuse only when no reachable source holds a copy there.
+            breakers = store.breaker_stats()
+            reachable = [spill] + [
+                backend
+                for shard_id, backend in store.shard_stores().items()
+                if not backend.is_down
+                and breakers.get(shard_id, {}).get("state") != "open"
+            ]
             for dataset_id in expected:
                 known_floor = store._known_version_floor.get(dataset_id, 0)
                 try:
                     _, served = store.fetch_dataset_with_version(dataset_id)
                 except (StorageError, RuntimeError):
-                    continue  # refusing beats serving a below-floor copy
+                    assert not any(
+                        _held_at(source, dataset_id, known_floor)
+                        for source in reachable
+                    ), (
+                        f"read of {dataset_id} refused although a reachable "
+                        f"source holds a copy at the floor v{known_floor}"
+                    )
+                    continue
                 assert served >= known_floor, (
-                    f"quorum served {dataset_id} at v{served}, below the "
+                    f"read served {dataset_id} at v{served}, below the "
                     f"known floor v{known_floor}"
                 )
 
@@ -363,6 +420,11 @@ class TestInterleavingProperty:
                     assert not backend.has_dataset(dataset_id), (
                         f"{dataset_id} resurrected on {backend!r}"
                     )
+            elif isinstance(outcome, list) and dataset_id in spilled:
+                fetched = store.fetch_dataset(dataset_id)
+                assert tuple(sorted(fetched.edge_list())) in {
+                    tuple(sorted(graph.edge_list())) for graph in outcome
+                }
             elif isinstance(outcome, list):
                 # A raced re-upload: every replica must converge on ONE
                 # terminal version holding ONE of the contending graphs —
@@ -398,7 +460,8 @@ class TestInterleavingProperty:
                 assert isinstance(outcome, DirectedGraph)
                 fetched = store.fetch_dataset(dataset_id)
                 assert fetched.edge_list() == outcome.edge_list()
-                assert len(_live_holders(store, dataset_id)) == replicas
+                if dataset_id not in spilled:
+                    assert len(_live_holders(store, dataset_id)) == replicas
                 # Version counters never moved backwards: the current copy
                 # sits at (or past) every version any backend ever saw, so
                 # no cache key minted earlier can be re-served.
