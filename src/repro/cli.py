@@ -54,15 +54,15 @@ bounds how long a submission may wait before it is settled with a typed
 ``deadline_exceeded`` event, ``--admission-budget`` enables load shedding
 (shed submissions are retried client-side after the server's hinted delay,
 bounded by ``--shed-retries``; ``--no-retry`` fails fast), and
-``--retry-budget``/``--breaker-cooldown`` tune the ring store's retry
-token bucket and per-shard circuit breakers.  On the ring store every
-dataset read opens with a version-digest round over the live replicas, so
-a copy below the acked version floor is never served; there is no read
-mode to choose.
+``--retry-budget`` sizes the ring store's retry token bucket.  A shard
+that keeps failing leaves every read until a probe finds it healthy
+again.  On the ring store every dataset read opens with a version-digest
+round over the live replicas, so a copy below the acked version floor is
+never served; there is no read mode to choose.
 
 Observability rides on ``run``/``compare`` too: ``--stats`` prints the
 platform serving counters after the results — the cache/batch/storage
-lines plus the ``overload`` (admission, deadlines, retries, breakers) and
+lines plus the ``overload`` (admission, deadlines, retries) and
 ``telemetry`` (tracer + span latency percentiles) sections of
 ``GET /api/stats``.  ``--trace`` prints the comparison's recorded span waterfall
 (gateway submit → scheduler dispatch → batch execute → storage writes),
@@ -170,13 +170,6 @@ def _add_overload_flags(
         help="token-bucket budget shared by all storage retries (requires "
         "--shards or --replicas); caps retry amplification during a shard "
         "outage",
-    )
-    parser.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        metavar="SECONDS",
-        help="per-shard circuit-breaker cooldown before a half-open probe "
-        "is allowed (requires --shards or --replicas)",
     )
     if client_retries:
         parser.add_argument(
@@ -433,15 +426,6 @@ def _print_overload_stats(stats: Dict[str, object]) -> None:
             f"retries: {retries.get('retries_spent', 0)} spent / "
             f"{retries.get('retries_denied', 0)} denied{budget_text}"
         )
-        breakers = storage.get("breakers") or {}
-        if breakers:
-            breakdown = ", ".join(
-                f"{shard_id}: {info.get('state', '?')} "
-                f"({info.get('opens', 0)} opens, "
-                f"{info.get('short_circuits', 0)} short-circuits)"
-                for shard_id, info in sorted(breakers.items())
-            )
-            print(f"breakers: {breakdown}")
 
 
 def _print_telemetry_stats(stats: Dict[str, object]) -> None:
@@ -796,13 +780,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    breaker_cooldown = getattr(arguments, "breaker_cooldown", None)
-    if breaker_cooldown is not None and breaker_cooldown <= 0:
-        print(
-            f"error: --breaker-cooldown must be > 0, got {breaker_cooldown}",
-            file=sys.stderr,
-        )
-        return 2
     workers = getattr(arguments, "workers", None)
     if workers is not None and workers < 1:
         print(
@@ -824,7 +801,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             default_deadline_ms=deadline_ms,
             admission_max_cost=admission_budget,
             retry_budget_capacity=retry_budget,
-            breaker_cooldown_seconds=breaker_cooldown,
             **gateway_options,
         ) as gateway:
             return handler(gateway, arguments)

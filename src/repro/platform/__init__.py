@@ -37,8 +37,7 @@ reproduces the same component decomposition with in-process equivalents:
     The overload-protection primitives shared by the gateway, scheduler and
     replicated storage: :class:`Deadline` propagation, the
     :class:`AdmissionController` (load shedding with Retry-After hints),
-    the :class:`RetryPolicy`/:class:`TokenBucket` retry discipline and
-    per-shard :class:`CircuitBreaker`\\ s.
+    and the :class:`RetryPolicy`/:class:`TokenBucket` retry discipline.
 ``telemetry``
     The observability layer: a process-wide :class:`MetricsRegistry`
     (counters, gauges, log-bucket latency histograms with a Prometheus
@@ -71,7 +70,6 @@ from .jobs import JobEvent, JobRecord, JobRegistry, JobState, QueryState
 from .replication import ReplicatedResultCache, ReplicatedShardedDataStore
 from .resilience import (
     AdmissionController,
-    CircuitBreaker,
     Deadline,
     RetryPolicy,
     TokenBucket,
@@ -116,7 +114,6 @@ __all__ = [
     "JobState",
     "QueryState",
     "AdmissionController",
-    "CircuitBreaker",
     "Deadline",
     "RetryPolicy",
     "TokenBucket",

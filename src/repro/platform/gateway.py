@@ -125,14 +125,11 @@ class ApiGateway:
     admission_retry_after_seconds:
         Base of the computed retry-after; scaled with the overshoot and
         clamped to 8x.
-    retry_max_attempts, retry_budget_capacity, retry_budget_refill_per_second:
-        Forwarded to the ring store's shared storage retry policy
-        (:meth:`~repro.platform.replication.ReplicatedShardedDataStore.configure_resilience`):
-        bounded attempts with jittered backoff, capped by a store-wide
-        retry budget.  ``None`` keeps the store's defaults.
-    breaker_failure_threshold, breaker_cooldown_seconds:
-        Forwarded to the store's per-shard circuit breakers.  ``None``
-        keeps the store's defaults.
+    retry_budget_capacity:
+        Tokens in the store-wide budget the ring store's storage retries
+        draw from (``None`` keeps the store's default).  It configures the
+        ring the gateway builds, so it needs ``shards``, ``replicas`` or
+        ``spill_dir`` and is rejected with ``datastore``.
     telemetry_enabled:
         Build the gateway's :class:`~repro.platform.telemetry.MetricsRegistry`
         and :class:`~repro.platform.telemetry.Tracer` in recording mode (the
@@ -161,11 +158,7 @@ class ApiGateway:
         default_deadline_ms: Optional[int] = None,
         admission_max_cost: Optional[int] = None,
         admission_retry_after_seconds: float = 1.0,
-        retry_max_attempts: Optional[int] = None,
         retry_budget_capacity: Optional[int] = None,
-        retry_budget_refill_per_second: Optional[float] = None,
-        breaker_failure_threshold: Optional[int] = None,
-        breaker_cooldown_seconds: Optional[float] = None,
         telemetry_enabled: bool = True,
         slow_span_threshold_ms: float = 500.0,
     ) -> None:
@@ -176,18 +169,28 @@ class ApiGateway:
                     "either them or `datastore`, not both"
                 )
             resolved_replicas = replicas if replicas is not None else 1
-            spill = str(spill_dir) if spill_dir is not None else None
+            ring_options: Dict[str, Any] = {
+                "replicas": resolved_replicas,
+                "spill_dir": str(spill_dir) if spill_dir is not None else None,
+            }
+            if retry_budget_capacity is not None:
+                ring_options["retry_budget_capacity"] = retry_budget_capacity
             if shards is None or isinstance(shards, int):
                 num_shards = shards if isinstance(shards, int) else max(
                     resolved_replicas + 1, 2
                 )
                 datastore = ReplicatedShardedDataStore(
-                    num_shards=num_shards, replicas=resolved_replicas, spill_dir=spill
+                    num_shards=num_shards, **ring_options
                 )
             else:
                 datastore = ReplicatedShardedDataStore(
-                    shards=list(shards), replicas=resolved_replicas, spill_dir=spill
+                    shards=list(shards), **ring_options
                 )
+        elif retry_budget_capacity is not None:
+            raise InvalidParameterError(
+                "retry_budget_capacity configures the ring store the gateway "
+                "builds; pass shards=N or replicas=R, not datastore="
+            )
         if not (
             isinstance(slow_span_threshold_ms, (int, float))
             and not isinstance(slow_span_threshold_ms, bool)
@@ -294,24 +297,6 @@ class ApiGateway:
                 f"gateway-overload-{uuid.uuid4()}", description="gateway overload"
             )
             self._overload_job.append("submitted", total_queries=0, kind="overload")
-        storage_resilience = {
-            key: value
-            for key, value in {
-                "retry_max_attempts": retry_max_attempts,
-                "retry_budget_capacity": retry_budget_capacity,
-                "retry_budget_refill_per_second": retry_budget_refill_per_second,
-                "breaker_failure_threshold": breaker_failure_threshold,
-                "breaker_cooldown_seconds": breaker_cooldown_seconds,
-            }.items()
-            if value is not None
-        }
-        if storage_resilience:
-            if not ring:
-                raise InvalidParameterError(
-                    "storage retry/breaker knobs require a ring datastore; "
-                    "build the gateway with shards=N or replicas=R"
-                )
-            self.datastore.configure_resilience(**storage_resilience)
         self.status.register_section("overload", self._overload_stats)
         self.status.register_section("telemetry", self._telemetry_stats)
         self.status.register_section("executors", self._executor_stats)
@@ -618,7 +603,6 @@ class ApiGateway:
             replication = store.replication_stats()
             payload["storage"] = {
                 "retries": replication["retries"],
-                "breakers": replication["breakers"],
                 "stale_reads_prevented": replication["stale_reads_prevented"],
                 "digest_reads": replication["digest_reads"],
                 "version_conflicts_resolved": replication[

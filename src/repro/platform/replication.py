@@ -58,11 +58,16 @@ Self-healing (anti-entropy)
       reachable.  File-backed shards persist tombstones across restarts.
     * **Health probes** — every request outcome feeds a per-shard failure
       streak, and :meth:`~ReplicatedShardedDataStore.probe_shards` adds
-      periodic pings (the gateway runs them on a background prober).  F
-      consecutive failures auto-``mark_down`` a shard; a successful probe
-      auto-``mark_up`` one the prober took down.  Transitions are
-      rate-limited (no flap storms), reported through listeners (the
-      gateway turns them into typed job events) and surfaced in
+      periodic pings (the gateway runs them on a background prober).  The
+      streak is the shard's one health state: at F consecutive failures
+      the detector marks the shard down in the same step, and no read
+      walk, digest poll or failover hop touches it until a success — a
+      probe, a maintenance pass or an operator ``mark_up`` — resets the
+      streak.  A successful probe marks a shard the detector took down
+      back up, no sooner than the transition interval after the down
+      (held mark-ups are counted), so a flapping shard cannot storm the
+      ring.  Transitions are reported through listeners (the gateway turns
+      them into typed job events) and surfaced in
       :meth:`~ReplicatedShardedDataStore.replication_stats`.  A manual
       ``mark_down`` stays sticky — probes never un-mark an operator call.
     * **Read-repair** — a failover read (answered by a non-primary source)
@@ -75,16 +80,15 @@ Self-healing (anti-entropy)
 Overload protection
     Replica operations share one retry discipline (bounded attempts,
     full-jitter backoff, a store-wide retry *budget* capping amplification
-    during an outage), per-shard circuit breakers short-circuit reads past
-    a sick shard between health transitions, and reads honour the caller's
-    deadline between failover hops.  See :mod:`repro.platform.resilience`
-    and :meth:`ReplicatedShardedDataStore.configure_resilience`.
+    during an outage), built once by the constructor, and reads honour the
+    caller's deadline between failover hops.  See
+    :mod:`repro.platform.resilience`.
 
 Read-path version quorum
     Every dataset read opens with a *digest round*: the live R-successors
     are polled for the version of the copy they hold (``0`` when they hold
     none — a replica votes only for a copy it has, never for the counter a
-    drop or spill left behind), deadline- and breaker-aware, under the same
+    drop or spill left behind), deadline-aware, under the same
     retry discipline as data reads, inside the read's ``storage_read``
     span.  The read then serves only a copy at the maximum of the
     digests and the router's known version floor — a caller can never
@@ -117,7 +121,7 @@ from ..graph.digraph import DirectedGraph
 from .cache import CacheKey, ResultCache
 from .datastore import DataStore, FileBackedDataStore
 from .jobs import JobRecord
-from .resilience import CircuitBreaker, RetryPolicy, TokenBucket, current_deadline
+from .resilience import RetryPolicy, TokenBucket, current_deadline
 from .sharding import DEFAULT_VIRTUAL_NODES, HashRing
 from .telemetry import child_span
 
@@ -275,11 +279,13 @@ class ReplicatedShardedDataStore:
         builds a :class:`FileBackedDataStore` under the directory).
     probe_failure_threshold:
         Consecutive request/probe failures after which a shard is
-        automatically marked down (the failure detector's F).
+        automatically marked down and leaves every read (the failure
+        detector's F).
     probe_transition_interval_seconds:
-        Minimum seconds between automatic health transitions of one shard —
-        the rate limit that keeps a flapping shard from storming the ring
-        with mark_down/mark_up churn (suppressed flips are counted).
+        Minimum seconds between an automatic mark_down and the probe
+        mark_up that follows it — the rate limit that keeps a flapping
+        shard from storming the ring with mark_down/mark_up churn (held
+        mark-ups are counted).  Marking down is never held.
     read_repair_queue_limit:
         Bound on the coalescing read-repair queue; keys flagged beyond it
         are dropped (and counted) rather than growing memory — the next
@@ -295,12 +301,6 @@ class ReplicatedShardedDataStore:
         token from, so a dead shard costs each caller its bounded attempts
         but can never trigger a cluster-doubling retry storm.  A refill
         rate of ``0`` makes the budget fixed.
-    breaker_failure_threshold, breaker_cooldown_seconds:
-        Per-shard circuit breakers over the same consecutive-failure
-        streaks the health detector counts: at the threshold (defaulting to
-        ``probe_failure_threshold``) the breaker opens and reads
-        short-circuit straight past the shard to its next successor; after
-        the cooldown the prober's next success closes it again.
     """
 
     def __init__(
@@ -322,8 +322,6 @@ class ReplicatedShardedDataStore:
         retry_max_delay_seconds: float = 0.5,
         retry_budget_capacity: int = 64,
         retry_budget_refill_per_second: float = 8.0,
-        breaker_failure_threshold: Optional[int] = None,
-        breaker_cooldown_seconds: float = 2.0,
     ) -> None:
         require_positive_int(replicas, "replicas")
         require_positive_int(probe_failure_threshold, "probe_failure_threshold")
@@ -390,15 +388,19 @@ class ReplicatedShardedDataStore:
             spill_store if spill_store is not None
             else (FileBackedDataStore(spill_dir) if spill_dir is not None else None)
         )
-        #: Shards the operator (or a failure detector) declared unreachable:
-        #: reads and writes skip them, the next ring successor takes over.
+        #: Shards the operator (or the failure detector) declared
+        #: unreachable: writes skip them, the next ring successor takes
+        #: over, and reads try them only in the failover tail.
         self._down: set = set()
         #: The subset of ``_down`` the failure detector (not an operator)
-        #: marked: only these are eligible for automatic mark_up.
-        self._auto_down: set = set()
+        #: marked, with the monotonic time of the mark: only these are
+        #: eligible for automatic mark_up, and only once the transition
+        #: interval has passed since.
+        self._auto_down: Dict[str, float] = {}
         self._shard_errors: Dict[str, int] = {}
+        #: The one health state per shard: its consecutive-failure streak.
+        #: At F the shard is suspected and no read consults it.
         self._consecutive_failures: Dict[str, int] = {}
-        self._last_transition: Dict[str, float] = {}
         self._probe_failure_threshold = probe_failure_threshold
         self._probe_transition_interval = probe_transition_interval_seconds
         self._auto_downs = 0
@@ -439,21 +441,15 @@ class ReplicatedShardedDataStore:
         #: every successor was unreachable is completed after recovery
         #: instead of silently resurrecting ("later retry" made real).
         self._pending_drops: Dict[str, int] = {}
-        #: Per-shard circuit breakers (lazily built) and the shared retry
-        #: policy/budget; see :meth:`configure_resilience`.
-        self._breakers: Dict[str, CircuitBreaker] = {}
-        self.configure_resilience(
-            retry_max_attempts=retry_max_attempts,
-            retry_base_delay_seconds=retry_base_delay_seconds,
-            retry_max_delay_seconds=retry_max_delay_seconds,
-            retry_budget_capacity=retry_budget_capacity,
-            retry_budget_refill_per_second=retry_budget_refill_per_second,
-            breaker_failure_threshold=(
-                breaker_failure_threshold
-                if breaker_failure_threshold is not None
-                else probe_failure_threshold
-            ),
-            breaker_cooldown_seconds=breaker_cooldown_seconds,
+        #: The shared retry policy and the budget its retries draw from.
+        self._retry_budget = TokenBucket(
+            retry_budget_capacity, retry_budget_refill_per_second
+        )
+        self._retry_policy = RetryPolicy(
+            max_attempts=retry_max_attempts,
+            base_delay=retry_base_delay_seconds,
+            max_delay=retry_max_delay_seconds,
+            budget=self._retry_budget,
         )
         self.result_cache = ReplicatedResultCache(self)
 
@@ -536,7 +532,7 @@ class ReplicatedShardedDataStore:
         return self._spill
 
     def mark_down(self, shard_id: str) -> None:
-        """Declare a shard unreachable: reads and writes skip it from now on.
+        """Declare a shard unreachable: writes skip it, reads try it last.
 
         An operator call is *sticky*: the health prober never automatically
         marks a manually-downed shard back up (use :meth:`mark_up`).
@@ -545,17 +541,19 @@ class ReplicatedShardedDataStore:
             if shard_id not in self._backends:
                 raise InvalidParameterError(f"shard {shard_id!r} does not exist")
             self._down.add(shard_id)
-            self._auto_down.discard(shard_id)
-            self._last_transition[shard_id] = time.monotonic()
+            self._auto_down.pop(shard_id, None)
             self._epoch += 1
 
     def mark_up(self, shard_id: str) -> None:
-        """Return a shard to service (idempotent)."""
+        """Return a shard to service (idempotent).
+
+        An operator call is a success: it resets the shard's failure streak,
+        so the next read is offered to the shard again.
+        """
         with self._lock:
             self._down.discard(shard_id)
-            self._auto_down.discard(shard_id)
+            self._auto_down.pop(shard_id, None)
             self._consecutive_failures.pop(shard_id, None)
-            self._last_transition[shard_id] = time.monotonic()
             self._epoch += 1
 
     def marked_down(self) -> List[str]:
@@ -564,64 +562,8 @@ class ReplicatedShardedDataStore:
             return sorted(self._down)
 
     # ------------------------------------------------------------------ #
-    # overload protection (retry discipline + per-shard circuit breakers)
+    # overload protection (the shared retry discipline)
     # ------------------------------------------------------------------ #
-    def configure_resilience(
-        self,
-        *,
-        retry_max_attempts: Optional[int] = None,
-        retry_base_delay_seconds: Optional[float] = None,
-        retry_max_delay_seconds: Optional[float] = None,
-        retry_budget_capacity: Optional[int] = None,
-        retry_budget_refill_per_second: Optional[float] = None,
-        breaker_failure_threshold: Optional[int] = None,
-        breaker_cooldown_seconds: Optional[float] = None,
-    ) -> None:
-        """(Re)build the retry policy, retry budget and breaker parameters.
-
-        ``None`` keeps the current value.  The gateway forwards its overload
-        knobs through here, so an externally-constructed store picks them up
-        too.  Rebuilding resets the retry/breaker counters and breaker
-        states — operator reconfiguration starts the discipline fresh.
-        """
-        with self._lock:
-            current_policy = getattr(self, "_retry_policy", None)
-            current_budget = getattr(self, "_retry_budget", None)
-            budget = TokenBucket(
-                retry_budget_capacity
-                if retry_budget_capacity is not None
-                else (current_budget.capacity if current_budget else 64),
-                retry_budget_refill_per_second
-                if retry_budget_refill_per_second is not None
-                else (current_budget.refill_per_second if current_budget else 8.0),
-            )
-            self._retry_budget = budget
-            self._retry_policy = RetryPolicy(
-                max_attempts=retry_max_attempts
-                if retry_max_attempts is not None
-                else (current_policy.max_attempts if current_policy else 3),
-                base_delay=retry_base_delay_seconds
-                if retry_base_delay_seconds is not None
-                else (current_policy.base_delay if current_policy else 0.02),
-                max_delay=retry_max_delay_seconds
-                if retry_max_delay_seconds is not None
-                else (current_policy.max_delay if current_policy else 0.5),
-                budget=budget,
-            )
-            self._breaker_failure_threshold = (
-                breaker_failure_threshold
-                if breaker_failure_threshold is not None
-                else getattr(
-                    self, "_breaker_failure_threshold", self._probe_failure_threshold
-                )
-            )
-            self._breaker_cooldown = (
-                breaker_cooldown_seconds
-                if breaker_cooldown_seconds is not None
-                else getattr(self, "_breaker_cooldown", 2.0)
-            )
-            self._breakers.clear()
-
     @property
     def retry_policy(self) -> RetryPolicy:
         """The shared retry policy every replica operation goes through."""
@@ -631,30 +573,6 @@ class ReplicatedShardedDataStore:
     def retry_budget(self) -> TokenBucket:
         """The store-wide token bucket retries draw from."""
         return self._retry_budget
-
-    def _breaker_locked(self, shard_id: str) -> CircuitBreaker:
-        breaker = self._breakers.get(shard_id)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                failure_threshold=self._breaker_failure_threshold,
-                cooldown_seconds=self._breaker_cooldown,
-            )
-            self._breakers[shard_id] = breaker
-        return breaker
-
-    def _shard_allowed(self, shard_id: str) -> bool:
-        """Breaker gate for the read path (probes deliberately bypass it:
-        :meth:`probe_shards` pings the backend directly, and its success
-        is what closes a half-open breaker)."""
-        with self._lock:
-            breaker = self._breakers.get(shard_id)
-        return breaker is None or breaker.allow()
-
-    def breaker_stats(self) -> Dict[str, Any]:
-        """Return every instantiated breaker's state and counters."""
-        with self._lock:
-            breakers = dict(self._breakers)
-        return {shard_id: breaker.stats() for shard_id, breaker in sorted(breakers.items())}
 
     # ------------------------------------------------------------------ #
     # failure detection (piggybacked on request outcomes + periodic probes)
@@ -677,50 +595,61 @@ class ReplicatedShardedDataStore:
             except Exception:
                 continue  # observability must never take routing down
 
-    def _transition_allowed_locked(self, shard_id: str) -> bool:
-        last = self._last_transition.get(shard_id)
-        if last is None:
-            return True
-        return time.monotonic() - last >= self._probe_transition_interval
-
     def _note_shard_success_locked(self, shard_id: Optional[str]) -> None:
         if shard_id is not None:
             self._consecutive_failures.pop(shard_id, None)
-            breaker = self._breakers.get(shard_id)
-            if breaker is not None:
-                breaker.record_success()
 
     def _note_shard_error_locked(self, shard_id: Optional[str]) -> None:
+        """Feed one failure into ``shard_id``'s streak.
+
+        When the streak reaches F the shard is suspected (:meth:`_suspected`):
+        every read walk, digest poll and failover hop skips it from then on,
+        and in the same step the detector marks it down.  Marking down is
+        never held back.
+        """
         if shard_id is None:
             return
         self._shard_errors[shard_id] = self._shard_errors.get(shard_id, 0) + 1
         streak = self._consecutive_failures.get(shard_id, 0) + 1
         self._consecutive_failures[shard_id] = streak
-        # The breaker consumes the same streak the health detector counts;
-        # it opens independently of the (rate-limited) mark_down machinery,
-        # so reads stop offering a sick shard work even between transitions.
-        self._breaker_locked(shard_id).record_failure()
         if shard_id in self._down or streak < self._probe_failure_threshold:
             return
-        if not self._transition_allowed_locked(shard_id):
-            self._suppressed_transitions += 1
-            return
         self._down.add(shard_id)
-        self._auto_down.add(shard_id)
+        self._auto_down[shard_id] = time.monotonic()
         self._auto_downs += 1
-        self._last_transition[shard_id] = time.monotonic()
         self._epoch += 1
         self._emit_health_locked(shard_id, "down", streak)
 
-    def probe_shards(self) -> List[Tuple[str, str]]:
+    def _suspected(self, shard_id: Optional[str]) -> bool:
+        """Has ``shard_id``'s failure streak reached F?  (``None``, the
+        spill tier, never is.)
+
+        The read path asks this once per hop without taking the routing
+        lock: one dict lookup, and a stale answer costs at most one attempt
+        on a shard that has just changed state.
+        """
+        return (
+            self._consecutive_failures.get(shard_id, 0)
+            >= self._probe_failure_threshold
+        )
+
+    def probe_shards(self, *, maintenance: bool = False) -> List[Tuple[str, str]]:
         """Run one probe pass; return the transitions it caused.
 
         Pings every backend with a cheap read.  A failing ping feeds the
         same consecutive-failure streak as real request outcomes (F
-        failures auto-mark the shard down); a successful ping resets the
+        failures auto-mark the shard down).  A successful ping resets the
         streak and — only for shards the *detector* took down, never for an
-        operator's ``mark_down`` — marks the shard back up.  Both
-        directions respect the per-shard transition rate limit.
+        operator's ``mark_down`` — marks the shard back up, once
+        ``probe_transition_interval_seconds`` have passed since the down.
+        Until then the mark-up is held (counted as a suppressed transition)
+        and the streak stands, so the shard stays out of every read.
+
+        ``maintenance=True`` is the pass :meth:`replicate` and
+        :meth:`rebalance` open with.  They must converge on whatever the
+        ring can *actually* serve, so a reachable shard comes back at once:
+        a full-ring maintenance scan is a deliberate observation, not the
+        request-driven flapping the interval exists to damp.
         """
         with self._lock:
             backends = dict(self._backends)
@@ -732,65 +661,31 @@ class ReplicatedShardedDataStore:
             except Exception:
                 reachable = False
             with self._lock:
-                if shard_id not in self._backends:
-                    continue  # removed while probing
-                if reachable:
-                    self._note_shard_success_locked(shard_id)
-                    if shard_id in self._auto_down:
-                        if self._transition_allowed_locked(shard_id):
-                            self._down.discard(shard_id)
-                            self._auto_down.discard(shard_id)
-                            self._auto_ups += 1
-                            self._last_transition[shard_id] = time.monotonic()
-                            self._epoch += 1
-                            self._emit_health_locked(shard_id, "up", 0)
-                            transitions.append((shard_id, "up"))
-                        else:
-                            self._suppressed_transitions += 1
-                elif shard_id not in self._down:
-                    self._note_shard_error_locked(shard_id)
-                    if shard_id in self._down:
-                        transitions.append((shard_id, "down"))
-        return transitions
-
-    def _reconcile_shard_health(self) -> None:
-        """Probe every backend ahead of a maintenance pass, authoritatively.
-
-        :meth:`replicate` and :meth:`rebalance` must converge on whatever
-        the ring can *actually* serve, so the pass opens with one ping per
-        backend and treats the result as ground truth: a reachable shard
-        the detector had auto-marked down comes back up immediately — the
-        per-shard transition rate limit is deliberately bypassed, because
-        a full-ring maintenance scan is a deliberate observation, not the
-        request-driven flapping the limit exists to damp.  The success
-        also resets the failure streak and closes the shard's circuit
-        breaker, so the repair reads that follow are not short-circuited
-        past a recovered holder.  Operator ``mark_down`` shards stay down,
-        exactly as in :meth:`probe_shards`.
-        """
-        with self._lock:
-            backends = dict(self._backends)
-        for shard_id, backend in backends.items():
-            try:
-                backend.occupancy()
-                reachable = True
-            except Exception:
-                reachable = False
-            with self._lock:
-                if shard_id not in self._backends:
-                    continue  # removed while probing
+                if self._backends.get(shard_id) is not backend:
+                    continue  # removed (or replaced) while probing
                 if not reachable:
                     if shard_id not in self._down:
                         self._note_shard_error_locked(shard_id)
+                        if shard_id in self._down:
+                            transitions.append((shard_id, "down"))
+                    continue
+                downed_at = self._auto_down.get(shard_id)
+                if (
+                    downed_at is not None
+                    and not maintenance
+                    and time.monotonic() - downed_at < self._probe_transition_interval
+                ):
+                    self._suppressed_transitions += 1
                     continue
                 self._note_shard_success_locked(shard_id)
-                if shard_id in self._auto_down:
+                if downed_at is not None:
                     self._down.discard(shard_id)
-                    self._auto_down.discard(shard_id)
+                    del self._auto_down[shard_id]
                     self._auto_ups += 1
-                    self._last_transition[shard_id] = time.monotonic()
                     self._epoch += 1
                     self._emit_health_locked(shard_id, "up", 0)
+                    transitions.append((shard_id, "up"))
+        return transitions
 
     def health_stats(self) -> Dict[str, Any]:
         """Return the failure detector's counters and per-shard streaks."""
@@ -885,29 +780,33 @@ class ReplicatedShardedDataStore:
 
         Overload discipline: each source attempt runs under the shared
         retry policy (transient faults retry with jittered backoff, capped
-        by the store-wide retry budget); a ring source whose circuit
-        breaker is open is skipped without touching the backend; and once
-        the first source has been consulted, the caller's deadline (when
-        one is installed via :func:`~.resilience.deadline_scope`) is
-        checked before each further failover hop so an expired request
-        stops burning replicas.
+        by the store-wide retry budget); a suspected shard (failure streak
+        at F, :meth:`_suspected`) is skipped without touching the backend,
+        even mid-read; and once the first source has been consulted, the
+        caller's deadline (when one is installed via
+        :func:`~.resilience.deadline_scope`) is checked before each further
+        failover hop so an expired request stops burning replicas.
 
         When a telemetry span is ambient on the calling thread, the whole
         read is wrapped in a ``storage_read`` span with one
         ``replica_attempt`` child per consulted source; the digest round
         runs in the read span itself (annotated with ``digest_replicas``
-        and ``version_target``), and breaker short-circuits, failed digest
-        polls and withheld copies land as events on it.
+        and ``version_target``), and failed digest polls and withheld
+        copies land as events on it.
         """
         with child_span("storage_read", key=key) as read_span:
             with self._lock:
-                live, down = self._placement_locked(key)
-                primary = self._ring.assign(key)
+                # One hash of ``key`` gives the whole ring order; its first
+                # entry is the primary.
+                order = self._ring.successors(key, len(self._backends))
+                live = [sid for sid in order if sid not in self._down]
+                down = [sid for sid in order if sid in self._down]
                 plan = [(sid, self._backends[sid]) for sid in live[: self._replicas]]
                 tail = [
                     (sid, self._backends[sid])
                     for sid in live[self._replicas:] + down
                 ]
+            primary = order[0]
             target = self._digest_round(key, plan, read_span) if versioned else 0
             sources: List[Tuple[Optional[str], DataStore]] = list(plan)
             if self._spill is not None:
@@ -926,9 +825,8 @@ class ReplicatedShardedDataStore:
                         f"after {consulted} source(s)",
                         deadline_ms=deadline.deadline_ms,
                     )
-                if shard_id is not None and not self._shard_allowed(shard_id):
-                    read_span.add_event("breaker_skip", shard=shard_id)
-                    continue  # open breaker: straight to the next successor
+                if self._suspected(shard_id):
+                    continue
                 consulted += 1
                 try:
                     with child_span(
@@ -945,8 +843,7 @@ class ReplicatedShardedDataStore:
                 except DeadlineExceededError:
                     # The *caller's* clock ran out mid-attempt.  That is not
                     # a shard fault: re-raise without feeding the failure
-                    # streak or circuit breaker of a shard that did nothing
-                    # wrong.
+                    # streak of a shard that did nothing wrong.
                     raise
                 except Exception as exc:
                     if first_error is None:
@@ -1033,15 +930,15 @@ class ReplicatedShardedDataStore:
 
         The digest is the cheapest question a replica can answer — the
         version of the copy it holds (:meth:`_held_version`) — polled under
-        the same per-replica discipline as data reads: a successor whose
-        circuit breaker is open is skipped without touching the backend,
-        each poll runs under the shared retry policy, and the caller's
-        deadline is checked between hops (the first successor is always
-        consulted, mirroring the failover walk).  A failed poll counts
-        against the shard like a failed read; an answered one leaves its
-        failure streak and breaker alone, because only the data path may
-        vouch for a shard — a shard whose reads fail while its digests
-        answer must still be marked down.
+        the same per-replica discipline as data reads: each poll runs under
+        the shared retry policy, and the caller's deadline is checked
+        between hops (the first successor is always consulted, mirroring
+        the failover walk).  A suspected shard (:meth:`_suspected`) is
+        marked down, so it is never in the plan.  A failed poll counts against
+        the shard like a failed read; an answered one leaves its failure
+        streak alone, because only the data path may vouch for a shard — a
+        shard whose reads fail while its digests answer must still be
+        marked down.
 
         The target is the maximum of the digests and the router's known
         version floor.  Holders at more than one version are resolved for
@@ -1050,16 +947,12 @@ class ReplicatedShardedDataStore:
         """
         deadline = current_deadline()
         held: List[int] = []
-        polled = answered = 0
-        for shard_id, backend in plan:
-            if polled and deadline is not None:
+        answered = 0
+        for index, (shard_id, backend) in enumerate(plan):
+            if index and deadline is not None:
                 deadline.raise_if_expired(
                     f"during the version-digest round for {dataset_id!r}"
                 )
-            if not self._shard_allowed(shard_id):
-                read_span.add_event("breaker_skip", shard=shard_id)
-                continue
-            polled += 1
             # No span per poll: a recorded span costs several times the
             # poll itself, so the round runs in the read's own span.
             try:
@@ -1702,8 +1595,8 @@ class ReplicatedShardedDataStore:
         """Restore R copies of every dataset and result; return repair counts.
 
         The pass opens by reconciling shard health against reality (one
-        ping per backend; recovered auto-down shards come back up and
-        their breakers close — see :meth:`_reconcile_shard_health`), then
+        maintenance probe pass, :meth:`probe_shards`: recovered auto-down
+        shards come back up at once and their streaks reset), then
         scans the ring, copies each under-replicated key from its freshest
         reachable holder onto the live successors missing it, and records how
         many keys remain under-replicated (the replication lag reported by
@@ -1714,7 +1607,7 @@ class ReplicatedShardedDataStore:
         repaired_datasets = 0
         repaired_results = 0
         with self._topology_lock:
-            self._reconcile_shard_health()
+            self.probe_shards(maintenance=True)
             dataset_ids = self._ring_dataset_ids()
             result_ids = self._ring_result_ids()
             total = len(dataset_ids) + len(result_ids)
@@ -2183,7 +2076,7 @@ class ReplicatedShardedDataStore:
         """
         moved: List[str] = []
         with self._topology_lock:
-            self._reconcile_shard_health()
+            self.probe_shards(maintenance=True)
             dataset_ids = self._ring_dataset_ids()
             result_ids = self._ring_result_ids()
             total = len(dataset_ids) + len(result_ids)
@@ -2334,12 +2227,15 @@ class ReplicatedShardedDataStore:
             with self._lock:
                 del self._backends[shard_id]
                 self._down.discard(shard_id)
-                self._auto_down.discard(shard_id)
+                self._auto_down.pop(shard_id, None)
                 self._consecutive_failures.pop(shard_id, None)
-                self._last_transition.pop(shard_id, None)
+                self._shard_errors.pop(shard_id, None)
                 self._epoch += 1
                 self._datasets_migrated += len(moved)
-            self._drain_logs(shard_id, leaving)
+            try:
+                self._drain_logs(shard_id, leaving)
+            except Exception:
+                pass  # a dead backend's log lines are unreachable already
             return moved
 
     def _stranded_on(self, shard_id: str, leaving: DataStore) -> List[str]:
@@ -2445,10 +2341,6 @@ class ReplicatedShardedDataStore:
                 "shard_errors": dict(self._shard_errors),
                 "underreplicated": self._last_underreplicated,
                 "retries": self._retry_policy.stats(),
-                "breakers": {
-                    shard_id: breaker.stats()
-                    for shard_id, breaker in sorted(self._breakers.items())
-                },
             }
 
     def spill_stats(self) -> Dict[str, Any]:

@@ -10,21 +10,21 @@ collapsing:
     scheduler's group closures via a thread-local scope, so storage IO deep
     in the stack can stop working on requests nobody is waiting for.
 :class:`TokenBucket`
-    The per-gateway *retry budget*: a dead shard may cost each caller its
+    The ring store's *retry budget*: a dead shard may cost each caller its
     bounded attempts, but the bucket caps the cluster-wide amplification a
     retry storm could otherwise produce.
 :class:`RetryPolicy`
     Bounded attempts with exponential backoff and full jitter for
     *transient* per-replica faults.  ``StorageError`` means absence, not
     infrastructure failure, and is never retried.
-:class:`CircuitBreaker`
-    Per-shard closed → open → half-open state over the failure streaks the
-    health detector already tracks; an open breaker short-circuits reads to
-    the next successor instead of eating a timeout per call.
 :class:`AdmissionController`
     Queue-depth + estimated-cost load shedding at the gateway: over budget,
     callers get a typed refusal with a computed ``Retry-After`` *before*
     anything is enqueued, so accepted work is never dropped.
+
+A sick shard is not tracked here: the ring store's failure detector keeps
+one consecutive-failure streak per shard and takes the shard out of every
+read at F failures (:mod:`repro.platform.replication`).
 
 Everything here is pure stdlib and lock-protected; the knobs surface on
 ``ApiGateway(...)`` and the CLI, the counters in ``platform_stats()``.
@@ -42,7 +42,6 @@ from . import telemetry
 
 __all__ = [
     "AdmissionController",
-    "CircuitBreaker",
     "Deadline",
     "RetryPolicy",
     "TokenBucket",
@@ -290,96 +289,6 @@ class RetryPolicy:
         if self.budget is not None:
             payload["budget"] = self.budget.stats()
         return payload
-
-
-# --------------------------------------------------------------------------- #
-# Circuit breaker
-# --------------------------------------------------------------------------- #
-class CircuitBreaker:
-    """Per-shard closed → open → half-open breaker.
-
-    Failures feed the same streaks the health detector counts; at
-    ``failure_threshold`` consecutive failures the breaker opens and the
-    read path stops offering the shard work.  After ``cooldown_seconds``
-    the breaker lets exactly one caller through (half-open); the PR-6
-    prober's success/failure on that shard then closes or re-opens it.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-    def __init__(self, *, failure_threshold: int = 3, cooldown_seconds: float = 2.0) -> None:
-        if failure_threshold < 1:
-            raise ValueError(f"failure_threshold must be >= 1, got {failure_threshold}")
-        if cooldown_seconds < 0:
-            raise ValueError(f"cooldown_seconds must be >= 0, got {cooldown_seconds}")
-        self.failure_threshold = int(failure_threshold)
-        self.cooldown_seconds = float(cooldown_seconds)
-        self._lock = threading.Lock()
-        self._state = self.CLOSED
-        self._streak = 0
-        self._opened_at = 0.0
-        self.opens = 0
-        self.short_circuits = 0
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._effective_state_locked()
-
-    def _effective_state_locked(self) -> str:
-        if self._state == self.OPEN and (
-            time.monotonic() - self._opened_at >= self.cooldown_seconds
-        ):
-            self._state = self.HALF_OPEN
-        return self._state
-
-    def allow(self) -> bool:
-        """May the caller send this shard work right now?
-
-        An open breaker answers ``False`` (counted as a short-circuit)
-        until the cooldown elapses; from then on probes — and exactly the
-        callers willing to be probes — get through half-open.
-        """
-        with self._lock:
-            state = self._effective_state_locked()
-            if state == self.OPEN:
-                self.short_circuits += 1
-                return False
-            return True
-
-    def record_failure(self) -> bool:
-        """Feed one failure; returns ``True`` when this failure opened the
-        breaker (a half-open probe failing re-opens immediately)."""
-        with self._lock:
-            state = self._effective_state_locked()
-            self._streak += 1
-            if state == self.HALF_OPEN or (
-                state == self.CLOSED and self._streak >= self.failure_threshold
-            ):
-                self._state = self.OPEN
-                self._opened_at = time.monotonic()
-                self.opens += 1
-                return True
-            return False
-
-    def record_success(self) -> None:
-        """Feed one success: closes the breaker and resets the streak."""
-        with self._lock:
-            self._state = self.CLOSED
-            self._streak = 0
-
-    def stats(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "state": self._effective_state_locked(),
-                "failure_streak": self._streak,
-                "failure_threshold": self.failure_threshold,
-                "cooldown_seconds": self.cooldown_seconds,
-                "opens": self.opens,
-                "short_circuits": self.short_circuits,
-            }
 
 
 # --------------------------------------------------------------------------- #

@@ -52,7 +52,7 @@ Endpoints
                                                 job-registry counters; on a sharded deployment also the
                                                 shard topology, per-shard health/occupancy and hit rates;
                                                 the ``overload`` section reports deadline, admission
-                                                (shed/admitted), storage-retry and circuit-breaker counters
+                                                (shed/admitted) and storage-retry counters
                                                 plus the version-quorum read counters (``digest_reads``,
                                                 ``stale_reads_prevented``, ``version_conflicts_resolved``
                                                 — also under ``shards.replication``);

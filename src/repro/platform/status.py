@@ -18,7 +18,7 @@ renderer consume.
 
 The component also hosts pluggable *stats sections* via
 :meth:`StatusComponent.register_section`: the gateway registers its
-``overload`` (admission/retry/breaker counters) and ``telemetry``
+``overload`` (admission/deadline/retry counters) and ``telemetry``
 (tracer + metrics snapshot, see :mod:`repro.platform.telemetry`) sections
 here, so ``platform_stats()`` / ``GET /api/stats`` surface them uniformly.
 """

@@ -190,7 +190,7 @@ class WebUI:
         Each line shows a span's start offset relative to the root span,
         its duration, its name and its annotations; children are indented
         under their parent, and span events (retries, single-flight joins,
-        breaker skips) render as ``·`` bullet lines.  Returns a short
+        withheld stale copies) render as ``·`` bullet lines.  Returns a short
         placeholder when the trace has been evicted or tracing is disabled.
         """
         envelope = self._gateway.get_trace(comparison_id)

@@ -263,6 +263,40 @@ class TestReplicasFlag:
         assert "--replicas" in capsys.readouterr().err
 
 
+class TestRetryBudgetFlag:
+    def test_retry_budget_sizes_the_ring_store_bucket(
+        self, tiny_catalog, capsys, monkeypatch
+    ):
+        import repro.cli as cli_module
+
+        built = []
+
+        class RecordingGateway(cli_module.ApiGateway):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cli_module, "ApiGateway", RecordingGateway)
+        exit_code = main(
+            ["run", "toy", "pagerank", "--shards", "2", "--retry-budget", "5",
+             "--stats"]
+        )
+        assert exit_code == 0
+        [gateway] = built
+        assert gateway.datastore.retry_budget.capacity == 5
+        assert "/5 tokens" in capsys.readouterr().out
+
+    def test_retry_budget_needs_a_ring(self, tiny_catalog, capsys):
+        assert main(["run", "toy", "pagerank", "--retry-budget", "5"]) == 1
+        assert "retry_budget_capacity" in capsys.readouterr().err
+
+    def test_negative_retry_budget_is_rejected(self, tiny_catalog, capsys):
+        assert main(
+            ["run", "toy", "pagerank", "--shards", "2", "--retry-budget", "-1"]
+        ) == 2
+        assert "--retry-budget" in capsys.readouterr().err
+
+
 class TestWaitFlags:
     def test_no_wait_prints_only_the_comparison_id(self, tiny_catalog, capsys):
         exit_code = main(["run", "toy", "cyclerank", "--source", "R", "--no-wait"])

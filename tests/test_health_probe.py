@@ -4,11 +4,14 @@ The replicated store runs a lightweight failure detector: real request
 outcomes feed per-shard consecutive-failure streaks, periodic pings
 (:meth:`~repro.platform.replication.ReplicatedShardedDataStore.probe_shards`)
 cover shards that see no traffic, and F consecutive failures auto-mark a
-shard down — a later successful probe marks it back up.  No test in this
-file ever calls ``mark_down``/``mark_up`` on a *failing* shard by hand:
-the transitions the assertions observe are all automatic.  Flapping shards
-are scripted through :class:`faults.ShardFlapper`, proving the transition
-rate limit keeps a flapping backend from storming the topology epoch.
+shard down — a later successful probe marks it back up.  The streak is the
+shard's one health state: at F no read, digest poll or failover hop touches
+the shard until a success (a probe, a maintenance pass or an operator
+``mark_up`` of a recovered shard) resets it.  No test in this file ever
+calls ``mark_down``/``mark_up`` on a *failing* shard by hand: the
+transitions the assertions observe are all automatic.  Flapping shards are
+scripted through :class:`faults.ShardFlapper`, proving the transition rate
+limit keeps a flapping backend from storming the topology epoch.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import time
 import pytest
 
 from faults import FlakyStore, ShardFlapper, fault_rounds
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, StorageError
 from repro.graph.generators import cycle_graph
 from repro.platform.datastore import DataStore
 from repro.platform.gateway import ApiGateway
@@ -135,6 +138,109 @@ class TestProbeDrivenDetection:
             _build(probe_transition_interval_seconds=-1)
         with pytest.raises(InvalidParameterError):
             _build(read_repair_queue_limit=0)
+
+
+class TestOneHealthState:
+    """The failure streak decides alone whether a read may touch a shard."""
+
+    #: Backend calls a read makes: the digest poll, then the data fetch.
+    READ_CALLS = ("dataset_version", "has_dataset", "fetch_dataset_with_version")
+
+    def _suspect(self, store, backend, shard_id):
+        """Take ``backend`` down and read until the detector suspects it.
+
+        Each read fails the shard at most twice (digest poll and fetch), so
+        F = 3 failures take at most three reads.
+        """
+        backend.go_down()
+        for _ in range(3):
+            if shard_id in store.marked_down():
+                break
+            assert store.fetch_dataset("ds") is not None
+        assert shard_id in store.marked_down()
+
+    def test_a_suspected_shard_gets_no_reads_until_a_probe(self, monkeypatch):
+        interval = 3600.0
+        backends, store = _build(
+            probe_failure_threshold=3,
+            probe_transition_interval_seconds=interval,
+            retry_max_attempts=1,
+        )
+        store.store_dataset("ds", cycle_graph(4))
+        victim_id = store.replica_shards_for("ds")[0]
+        victim = store.shard_stores()[victim_id]
+        # A recent operator mark_up does not hold the next mark-down back.
+        store.mark_up(victim_id)
+        self._suspect(store, victim, victim_id)
+        # F failures (digest poll, fetch, digest poll), then nothing more:
+        # the read that hit F skipped the shard for its own fetch.
+        assert store.replication_stats()["shard_errors"][victim_id] == 3
+        frozen = [victim.calls[name] for name in self.READ_CALLS]
+        # However long the shard stays quiet, no read offers it work: not
+        # the digest round, not the walk, not the failover tail (a missing
+        # key walks every source).  A live read is never a recovery probe.
+        clock = time.monotonic
+        monkeypatch.setattr(time, "monotonic", lambda: clock() + 2 * interval)
+        for _ in range(fault_rounds(5)):
+            assert store.fetch_dataset("ds") is not None
+            with pytest.raises(StorageError):
+                store.fetch_dataset("never-stored")
+        assert [victim.calls[name] for name in self.READ_CALLS] == frozen
+        # Only a successful probe brings the shard back.
+        victim.come_up()
+        assert (victim_id, "up") in store.probe_shards()
+        assert store.fetch_dataset("ds") is not None
+        assert victim.calls["fetch_dataset_with_version"] == frozen[2] + 1
+
+    def test_operator_mark_up_serves_the_next_read_from_the_primary(self):
+        backends, store = _build(
+            probe_failure_threshold=3,
+            probe_transition_interval_seconds=3600,
+            retry_max_attempts=1,
+        )
+        store.store_dataset("ds", cycle_graph(4))
+        primary = store.replica_shards_for("ds")[0]
+        victim = store.shard_stores()[primary]
+        for _ in range(fault_rounds(2)):
+            self._suspect(store, victim, primary)
+            victim.come_up()
+            store.mark_up(primary)  # the operator restores the shard
+            assert store.health_stats()["consecutive_failures"] == {}
+            before = victim.calls["fetch_dataset_with_version"]
+            failovers = store.replication_stats()["failover_reads"]
+            assert store.fetch_dataset("ds") is not None
+            assert victim.calls["fetch_dataset_with_version"] == before + 1
+            assert store.replication_stats()["failover_reads"] == failovers
+
+    def test_a_shard_re_added_under_the_same_id_starts_healthy(self):
+        backends, store = _build(
+            probe_failure_threshold=3,
+            probe_transition_interval_seconds=3600,
+            retry_max_attempts=1,
+        )
+        store.store_dataset("ds", cycle_graph(4))
+        primary = store.replica_shards_for("ds")[0]
+        for round_index in range(fault_rounds(2)):
+            self._suspect(store, store.shard_stores()[primary], primary)
+            store.remove_shard(primary)  # the operator replaces a dead shard
+            fresh = FlakyStore(DataStore())
+            assert store.add_shard(fresh, shard_id=primary) == primary
+            health = store.health_stats()
+            assert health["consecutive_failures"] == {}
+            assert health["auto_down"] == []
+            assert store.marked_down() == []
+            assert primary not in store.replication_stats()["shard_errors"]
+            # Reads reach the re-added shard at once, without a probe or a
+            # maintenance pass: it answers the digest round, and after a
+            # re-upload lands on it, it serves the read as the primary.
+            assert store.fetch_dataset("ds") is not None
+            assert fresh.calls["dataset_version"] == 1
+            store.store_dataset("ds", cycle_graph(5 + round_index))
+            failovers = store.replication_stats()["failover_reads"]
+            graph = store.fetch_dataset("ds")
+            assert len(graph) == 5 + round_index
+            assert fresh.calls["fetch_dataset_with_version"] == 2
+            assert store.replication_stats()["failover_reads"] == failovers
 
 
 class TestFlapStormSuppression:

@@ -1,5 +1,5 @@
-"""Overload-protection tests: deadlines, admission control, retry budgets
-and per-shard circuit breakers.
+"""Overload-protection tests: deadlines, admission control and retry
+budgets.
 
 The scenarios mirror the operator's failure drills:
 
@@ -8,9 +8,10 @@ The scenarios mirror the operator's failure drills:
 - an over-budget gateway sheds *before* enqueueing (HTTP 429 with a
   Retry-After hint) and never drops or cancels accepted work;
 - a full shard outage costs at most ``sources + retry budget`` backend
-  calls — retry amplification is capped by the shared token bucket;
-- a shard that keeps failing trips its circuit breaker (reads stop
-  touching it) and the PR-6 prober's next successful ping closes it.
+  calls — retry amplification is capped by the shared token bucket.
+
+A shard that keeps failing leaves every read through the failure detector;
+``test_health_probe.py`` covers that.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from repro.platform.gateway import ApiGateway
 from repro.platform.replication import ReplicatedShardedDataStore
 from repro.platform.resilience import (
     AdmissionController,
-    CircuitBreaker,
     Deadline,
     TokenBucket,
     deadline_scope,
@@ -113,21 +113,6 @@ class TestPrimitives:
         stats = bucket.stats()
         assert stats["granted"] == 2
         assert stats["denied"] == 1
-
-    def test_circuit_breaker_transitions(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown_seconds=0.01)
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        time.sleep(0.02)
-        # After the cooldown the breaker lets one probe through (half-open).
-        assert breaker.state == "half_open"
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
 
     def test_admission_retry_after_scales_with_overshoot(self):
         admission = AdmissionController(max_cost=2, retry_after_seconds=1.0)
@@ -477,8 +462,8 @@ class TestRetryBudget:
         assert retries["budget"]["denied"] >= 1
         # The budget is spent (refill 0): the next read makes each attempt
         # exactly once — no shard sees a second call of either kind.  The
-        # digest failures may have opened breakers, so the walk can skip a
-        # shard outright.
+        # digest failures may have marked shards down, so the walk can skip
+        # a shard outright.
         before = calls()
         with pytest.raises(StorageError):
             store.fetch_dataset("ds")
@@ -508,75 +493,14 @@ class TestRetryBudget:
         # consume retry attempts.
         assert store.retry_policy.stats()["retries_spent"] == 0
 
-
-# --------------------------------------------------------------------------- #
-# per-shard circuit breakers
-# --------------------------------------------------------------------------- #
-class TestCircuitBreakers:
-    def _build(self):
-        backends = [FlakyStore(DataStore()) for _ in range(4)]
-        store = ReplicatedShardedDataStore(
-            shards=backends,
-            replicas=2,
-            retry_max_attempts=1,
-            probe_failure_threshold=100,  # isolate the breaker from auto mark_down
-            probe_transition_interval_seconds=0,
-            breaker_failure_threshold=3,
-            breaker_cooldown_seconds=3600.0,  # only a probe can close it
-        )
-        return backends, store
-
-    def test_breaker_opens_and_short_circuits_reads(self):
-        backends, store = self._build()
-        from repro.graph.generators import cycle_graph
-
-        store.store_dataset("ds", cycle_graph(4))
-        primary = store.replica_shards_for("ds")[0]
-        victim = store.shard_stores()[primary]
-        victim.go_down()
-        # Three failing reads (each served by failover) trip the breaker.
-        for _ in range(3):
-            assert store.fetch_dataset("ds") is not None
-        assert store.breaker_stats()[primary]["state"] == "open"
-        frozen = victim.calls["fetch_dataset_with_version"]
-        for _ in range(2):
-            assert store.fetch_dataset("ds") is not None
-        # The open breaker short-circuits: the sick shard sees no traffic.
-        assert victim.calls["fetch_dataset_with_version"] == frozen
-        assert store.breaker_stats()[primary]["short_circuits"] >= 2
-
-    def test_probe_success_closes_the_breaker(self):
-        backends, store = self._build()
-        from repro.graph.generators import cycle_graph
-
-        store.store_dataset("ds", cycle_graph(4))
-        primary = store.replica_shards_for("ds")[0]
-        victim = store.shard_stores()[primary]
-        victim.go_down()
-        for _ in range(3):
-            store.fetch_dataset("ds")
-        assert store.breaker_stats()[primary]["state"] == "open"
-        victim.come_up()
-        # Probes deliberately bypass the breaker gate — the half-open probe
-        # is the PR-6 prober's ping, and its success closes the breaker.
-        store.probe_shards()
-        assert store.breaker_stats()[primary]["state"] == "closed"
-        before = victim.calls["fetch_dataset_with_version"]
-        assert store.fetch_dataset("ds") is not None
-        assert victim.calls["fetch_dataset_with_version"] == before + 1
-
-    def test_gateway_surfaces_breaker_counters(self, catalog):
+    def test_gateway_surfaces_storage_counters(self, catalog):
         backends = [FlakyStore(DataStore()) for _ in range(3)]
         store = ReplicatedShardedDataStore(shards=backends, replicas=2)
         with ApiGateway(
-            catalog=catalog,
-            datastore=store,
-            probe_interval_seconds=0,
-            breaker_failure_threshold=2,
-            breaker_cooldown_seconds=60.0,
+            catalog=catalog, datastore=store, probe_interval_seconds=0
         ) as gateway:
             stats = gateway.get_platform_stats()["overload"]["storage"]
-            assert "breakers" in stats
+            assert "breakers" not in stats
             assert "retries" in stats
             assert stats["stale_reads_prevented"] == 0
 
@@ -678,9 +602,5 @@ class TestCliShedding:
         assert main(["run", "amazon-books", "pagerank", "--deadline-ms", "0"]) == 2
         assert (
             main(["run", "amazon-books", "pagerank", "--admission-budget", "-1"])
-            == 2
-        )
-        assert (
-            main(["run", "amazon-books", "pagerank", "--breaker-cooldown", "0"])
             == 2
         )

@@ -729,12 +729,11 @@ class TestDeadlineAttribution:
                 store.fetch_dataset("ds")
         # The first digest hop is always consulted; the expiry raised on the
         # hop after it is the caller's clock, not a shard fault — zero
-        # streak/breaker movement on the healthy ring.
-        assert store.health_stats()["consecutive_failures"] == {}
+        # streak movement and no shard taken down on the healthy ring.
+        health = store.health_stats()
+        assert health["consecutive_failures"] == {}
+        assert health["auto_downs"] == 0
         assert store.replication_stats()["shard_errors"] == {}
-        for breaker in store.breaker_stats().values():
-            assert breaker["state"] == "closed"
-            assert breaker["opens"] == 0
 
     def test_mid_attempt_deadline_error_is_reraised_not_attributed(self):
         backends = [FlakyStore(DataStore()) for _ in range(4)]

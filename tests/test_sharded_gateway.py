@@ -223,18 +223,26 @@ class TestShardedGatewayEndToEnd:
 
         with pytest.raises(InvalidParameterError):
             ApiGateway(datastore=DataStore(), shards=2)
+        # The retry budget configures the ring the gateway builds, so it is
+        # refused next to a caller-built store and without any ring option.
+        ring = ReplicatedShardedDataStore(num_shards=2, replicas=1)
+        with pytest.raises(InvalidParameterError):
+            ApiGateway(datastore=ring, retry_budget_capacity=5)
+        with pytest.raises(InvalidParameterError):
+            ApiGateway(retry_budget_capacity=5)
 
     def test_storage_knobs_are_valid_on_a_shards_only_gateway(self):
         with ApiGateway(
             catalog=_build_catalog(),
             shards=2,
-            breaker_cooldown_seconds=1.0,
+            retry_budget_capacity=5,
             num_workers=1,
             probe_interval_seconds=0,
         ) as gateway:
             store = gateway.datastore
             assert isinstance(store, ReplicatedShardedDataStore)
             assert store.replicas == 1
+            assert store.retry_budget.capacity == 5
             comparison_id = gateway.run_queries(
                 [{"dataset_id": "e2e-0", "algorithm": "pagerank"}], synchronous=True
             )

@@ -268,11 +268,12 @@ class TestInterleavingProperty:
         graphs), and version counters only ever move forward (no stale
         cache keyspace is ever reused).  After *every* step a read of each
         known dataset must never return a copy below the router's known
-        version floor, and must succeed whenever a reachable source — an
-        up shard whose breaker is not open, or the spill tier — holds a
-        copy at that floor.  A holder losing its copy leaves a drop's
-        counter behind on it, and a spill leaves one on every ring holder;
-        neither may outvote the real copies."""
+        version floor, and must succeed whenever a reachable source — the
+        spill tier, or an up shard whose failure streak is below F (every
+        source the read walk may consult) — holds a copy at that floor.  A
+        holder losing its copy leaves a drop's counter behind on it, and a
+        spill leaves one on every ring holder; neither may outvote the real
+        copies."""
         num_shards, replicas = data.draw(
             st.sampled_from(TOPOLOGIES), label="topology"
         )
@@ -380,12 +381,13 @@ class TestInterleavingProperty:
             # The read acceptance property, checked at EVERY step of the
             # timeline: a read serves at/past the router's floor, and may
             # refuse only when no reachable source holds a copy there.
-            breakers = store.breaker_stats()
+            health = store.health_stats()
+            streaks = health["consecutive_failures"]
             reachable = [spill] + [
                 backend
                 for shard_id, backend in store.shard_stores().items()
                 if not backend.is_down
-                and breakers.get(shard_id, {}).get("state") != "open"
+                and streaks.get(shard_id, 0) < health["failure_threshold"]
             ]
             for dataset_id in expected:
                 known_floor = store._known_version_floor.get(dataset_id, 0)
