@@ -9,7 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .components import strongly_connected_components, weakly_connected_components
+import numpy as np
+
+from .components import strongly_connected_components
 from .digraph import DirectedGraph
 
 __all__ = [
@@ -108,21 +110,79 @@ class GraphSummary:
 
 
 def graph_summary(graph: DirectedGraph) -> GraphSummary:
-    """Compute a :class:`GraphSummary` for ``graph``."""
-    in_degrees = graph.in_degrees()
-    out_degrees = graph.out_degrees()
+    """Compute a :class:`GraphSummary` for ``graph``.
+
+    Degrees, self-loops, reciprocity and the weak components are array
+    operations on the graph's CSR snapshot; only the strong components
+    walk the graph (Tarjan, :func:`strongly_connected_components`).  The
+    result equals a summary built from :func:`reciprocity` and the
+    per-node component walks.
+    """
+    csr = graph.to_csr()
+    num_nodes = csr.number_of_nodes()
+    num_edges = csr.number_of_edges()
+    if num_nodes == 0:
+        return GraphSummary(graph.name, 0, 0, 0.0, 0.0, 0, 0, 0, 0, 0, 0)
+    out_degrees = np.diff(csr.indptr)
+    sources = np.repeat(np.arange(num_nodes), out_degrees)
+    targets = csr.indices
     sccs = strongly_connected_components(graph)
-    wccs = weakly_connected_components(graph)
     return GraphSummary(
         name=graph.name,
-        num_nodes=graph.number_of_nodes(),
-        num_edges=graph.number_of_edges(),
+        num_nodes=num_nodes,
+        num_edges=num_edges,
         density=density(graph),
-        reciprocity=reciprocity(graph),
-        num_self_loops=len(graph.self_loops()),
-        max_in_degree=max(in_degrees, default=0),
-        max_out_degree=max(out_degrees, default=0),
-        num_weakly_connected_components=len(wccs),
+        reciprocity=(
+            _reciprocated_edges(num_nodes, sources, targets) / num_edges
+            if num_edges
+            else 0.0
+        ),
+        num_self_loops=int(np.count_nonzero(sources == targets)),
+        max_in_degree=int(np.bincount(targets, minlength=num_nodes).max()),
+        max_out_degree=int(out_degrees.max()),
+        num_weakly_connected_components=_weak_component_count(
+            num_nodes, sources, targets
+        ),
         num_strongly_connected_components=len(sccs),
-        largest_scc_size=max((len(c) for c in sccs), default=0),
+        largest_scc_size=max(len(component) for component in sccs),
     )
+
+
+def _reciprocated_edges(n: int, sources: np.ndarray, targets: np.ndarray) -> int:
+    """Count the CSR edges whose reverse edge exists (a self-loop counts).
+
+    CSR order makes the edge keys ``u * n + v`` ascending, so each reverse
+    key is one binary search away.
+    """
+    keys = sources * n + targets
+    reverse = targets * n + sources
+    found = np.searchsorted(keys, reverse)
+    found[found == keys.size] = 0
+    return int(np.count_nonzero(keys[found] == reverse))
+
+
+def _weak_component_count(n: int, sources: np.ndarray, targets: np.ndarray) -> int:
+    """Count weak components by union-find over the edge arrays.
+
+    Each round hooks every root touched by a cross-component edge onto the
+    smaller root, then jumps pointers until every node points at its root;
+    a root always points lower, so no cycle forms, and each round at least
+    halves the roots that still have a cross edge.
+    """
+    parent = np.arange(n)
+    while True:
+        source_roots, target_roots = parent[sources], parent[targets]
+        cross = source_roots != target_roots
+        if not cross.any():
+            return int(np.count_nonzero(parent == np.arange(n)))
+        source_roots, target_roots = source_roots[cross], target_roots[cross]
+        np.minimum.at(
+            parent,
+            np.maximum(source_roots, target_roots),
+            np.minimum(source_roots, target_roots),
+        )
+        while True:
+            grandparent = parent[parent]
+            if np.array_equal(grandparent, parent):
+                break
+            parent = grandparent

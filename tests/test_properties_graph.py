@@ -7,7 +7,12 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.components import condensation, strongly_connected_components
+from repro.graph.analysis import GraphSummary, density, graph_summary, reciprocity
+from repro.graph.components import (
+    condensation,
+    strongly_connected_components,
+    weakly_connected_components,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DirectedGraph
 from repro.graph.views import simplified, transpose
@@ -156,3 +161,45 @@ class TestFormatRoundTrips:
                 for edge in reparsed.edges()
             }
             assert reparsed_edges == original_edges
+
+
+@st.composite
+def graphs_with_loops(draw, max_nodes: int = 14, max_edges: int = 50) -> DirectedGraph:
+    """Strategy: a directed graph that may carry self-loops, isolated nodes
+    (ids no edge touches) and no nodes at all."""
+    num_nodes = draw(st.integers(min_value=0, max_value=max_nodes))
+    graph = DirectedGraph(name="loops")
+    graph.add_nodes(num_nodes)
+    if num_nodes:
+        node = st.integers(min_value=0, max_value=num_nodes - 1)
+        graph.add_edges_from(draw(st.lists(st.tuples(node, node), max_size=max_edges)))
+    return graph
+
+
+def _summary_from_node_walks(graph: DirectedGraph) -> GraphSummary:
+    """The summary assembled from the public per-statistic functions."""
+    sccs = strongly_connected_components(graph)
+    return GraphSummary(
+        name=graph.name,
+        num_nodes=graph.number_of_nodes(),
+        num_edges=graph.number_of_edges(),
+        density=density(graph),
+        reciprocity=reciprocity(graph),
+        num_self_loops=len(graph.self_loops()),
+        max_in_degree=max(graph.in_degrees(), default=0),
+        max_out_degree=max(graph.out_degrees(), default=0),
+        num_weakly_connected_components=len(weakly_connected_components(graph)),
+        num_strongly_connected_components=len(sccs),
+        largest_scc_size=max((len(component) for component in sccs), default=0),
+    )
+
+
+class TestGraphSummary:
+    @given(graphs_with_loops())
+    @settings(max_examples=150, deadline=None)
+    def test_csr_summary_equals_the_per_statistic_functions(self, graph):
+        summary = graph_summary(graph)
+        assert summary == _summary_from_node_walks(graph)
+        assert all(
+            type(value) in (int, float, str) for value in summary.as_dict().values()
+        )

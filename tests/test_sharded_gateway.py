@@ -231,6 +231,12 @@ class TestShardedGatewayEndToEnd:
         with pytest.raises(InvalidParameterError):
             ApiGateway(retry_budget_capacity=5)
 
+    def test_gateway_rejects_a_negative_retry_budget(self):
+        from repro.exceptions import InvalidParameterError
+
+        with pytest.raises(InvalidParameterError, match="retry_budget_capacity"):
+            ApiGateway(shards=2, retry_budget_capacity=-1)
+
     def test_storage_knobs_are_valid_on_a_shards_only_gateway(self):
         with ApiGateway(
             catalog=_build_catalog(),

@@ -13,11 +13,18 @@ harness.  CI runs this file on all three storage topologies (single store,
 from __future__ import annotations
 
 import json
+import math
+import os
 import re
+import sys
+import threading
 import urllib.error
 import urllib.request
+import uuid
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faults import FlakyStore
 
@@ -28,8 +35,10 @@ from repro.platform.datastore import DataStore
 from repro.platform.gateway import ApiGateway
 from repro.platform.restapi import RestApiServer
 from repro.platform.telemetry import (
+    DEFAULT_BUCKETS_MS,
     MetricsRegistry,
     Tracer,
+    _Histogram,
     add_span_event,
     child_span,
     current_span,
@@ -196,6 +205,148 @@ class TestSpanPropagation:
             ids.append(span.trace_id)
         assert tracer.trace_tree(ids[0]) is None  # evicted
         assert tracer.trace_tree(ids[-1]) is not None
+
+
+# --------------------------------------------------------------------------- #
+# the fixed cost of a recorded span: ids, histograms, frozen spans
+# --------------------------------------------------------------------------- #
+def _linear_bucket(bounds, value):
+    """The histogram's former bucket scan, kept as the oracle."""
+    for position, bound in enumerate(bounds):
+        if value <= bound:
+            return position
+    return len(bounds)
+
+
+def _bucket_of(value, bounds=DEFAULT_BUCKETS_MS):
+    histogram = _Histogram(bounds)
+    histogram.observe(value)
+    return histogram.counts.index(1)
+
+
+_around_a_bound = st.sampled_from(DEFAULT_BUCKETS_MS).flatmap(
+    lambda bound: st.sampled_from(
+        [math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)]
+    )
+)
+
+
+class TestRecordedSpanCost:
+    def test_child_spans_mint_ids_without_uuid_or_urandom(self, monkeypatch):
+        calls = {"uuid4": 0, "urandom": 0}
+        real_uuid4, real_urandom = uuid.uuid4, os.urandom
+
+        def counting_uuid4():
+            calls["uuid4"] += 1
+            return real_uuid4()
+
+        def counting_urandom(size):
+            calls["urandom"] += 1
+            return real_urandom(size)
+
+        monkeypatch.setattr(uuid, "uuid4", counting_uuid4)
+        monkeypatch.setattr(os, "urandom", counting_urandom)
+        tracer = Tracer(MetricsRegistry(), max_spans_per_trace=2048)
+        root = tracer.start_trace("root")
+        with trace_scope(root):
+            for _ in range(1000):
+                with child_span("child"):
+                    pass
+        root.finish()
+        assert calls == {"uuid4": 0, "urandom": 0}
+        assert tracer.stats()["spans_collected"] == 1001
+
+    def test_ids_are_unique_fixed_width_hex_across_threads(self):
+        registry = MetricsRegistry()
+        tracer = Tracer(registry)
+        spans_by_thread = [[] for _ in range(4)]
+        barrier = threading.Barrier(4)
+
+        def open_spans(sink):
+            barrier.wait()
+            for _ in range(250):  # 250 traces of 10 spans per thread
+                root = tracer.start_trace("root")
+                sink.append(root)
+                with trace_scope(root):
+                    for _ in range(9):
+                        with child_span("child") as child:
+                            sink.append(child)
+                root.finish()
+
+        threads = [
+            threading.Thread(target=open_spans, args=(sink,)) for sink in spans_by_thread
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the finishes as much as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        spans = [span for sink in spans_by_thread for span in sink]
+        assert len(spans) == 10_000
+        span_ids = {span.span_id for span in spans}
+        assert len(span_ids) == 10_000
+        assert all(re.fullmatch(r"[0-9a-f]{16}", span_id) for span_id in span_ids)
+        roots = [span for span in spans if span.parent_id is None]
+        trace_ids = {span.trace_id for span in roots}
+        assert len(trace_ids) == len(roots) == 1_000
+        assert all(re.fullmatch(r"[0-9a-f]{32}", trace_id) for trace_id in trace_ids)
+        assert {span.trace_id for span in spans} == trace_ids
+        # No finish was lost or counted twice under contention.
+        stats = tracer.stats()
+        assert stats["spans_collected"] + stats["spans_dropped"] == 10_000
+        durations = registry.snapshot()["span_duration_ms"]
+        assert durations['{span="root"}']["count"] == 1_000
+        assert durations['{span="child"}']["count"] == 9_000
+
+    def test_span_histogram_counts_match_the_collected_spans(self, gateway):
+        cid = gateway.run_queries([_pagerank_query(0.71)], synchronous=True)
+        spans = list(_flatten(gateway.get_trace(cid)["trace"]["roots"]))
+        per_name = {}
+        for span in spans:
+            per_name[span["name"]] = per_name.get(span["name"], 0) + 1
+        durations = gateway.get_platform_stats()["telemetry"]["metrics"][
+            "span_duration_ms"
+        ]
+        assert {
+            key: summary["count"] for key, summary in durations.items()
+        } == {f'{{span="{name}"}}': count for name, count in per_name.items()}
+        assert gateway.tracer.stats()["spans_collected"] == len(spans)
+
+    @given(st.one_of(_around_a_bound, st.floats(-1e6, 1e6, allow_nan=False)))
+    @settings(max_examples=200, deadline=None)
+    def test_bisect_bucketing_equals_the_linear_scan(self, value):
+        assert _bucket_of(value) == _linear_bucket(DEFAULT_BUCKETS_MS, value)
+
+    def test_every_bound_and_its_neighbours_bucket_like_the_linear_scan(self):
+        for bound in DEFAULT_BUCKETS_MS:
+            for value in (
+                math.nextafter(bound, -math.inf),
+                bound,
+                math.nextafter(bound, math.inf),
+            ):
+                assert _bucket_of(value) == _linear_bucket(DEFAULT_BUCKETS_MS, value)
+        assert _bucket_of(DEFAULT_BUCKETS_MS[0]) == 0  # equal lands in its bound
+        assert _bucket_of(math.inf) == len(DEFAULT_BUCKETS_MS)
+
+    def test_a_finished_span_is_frozen(self):
+        tracer = Tracer(MetricsRegistry())
+        root = tracer.start_trace("root", stage="open")
+        with trace_scope(root):
+            with child_span("child", shard=1) as child:
+                child.add_event("retry", attempt=1)
+        root.finish()
+        before = tracer.trace_tree(root.trace_id)
+        child.annotate(shard=2, late=True)
+        child.add_event("late")
+        root.annotate(stage="reopened")
+        root.finish()
+        assert tracer.trace_tree(root.trace_id) == before
+        assert tracer.stats()["spans_collected"] == 2
 
 
 # --------------------------------------------------------------------------- #
