@@ -38,18 +38,22 @@ Design constraints, in order:
   pinned to one CPU of a shared 2-vCPU host (best of 7 × 20,000 in one
   process, parent and change alternated), took 11.8–20.3 µs before these
   four changes and 3.7–6.4 µs after, about a third of the cost in every
-  pair.  ``benchmarks/bench_telemetry_overhead.py`` holds the
-  instrumented/uninstrumented gateway-throughput delta under 5%.
+  pair.  ``benchmarks/bench_telemetry_overhead.py`` compares gateway
+  throughput with telemetry on and off against a 5% bar, and does not yet
+  hold under it reliably: on the same host, 6 runs before these changes
+  read 16.4–23.2% and 6 runs after read −16.6% to 3.6% in five and
+  62.3% in one; its 13–57 ms walls swing by more than 5% on their own.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import random
 import threading
 import time
 from bisect import bisect_left
 from collections import OrderedDict, deque
-from random import getrandbits
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -228,26 +232,6 @@ class MetricsRegistry:
         with self._lock:
             self._histogram(name, help, buckets, key).observe(value)
 
-    def histogram(
-        self,
-        name: str,
-        *,
-        help: str = "",
-        buckets: Optional[Tuple[float, ...]] = None,
-        **labels: Any,
-    ) -> _Histogram:
-        """Resolve one labelled histogram once, for a hot caller with a
-        fixed label set: the label key is sorted and the metric looked up
-        here, not per observation.  The caller observes into it while
-        holding the registry's lock (the :class:`Tracer` shares that lock).
-        A disabled registry hands out a detached histogram no readout shows.
-        """
-        if not self.enabled:
-            return _Histogram(buckets or DEFAULT_BUCKETS_MS)
-        key = _label_key(labels)
-        with self._lock:
-            return self._histogram(name, help, buckets, key)
-
     def register_callback(
         self, name: str, provider: Callable[[], float], *, help: str = ""
     ) -> None:
@@ -335,10 +319,18 @@ def _format_bound(bound: float) -> str:
 # --------------------------------------------------------------------- #
 # Spans and the thread-local trace scope
 # --------------------------------------------------------------------- #
+# Span and trace ids come from a PRNG of this module's own: no syscall and
+# no ``UUID`` per id, and a caller's ``random.seed`` neither repeats ids nor
+# loses draws to span recording.  A forked child reseeds it from the OS.
+_id_random = random.Random()
+_getrandbits = _id_random.getrandbits
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_id_random.seed)
+
+
 def _new_trace_id() -> str:
-    """32 lowercase hex characters from the process PRNG (``random``
-    reseeds it in a forked child): no syscall and no ``UUID`` per id."""
-    return getrandbits(128).to_bytes(16, "big").hex()
+    """32 lowercase hex characters."""
+    return _getrandbits(128).to_bytes(16, "big").hex()
 
 
 class Span:
@@ -382,7 +374,7 @@ class Span:
         self.name = name
         self.trace_id = trace_id
         # 16 hex characters, drawn like the trace id (see _new_trace_id).
-        self.span_id = getrandbits(64).to_bytes(8, "big").hex()
+        self.span_id = _getrandbits(64).to_bytes(8, "big").hex()
         self.parent_id = parent_id
         # Callers pass a fresh ``**annotations`` dict: the span owns it.
         self.annotations = annotations
@@ -607,18 +599,24 @@ class Tracer:
     # -- collection ---------------------------------------------------- #
     def _collect(self, span: Span, ended: float) -> None:
         """Finish ``span`` once: freeze it, observe its duration, store it."""
-        histogram = self._duration_histograms.get(span.name)
-        if histogram is None:
-            histogram = self.registry.histogram(
-                "span_duration_ms",
-                help="Latency distribution per span name",
-                span=span.name,
-            )
-            self._duration_histograms[span.name] = histogram
         with self._lock:
             if span.duration_ms is not None:
                 return
             duration = span.duration_ms = (ended - span._started_perf) * 1000.0
+            histogram = self._duration_histograms.get(span.name)
+            if histogram is None:
+                # A disabled registry gets a detached histogram no readout shows.
+                histogram = (
+                    self.registry._histogram(
+                        "span_duration_ms",
+                        "Latency distribution per span name",
+                        None,
+                        (("span", span.name),),
+                    )
+                    if self.registry.enabled
+                    else _Histogram(DEFAULT_BUCKETS_MS)
+                )
+                self._duration_histograms[span.name] = histogram
             histogram.observe(duration)
             bucket = self._traces.get(span.trace_id)
             if bucket is None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import re
 import sys
 import threading
@@ -302,6 +303,46 @@ class TestRecordedSpanCost:
         durations = registry.snapshot()["span_duration_ms"]
         assert durations['{span="root"}']["count"] == 1_000
         assert durations['{span="child"}']["count"] == 9_000
+
+    def test_a_global_reseed_neither_repeats_ids_nor_loses_draws(self):
+        tracer = Tracer(MetricsRegistry())
+
+        def mint_ids():
+            root = tracer.start_trace("root")
+            with trace_scope(root):
+                with child_span("child") as child:
+                    pass
+            root.finish()
+            return root.trace_id, root.span_id, child.span_id, random.random()
+
+        random.seed(7)
+        first = mint_ids()
+        random.seed(7)
+        second = mint_ids()
+        assert set(first[:3]).isdisjoint(second[:3])
+        # Span recording draws nothing from the caller's seeded stream.
+        random.seed(7)
+        assert first[3] == second[3] == random.random()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_mints_different_ids(self):
+        tracer = Tracer(MetricsRegistry())
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: report one trace id and leave at once
+            try:
+                os.write(write_end, tracer.start_trace("root").trace_id.encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        try:
+            child_trace_id = os.read(read_end, 64).decode()
+        finally:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+        parent_trace_id = tracer.start_trace("root").trace_id
+        assert re.fullmatch(r"[0-9a-f]{32}", child_trace_id)
+        assert child_trace_id != parent_trace_id
 
     def test_span_histogram_counts_match_the_collected_spans(self, gateway):
         cid = gateway.run_queries([_pagerank_query(0.71)], synchronous=True)
