@@ -73,8 +73,12 @@ def _timed(operation, items):
 
 
 def _store_trajectory(graph, replicas, tmp_dir):
+    # Result copies are files, so each shard gets a result directory.
     store = ReplicatedShardedDataStore(
-        num_shards=NUM_SHARDS, replicas=replicas,
+        shards=[
+            DataStore(tmp_dir / f"shard-r{replicas}-{index}") for index in range(NUM_SHARDS)
+        ],
+        replicas=replicas,
         spill_dir=str(tmp_dir / f"spill-r{replicas}"),
     )
     dataset_ids = [f"bench-{index}" for index in range(NUM_DATASETS)]

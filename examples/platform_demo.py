@@ -7,8 +7,9 @@ Drives the full system the way the web demo does:
 2. build a query set in the Task Builder (Figure 2) and print its view;
 3. submit the comparison to the scheduler / executor pool;
 4. poll the Status component while the workers run;
-5. fetch the results and the execution log from the datastore and render the
-   comparison table — the same flow as steps 1-5 of Section III;
+5. fetch the results and the execution log (the comparison's job events,
+   one line each) and render the comparison table — the same flow as steps
+   1-5 of Section III;
 6. kill a storage shard under a replicated gateway and watch the platform
    heal itself: the failure detector auto-marks the shard down, failover
    reads keep serving and enqueue read-repairs, and the recovered shard is
@@ -194,8 +195,8 @@ def main() -> None:
             time.sleep(0.1)
         print()
 
-        # Step 4-5: results and logs come back from the datastore and are
-        # rendered by the (text) Web UI.
+        # Step 4-5: the results and the execution log come back from the
+        # comparison's job record and are rendered by the (text) Web UI.
         print(ui.render_results(comparison_id, k=5, show_scores=False))
         print()
         print("Execution log:")

@@ -80,6 +80,7 @@ from .algorithms.registry import available_algorithms, get_algorithm
 from .datasets.seeds import FAKE_NEWS_TOPICS
 from .exceptions import GatewayOverloadedError, ReproError
 from .platform.gateway import ApiGateway
+from .platform.jobs import describe_event
 from .platform.webui import WebUI
 from .ranking.comparison import dataset_comparison
 from .version import __version__
@@ -481,55 +482,6 @@ def _print_platform_stats(gateway: ApiGateway) -> None:
         _print_telemetry_stats(telemetry)
 
 
-def _describe_event(event: Dict[str, object]) -> str:
-    """Render one job event as the ``--follow`` progress line."""
-    kind = event.get("type")
-    index = event.get("query")
-    if kind == "submitted":
-        return f"submitted {event.get('total_queries')} queries"
-    if kind == "query_started":
-        joined = " (joined in-flight twin)" if event.get("joined") else ""
-        return (
-            f"query {index} started: {event.get('algorithm')} "
-            f"on {event.get('dataset_id')}{joined}"
-        )
-    if kind == "query_cached":
-        return (
-            f"query {index} served from cache "
-            f"({event.get('completed_queries')}/{event.get('total_queries')} done)"
-        )
-    if kind == "query_completed":
-        return (
-            f"query {index} completed "
-            f"({event.get('completed_queries')}/{event.get('total_queries')} done)"
-        )
-    if kind == "query_failed":
-        return f"query {index} FAILED: {event.get('error')}"
-    if kind == "progress":
-        return (
-            f"{event.get('kind')}: {event.get('item')} "
-            f"({event.get('completed')}/{event.get('total')})"
-        )
-    if kind == "cancelled":
-        return "cancellation requested"
-    if kind == "shed":
-        return (
-            f"submission shed by admission control "
-            f"(cost {event.get('cost')}, retry after {event.get('retry_after')}s)"
-        )
-    if kind == "deadline_exceeded":
-        return (
-            f"deadline exceeded after {event.get('deadline_ms')}ms "
-            f"({event.get('completed_queries')}/{event.get('total_queries')} done)"
-        )
-    if kind == "task_done":
-        return (
-            f"comparison {event.get('state')} "
-            f"({event.get('completed_queries')}/{event.get('total_queries')} queries)"
-        )
-    return f"{kind}"
-
-
 #: Upper bound on one client-side shed-retry sleep, so a badly overloaded
 #: gateway cannot park the CLI for minutes.
 _SHED_RETRY_SLEEP_CAP = 5.0
@@ -591,7 +543,7 @@ def _submit_comparison(
         )
         print(f"comparison {comparison}:")
         for event in gateway.stream_events(comparison):
-            print(_describe_event(event))
+            print(describe_event(event))
         return comparison
     return _run_queries_with_shed_retries(
         gateway, queries, arguments, synchronous=True

@@ -1,15 +1,19 @@
-"""The Datastore component: datasets, results, logs and compiled artifacts.
+"""The Datastore component: datasets, result files and compiled artifacts.
 
 The paper's datastore "is responsible for storing and managing datasets" and
 "provides storage for results and logs produced by the system".  This
-implementation keeps everything in memory (thread-safe) and can optionally
-persist results and logs to a directory as JSON/plain-text files, which is
-what the file-backed deployment of the demo does.
+implementation keeps datasets in memory (thread-safe) and, when given a
+directory, writes each finished comparison's result payload to
+``results/<id>.json``: the permalink's durable copy, which is what the
+file-backed deployment of the demo serves once the comparison's job record
+has been evicted.  A store without a directory keeps no result payloads at
+all: while a comparison's :class:`~repro.platform.jobs.JobRecord` lives, its
+rankings and its execution log (rendered from the record's events) are
+served from the record.
 
-Result payloads hold the immutable :class:`~repro.ranking.result.Ranking`
-objects themselves, shared with the task and the result cache.  JSON is
-rendered only at the disk edge (each ranking in its ``to_dict()`` form); a
-value JSON cannot encode is refused there with :class:`StorageError`.
+JSON is rendered only at the disk edge (each ranking in its ``to_dict()``
+form); a value JSON cannot encode is refused there with
+:class:`StorageError`.
 
 Compiled-artifact cache
 -----------------------
@@ -61,15 +65,15 @@ def _json_value(value: object) -> object:
 
 
 class DataStore:
-    """Thread-safe storage for datasets, results, logs and cached rankings.
+    """Thread-safe storage for datasets, result files and cached rankings.
 
     Parameters
     ----------
     directory:
-        Optional directory for persisting results and logs to disk.  Datasets
-        are always kept in memory (they are either generated or uploaded as
-        graphs); results and logs written while a directory is configured are
-        additionally mirrored as ``results/<id>.json`` and ``logs/<id>.log``.
+        Optional directory for result payloads.  Datasets are always kept in
+        memory (they are either generated or uploaded as graphs); results
+        are written to ``results/<id>.json`` only when a directory is
+        configured, and a store without one keeps none.
     result_cache:
         The platform-wide ranking cache; a fresh default-capacity
         :class:`~repro.platform.cache.ResultCache` is created when omitted.
@@ -80,12 +84,6 @@ class DataStore:
         :class:`~repro.platform.cache.ResultCache` (time-based expiry and
         scan-resistant admission); only valid when ``result_cache`` is
         omitted — a caller providing its own cache configures it directly.
-    max_log_lines:
-        Per-key retention bound for :meth:`append_log`: only the newest N
-        lines of each log stream are kept in memory, so a long-lived server
-        whose access log appends on every request cannot grow memory
-        linearly with request count.  The default is generous (10000 lines
-        per key); a persistence directory still receives every line.
     """
 
     def __init__(
@@ -95,13 +93,7 @@ class DataStore:
         result_cache: Optional[ResultCache] = None,
         cache_ttl_seconds: Optional[float] = None,
         cache_admit_on_second_miss: bool = False,
-        max_log_lines: int = 10_000,
     ) -> None:
-        if max_log_lines < 1:
-            raise InvalidParameterError(
-                f"max_log_lines must be a positive integer, got {max_log_lines}"
-            )
-        self._max_log_lines = max_log_lines
         self._lock = threading.RLock()
         self._datasets: Dict[str, DirectedGraph] = {}
         self._dataset_versions: Dict[str, int] = {}
@@ -120,8 +112,6 @@ class DataStore:
         #: result ids that were authoritatively deleted (results carry no
         #: version counter, so presence of the id is the whole tombstone).
         self._result_tombstones: Set[str] = set()
-        self._results: Dict[str, dict] = {}
-        self._logs: Dict[str, List[str]] = {}
         if result_cache is not None:
             if cache_ttl_seconds is not None or cache_admit_on_second_miss:
                 raise InvalidParameterError(
@@ -144,7 +134,6 @@ class DataStore:
         if self._directory is not None:
             try:
                 (self._directory / "results").mkdir(parents=True, exist_ok=True)
-                (self._directory / "logs").mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise StorageError(f"cannot create datastore directory: {exc}") from exc
 
@@ -416,126 +405,69 @@ class DataStore:
             }
 
     # ------------------------------------------------------------------ #
-    # results
+    # results (files under ``results/``; none without a directory)
     # ------------------------------------------------------------------ #
+    def _result_path(self, result_id: str) -> Path:
+        return self._directory / "results" / f"{result_id}.json"
+
     def put_result(self, result_id: str, payload: Mapping[str, object]) -> None:
-        """Store a result payload (JSON once its rankings are rendered).
+        """Write ``results/<id>.json``; a store without a directory keeps nothing.
 
-        When a persistence directory is configured the file is written
-        *before* the result becomes visible in memory, so any reader that can
-        already see the result is guaranteed to also find it on disk.
+        A finished comparison's rankings live in its job record; this file
+        is the permalink's copy once the record is evicted, so only a store
+        with a disk tier has one.
         """
-        serialisable = dict(payload)
-        self._persist_result(result_id, serialisable)
-        with self._lock:
-            self._results[result_id] = serialisable
-            # An explicit write supersedes a pending deletion marker.
-            self._result_tombstones.discard(result_id)
-
-    def _persist_result(self, result_id: str, serialisable: dict) -> None:
-        """Write the result file (no-op without a persistence directory)."""
-        if self._directory is None:
-            return
-        path = self._directory / "results" / f"{result_id}.json"
-        try:
-            path.write_text(json.dumps(serialisable, indent=2, default=_json_value),
-                            encoding="utf-8")
-        except (OSError, TypeError, ValueError) as exc:
-            raise StorageError(f"cannot persist result {result_id!r}: {exc}") from exc
+        if self._directory is not None:
+            path = self._result_path(result_id)
+            # Write then rename: the file is the only copy, so a reader must
+            # never see it half-written.
+            tmp = path.with_name(f"{path.name}.tmp")
+            try:
+                tmp.write_text(
+                    json.dumps(dict(payload), indent=2, default=_json_value),
+                    encoding="utf-8",
+                )
+                os.replace(tmp, path)
+            except (OSError, TypeError, ValueError) as exc:
+                tmp.unlink(missing_ok=True)
+                raise StorageError(f"cannot persist result {result_id!r}: {exc}") from exc
+        # An explicit write supersedes a pending deletion marker.
+        self.clear_result_tombstone(result_id)
 
     def get_result(self, result_id: str) -> dict:
         """Return a stored result payload (raises :class:`StorageError` if absent)."""
-        with self._lock:
-            if result_id in self._results:
-                return dict(self._results[result_id])
         if self._directory is not None:
-            path = self._directory / "results" / f"{result_id}.json"
-            if path.exists():
-                try:
-                    return json.loads(path.read_text(encoding="utf-8"))
-                except (OSError, json.JSONDecodeError) as exc:
-                    raise StorageError(
-                        f"cannot read persisted result {result_id!r}: {exc}"
-                    ) from exc
+            try:
+                return json.loads(self._result_path(result_id).read_text(encoding="utf-8"))
+            except FileNotFoundError:
+                pass
+            except (OSError, json.JSONDecodeError) as exc:
+                raise StorageError(
+                    f"cannot read persisted result {result_id!r}: {exc}"
+                ) from exc
         raise StorageError(f"result {result_id!r} is not stored in the datastore")
 
     def has_result(self, result_id: str) -> bool:
         """Return ``True`` if a result is stored under ``result_id``."""
-        with self._lock:
-            if result_id in self._results:
-                return True
-        if self._directory is not None:
-            return (self._directory / "results" / f"{result_id}.json").exists()
-        return False
+        return self._directory is not None and self._result_path(result_id).exists()
 
     def list_results(self) -> List[str]:
         """Return the identifiers of all stored results, sorted."""
-        with self._lock:
-            identifiers = set(self._results)
-        if self._directory is not None:
-            identifiers.update(
-                path.stem for path in (self._directory / "results").glob("*.json")
-            )
-        return sorted(identifiers)
+        if self._directory is None:
+            return []
+        return sorted(path.stem for path in (self._directory / "results").glob("*.json"))
 
     def drop_result(self, result_id: str) -> None:
         """Remove a stored result (no error if absent).
 
-        Used by the sharded store when a result migrates to another backend;
-        a persisted file is removed alongside the in-memory copy.
+        Used by the ring store when a result migrates to another backend.
         """
-        with self._lock:
-            self._results.pop(result_id, None)
-        if self._directory is not None:
-            path = self._directory / "results" / f"{result_id}.json"
-            try:
-                path.unlink(missing_ok=True)
-            except OSError as exc:
-                raise StorageError(f"cannot remove persisted result {result_id!r}: {exc}") from exc
-
-    # ------------------------------------------------------------------ #
-    # logs
-    # ------------------------------------------------------------------ #
-    def append_log(self, log_id: str, message: str) -> None:
-        """Append one log line to the log stream ``log_id``.
-
-        In-memory retention is bounded per key (the newest ``max_log_lines``
-        lines are kept); a configured persistence directory receives every
-        line regardless, so the full history survives on disk.
-        """
-        with self._lock:
-            lines = self._logs.setdefault(log_id, [])
-            lines.append(message)
-            if len(lines) > self._max_log_lines:
-                del lines[: len(lines) - self._max_log_lines]
-        if self._directory is not None:
-            path = self._directory / "logs" / f"{log_id}.log"
-            try:
-                with open(path, "a", encoding="utf-8") as handle:
-                    handle.write(message + "\n")
-            except OSError as exc:
-                raise StorageError(f"cannot persist log {log_id!r}: {exc}") from exc
-
-    def get_logs(self, log_id: str) -> List[str]:
-        """Return every log line recorded for ``log_id`` (empty list if none)."""
-        with self._lock:
-            return list(self._logs.get(log_id, []))
-
-    def list_logs(self) -> List[str]:
-        """Return the identifiers of all log streams, sorted."""
-        with self._lock:
-            return sorted(self._logs)
-
-    def drop_logs(self, log_id: str) -> None:
-        """Remove a log stream (no error if absent); mirrors :meth:`drop_result`."""
-        with self._lock:
-            self._logs.pop(log_id, None)
-        if self._directory is not None:
-            path = self._directory / "logs" / f"{log_id}.log"
-            try:
-                path.unlink(missing_ok=True)
-            except OSError as exc:
-                raise StorageError(f"cannot remove persisted log {log_id!r}: {exc}") from exc
+        if self._directory is None:
+            return
+        try:
+            self._result_path(result_id).unlink(missing_ok=True)
+        except OSError as exc:
+            raise StorageError(f"cannot remove persisted result {result_id!r}: {exc}") from exc
 
     # ------------------------------------------------------------------ #
     # occupancy
@@ -543,20 +475,16 @@ class DataStore:
     def occupancy(self) -> Dict[str, int]:
         """Return how much this store currently holds (one shard's health card).
 
-        The sharded store fans this out per backend on every stats poll, so
-        the counts come straight from the in-memory containers — no id
-        listings are materialised, sorted, or read from disk.  Results that
-        only exist as files persisted by an earlier process are not counted
-        here; they remain visible through :meth:`list_results` /
-        :meth:`get_result`.
+        The ring store fans this out per backend on every stats poll.  The
+        memory counts come straight from the containers; ``results`` counts
+        the files under ``results/`` (0 without a directory).
         """
         with self._lock:
             counts = {
                 "datasets": len(self._datasets),
-                "results": len(self._results),
-                "logs": len(self._logs),
                 "compiled_artifacts": len(self._compiled),
             }
+        counts["results"] = len(self.list_results())
         counts["cached_rankings"] = len(self.result_cache)
         return counts
 
@@ -564,8 +492,8 @@ class DataStore:
 class FileBackedDataStore(DataStore):
     """A :class:`DataStore` whose datasets, results and artifacts live on disk.
 
-    Where the base store keeps dataset graphs in memory (mirroring only
-    results and logs to an optional directory), this store persists
+    Where the base store keeps dataset graphs in memory (writing only
+    result files to an optional directory), this store persists
     *everything* under ``directory`` and keeps no graph resident:
 
     * datasets as ``datasets/<id>.json`` (node labels + edge list + upload
@@ -941,40 +869,6 @@ class FileBackedDataStore(DataStore):
         return compiled, version
 
     # ------------------------------------------------------------------ #
-    # results (disk-only; reads fall back to the files via the base class)
-    # ------------------------------------------------------------------ #
-    def put_result(self, result_id: str, payload: Mapping[str, object]) -> None:
-        """Persist a result payload to disk without keeping an in-memory copy."""
-        self._persist_result(result_id, dict(payload))
-        with self._lock:
-            if result_id in self._result_tombstones:
-                self._result_tombstones.discard(result_id)
-                self._flush_versions()
-
-    # ------------------------------------------------------------------ #
-    # logs (bounded memory; reads recover from the file after a restart)
-    # ------------------------------------------------------------------ #
-    def get_logs(self, log_id: str) -> List[str]:
-        lines = super().get_logs(log_id)
-        if lines:
-            return lines
-        path = self._directory / "logs" / f"{log_id}.log"
-        if path.exists():
-            try:
-                recovered = path.read_text(encoding="utf-8").splitlines()
-            except OSError as exc:
-                raise StorageError(f"cannot read persisted log {log_id!r}: {exc}") from exc
-            return recovered[-self._max_log_lines:]
-        return []
-
-    def list_logs(self) -> List[str]:
-        identifiers = set(super().list_logs())
-        identifiers.update(
-            path.stem for path in (self._directory / "logs").glob("*.log")
-        )
-        return sorted(identifiers)
-
-    # ------------------------------------------------------------------ #
     # occupancy
     # ------------------------------------------------------------------ #
     def resident_dataset_bytes(self) -> int:
@@ -990,14 +884,8 @@ class FileBackedDataStore(DataStore):
         return {}
 
     def occupancy(self) -> Dict[str, int]:
-        """Count disk-resident datasets/results alongside the memory tiers."""
+        """Count disk-resident datasets alongside the memory tiers."""
+        counts = super().occupancy()
         with self._lock:
-            counts = {
-                "datasets": len(self._stored),
-                "results": 0,
-                "logs": len(self._logs),
-                "compiled_artifacts": len(self._compiled),
-            }
-        counts["results"] = sum(1 for _ in (self._directory / "results").glob("*.json"))
-        counts["cached_rankings"] = len(self.result_cache)
+            counts["datasets"] = len(self._stored)
         return counts

@@ -5,8 +5,8 @@ requests and can be scaled up or down depending on the system's workload.
 They interact with the data stores to retrieve or store data and then return
 the results to the API gateway."
 
-:class:`ExecutorNode` runs a single query — fetch the dataset graph, run the
-algorithm, time it, log the milestones — and :class:`ExecutorPool` manages a
+:class:`ExecutorNode` runs a query or a batch — run the algorithm inside an
+``executor_run`` span and time it — and :class:`ExecutorPool` manages a
 configurable number of worker threads that execute queries concurrently.
 The pool is the platform's only executor tier: workers run in-process and
 share each dataset's cached :class:`~repro.graph.compiled.CompiledGraph`
@@ -19,14 +19,13 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .._validation import require_positive_int
 from ..algorithms.registry import get_algorithm
 from ..exceptions import ExecutorError
 from ..graph.digraph import DirectedGraph
 from ..ranking.result import Ranking
-from .datastore import DataStore
 from .tasks import Query
 from .telemetry import child_span
 
@@ -66,14 +65,12 @@ class ExecutorNode:
 
     Parameters
     ----------
-    datastore:
-        The datastore logs are appended to.
     name:
-        Executor name used in log lines (``"executor-0"`` by default).
+        Executor name carried by the ``executor_run`` span (``"executor-0"``
+        by default).
     """
 
-    def __init__(self, datastore: DataStore, *, name: str = "executor-0") -> None:
-        self._datastore = datastore
+    def __init__(self, *, name: str = "executor-0") -> None:
         self.name = name
         self._executed = 0
         self._lock = threading.Lock()
@@ -84,22 +81,15 @@ class ExecutorNode:
         with self._lock:
             return self._executed
 
-    def execute(self, query: Query, graph: DirectedGraph, *, log_id: Optional[str] = None) -> ExecutionOutcome:
+    def execute(self, query: Query, graph: DirectedGraph) -> ExecutionOutcome:
         """Run ``query`` against ``graph`` and return the outcome.
 
         Raises
         ------
         ExecutorError
-            If the algorithm raises; the original error message is preserved
-            and also written to the task log.
+            If the algorithm raises; the original error message is preserved.
         """
-        log_id = log_id or "executor"
         algorithm = get_algorithm(query.algorithm)
-        self._datastore.append_log(
-            log_id,
-            f"[{self.name}] start {algorithm.display_name} on {query.dataset_id} "
-            f"(source={query.source or '-'})",
-        )
         started = time.perf_counter()
         try:
             with child_span(
@@ -110,20 +100,12 @@ class ExecutorNode:
                     graph, source=query.source, parameters=dict(query.parameters)
                 )
         except Exception as exc:
-            self._datastore.append_log(
-                log_id, f"[{self.name}] FAILED {algorithm.display_name}: {exc}"
-            )
             raise ExecutorError(
                 f"{algorithm.display_name} failed on {query.dataset_id}: {exc}"
             ) from exc
         elapsed = time.perf_counter() - started
         with self._lock:
             self._executed += 1
-        self._datastore.append_log(
-            log_id,
-            f"[{self.name}] done {algorithm.display_name} on {query.dataset_id} "
-            f"in {elapsed:.3f}s",
-        )
         return ExecutionOutcome(
             query=query, ranking=ranking, elapsed_seconds=elapsed, executor_name=self.name
         )
@@ -132,8 +114,6 @@ class ExecutorNode:
         self,
         queries: Sequence[Query],
         graph: DirectedGraph,
-        *,
-        log_id: Optional[str] = None,
     ) -> BatchExecutionOutcome:
         """Run a group of same-(dataset, algorithm, parameters) queries at once.
 
@@ -145,8 +125,7 @@ class ExecutorNode:
         ------
         ExecutorError
             If the queries disagree on algorithm or parameters, or if the
-            algorithm raises (the original error message is preserved and
-            also written to the task log).
+            algorithm raises (the original error message is preserved).
         """
         queries = list(queries)
         if not queries:
@@ -163,13 +142,7 @@ class ExecutorNode:
                     f"set; got ({first.dataset_id!r}, {first.algorithm!r}) vs "
                     f"({query.dataset_id!r}, {query.algorithm!r})"
                 )
-        log_id = log_id or "executor"
         algorithm = get_algorithm(first.algorithm)
-        self._datastore.append_log(
-            log_id,
-            f"[{self.name}] start batch of {len(queries)} x {algorithm.display_name} "
-            f"on {first.dataset_id}",
-        )
         started = time.perf_counter()
         try:
             with child_span(
@@ -182,9 +155,6 @@ class ExecutorNode:
                     parameters=dict(first.parameters),
                 )
         except Exception as exc:
-            self._datastore.append_log(
-                log_id, f"[{self.name}] FAILED batch {algorithm.display_name}: {exc}"
-            )
             raise ExecutorError(
                 f"{algorithm.display_name} batch failed on {first.dataset_id}: {exc}"
             ) from exc
@@ -199,11 +169,6 @@ class ExecutorNode:
         elapsed = time.perf_counter() - started
         with self._lock:
             self._executed += len(queries)
-        self._datastore.append_log(
-            log_id,
-            f"[{self.name}] done batch of {len(queries)} x {algorithm.display_name} "
-            f"on {first.dataset_id} in {elapsed:.3f}s",
-        )
         return BatchExecutionOutcome(
             queries=queries,
             rankings=rankings,
@@ -217,8 +182,6 @@ class ExecutorPool:
 
     Parameters
     ----------
-    datastore:
-        Shared datastore for logs.
     num_workers:
         Number of executor nodes (threads); can be changed later with
         :meth:`scale_to`, reproducing the "scaled up or down depending on the
@@ -229,16 +192,13 @@ class ExecutorPool:
         ``repro_executor_batch_ms`` histogram.
     """
 
-    def __init__(
-        self, datastore: DataStore, *, num_workers: int = 2, metrics: Any = None
-    ) -> None:
+    def __init__(self, *, num_workers: int = 2, metrics: Any = None) -> None:
         require_positive_int(num_workers, "num_workers")
-        self._datastore = datastore
         self._metrics = metrics
         self._lock = threading.Lock()
         self._num_workers = num_workers
         self._nodes = [
-            ExecutorNode(datastore, name=f"executor-{index}") for index in range(num_workers)
+            ExecutorNode(name=f"executor-{index}") for index in range(num_workers)
         ]
         self._pool = ThreadPoolExecutor(max_workers=num_workers, thread_name_prefix="executor")
         self._round_robin = 0
@@ -262,14 +222,12 @@ class ExecutorPool:
         node: ExecutorNode,
         queries: Sequence[Query],
         graph: DirectedGraph,
-        *,
-        log_id: Optional[str] = None,
     ) -> BatchExecutionOutcome:
         with self._busy_lock:
             self._busy += 1
         started = time.perf_counter()
         try:
-            return node.execute_batch(queries, graph, log_id=log_id)
+            return node.execute_batch(queries, graph)
         finally:
             with self._busy_lock:
                 self._busy -= 1
@@ -295,8 +253,7 @@ class ExecutorPool:
             old_pool = self._pool
             self._num_workers = num_workers
             self._nodes = [
-                ExecutorNode(self._datastore, name=f"executor-{index}")
-                for index in range(num_workers)
+                ExecutorNode(name=f"executor-{index}") for index in range(num_workers)
             ]
             self._pool = ThreadPoolExecutor(
                 max_workers=num_workers, thread_name_prefix="executor"
@@ -310,12 +267,10 @@ class ExecutorPool:
             self._round_robin += 1
             return node, self._pool
 
-    def submit(
-        self, query: Query, graph: DirectedGraph, *, log_id: Optional[str] = None
-    ) -> "Future[ExecutionOutcome]":
+    def submit(self, query: Query, graph: DirectedGraph) -> "Future[ExecutionOutcome]":
         """Submit a query for asynchronous execution; returns a future."""
         node, pool = self._next_node()
-        return pool.submit(node.execute, query, graph, log_id=log_id)
+        return pool.submit(node.execute, query, graph)
 
     def submit_work(self, fn, /, *args, **kwargs) -> Future:
         """Run an arbitrary callable on the worker pool; returns a future.
@@ -328,34 +283,24 @@ class ExecutorPool:
             pool = self._pool
         return pool.submit(fn, *args, **kwargs)
 
-    def execute_sync(
-        self, query: Query, graph: DirectedGraph, *, log_id: Optional[str] = None
-    ) -> ExecutionOutcome:
+    def execute_sync(self, query: Query, graph: DirectedGraph) -> ExecutionOutcome:
         """Execute a query synchronously on the calling thread."""
         node, _ = self._next_node()
-        return node.execute(query, graph, log_id=log_id)
+        return node.execute(query, graph)
 
     def submit_batch(
-        self,
-        queries: Sequence[Query],
-        graph: DirectedGraph,
-        *,
-        log_id: Optional[str] = None,
+        self, queries: Sequence[Query], graph: DirectedGraph
     ) -> "Future[BatchExecutionOutcome]":
         """Submit a batched group of queries for asynchronous execution."""
         node, pool = self._next_node()
-        return pool.submit(self._run_batch_tracked, node, queries, graph, log_id=log_id)
+        return pool.submit(self._run_batch_tracked, node, queries, graph)
 
     def execute_batch_sync(
-        self,
-        queries: Sequence[Query],
-        graph: DirectedGraph,
-        *,
-        log_id: Optional[str] = None,
+        self, queries: Sequence[Query], graph: DirectedGraph
     ) -> BatchExecutionOutcome:
         """Execute a batched group synchronously on the calling thread."""
         node, _ = self._next_node()
-        return self._run_batch_tracked(node, queries, graph, log_id=log_id)
+        return self._run_batch_tracked(node, queries, graph)
 
     def shutdown(self) -> None:
         """Shut the thread pool down, waiting for in-flight queries."""

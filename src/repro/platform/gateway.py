@@ -63,7 +63,8 @@ class ApiGateway:
     catalog:
         Dataset catalog; defaults to the 50 pre-loaded datasets.
     datastore:
-        Result/log storage; defaults to a fresh in-memory datastore.  May be
+        Dataset and result storage; defaults to a fresh in-memory datastore,
+        which keeps no result payloads (see ``max_finished_tasks``).  May be
         a :class:`~repro.platform.replication.ReplicatedShardedDataStore` —
         the scheduler and executors work against the abstract store either
         way.
@@ -105,9 +106,12 @@ class ApiGateway:
     max_finished_tasks:
         The platform's one retention bound: how many finished comparisons
         (and storage jobs) the job registry keeps, 256 by default.  Beyond
-        it the earliest-finished records are evicted, at O(1) cost each.  A
-        DONE comparison's permalink keeps resolving through its persisted
-        result payload; a FAILED or CANCELLED one expires with its record.
+        it the earliest-finished records are evicted, at O(1) cost each,
+        and with a record go the comparison's rankings and execution log.
+        A DONE comparison's permalink keeps resolving through its result
+        file where the datastore has a disk tier (a ``DataStore(directory)``
+        or file-backed ring shards); on an in-memory store, and for a
+        FAILED or CANCELLED comparison, it expires with its record.
     default_deadline_ms:
         Deadline applied to submissions that do not carry their own
         ``deadline_ms``: an expired job settles with a typed
@@ -211,9 +215,7 @@ class ApiGateway:
         )
         self.catalog = catalog if catalog is not None else default_catalog()
         self.datastore = datastore if datastore is not None else DataStore()
-        self.executor_pool = ExecutorPool(
-            self.datastore, num_workers=num_workers, metrics=self.metrics
-        )
+        self.executor_pool = ExecutorPool(num_workers=num_workers, metrics=self.metrics)
         self.scheduler = Scheduler(
             self.datastore,
             self.catalog,
@@ -626,8 +628,8 @@ class ApiGateway:
         """Return one summary row per known comparison job, oldest first.
 
         The listing is bounded: the registry retains every active job but
-        only the most recent finished ones (their results remain retrievable
-        by permalink after the row ages out).
+        only the most recent finished ones (on a store with a disk tier their
+        results remain retrievable by permalink after the row ages out).
         """
         return [record.summary() for record in self.scheduler.jobs.list_records()]
 
@@ -1050,7 +1052,13 @@ class ApiGateway:
         return [rankings[index] for index in sorted(rankings)]
 
     def get_logs(self, comparison_id: str) -> List[str]:
-        """Return the execution log of a comparison."""
+        """Return the execution log of a comparison: its events, one line each.
+
+        The lines equal the CLI ``--follow`` rendering of
+        :meth:`get_events`.  Raises
+        :class:`~repro.exceptions.TaskNotFoundError` for an unknown or
+        evicted id.
+        """
         return self.status.logs(comparison_id)
 
     def get_comparison_table(
@@ -1067,7 +1075,7 @@ class ApiGateway:
         use case) and just the display name otherwise (algorithm comparison).
 
         A comparison whose record aged out of the bounded job registry is
-        reassembled from the result payload persisted in the datastore, so
+        reassembled from its result file, so on a store with a disk tier
         permalinks outlive the in-memory record.
         """
         try:

@@ -27,8 +27,14 @@ that seam:
     The bounded table of job records keyed by the comparison id, and the
     platform's one retention bound.  Active jobs are never evicted; beyond
     the bound, the earliest-finished records are dropped at O(1) cost.  An
-    evicted record is always terminal, and a DONE comparison's results
-    remain in the datastore, so its permalink keeps resolving.
+    evicted record is always terminal, and it takes the comparison's
+    rankings and event log with it: a DONE comparison's permalink keeps
+    resolving only through a result file on a datastore with a disk tier.
+
+:func:`describe_event`
+    The one event renderer: the CLI ``--follow`` lines and every execution
+    log (``gateway.get_logs``, ``GET /api/comparisons/<id>/logs``, the web
+    UI) are a comparison's events rendered with it.
 
 Cancellation is cooperative: :meth:`JobRecord.request_cancel` raises a flag
 and appends a ``cancelled`` event; the scheduler checks the flag at every
@@ -81,6 +87,7 @@ __all__ = [
     "JobRegistry",
     "JobState",
     "QueryState",
+    "describe_event",
 ]
 
 #: The typed vocabulary of the per-job event log.
@@ -174,6 +181,55 @@ _TERMINAL_STATES = {
     "failed": JobState.FAILED,
     "cancelled": JobState.CANCELLED,
 }
+
+
+def describe_event(event: Mapping[str, Any]) -> str:
+    """Render one job event (its :meth:`JobEvent.as_dict` form) as a log line."""
+    kind = event.get("type")
+    index = event.get("query")
+    if kind == "submitted":
+        return f"submitted {event.get('total_queries')} queries"
+    if kind == "query_started":
+        joined = " (joined in-flight twin)" if event.get("joined") else ""
+        return (
+            f"query {index} started: {event.get('algorithm')} "
+            f"on {event.get('dataset_id')}{joined}"
+        )
+    if kind == "query_cached":
+        return (
+            f"query {index} served from cache "
+            f"({event.get('completed_queries')}/{event.get('total_queries')} done)"
+        )
+    if kind == "query_completed":
+        return (
+            f"query {index} completed "
+            f"({event.get('completed_queries')}/{event.get('total_queries')} done)"
+        )
+    if kind == "query_failed":
+        return f"query {index} FAILED: {event.get('error')}"
+    if kind == "progress":
+        return (
+            f"{event.get('kind')}: {event.get('item')} "
+            f"({event.get('completed')}/{event.get('total')})"
+        )
+    if kind == "cancelled":
+        return "cancellation requested"
+    if kind == "shed":
+        return (
+            f"submission shed by admission control "
+            f"(cost {event.get('cost')}, retry after {event.get('retry_after')}s)"
+        )
+    if kind == "deadline_exceeded":
+        return (
+            f"deadline exceeded after {event.get('deadline_ms')}ms "
+            f"({event.get('completed_queries')}/{event.get('total_queries')} done)"
+        )
+    if kind == "task_done":
+        return (
+            f"comparison {event.get('state')} "
+            f"({event.get('completed_queries')}/{event.get('total_queries')} queries)"
+        )
+    return f"{kind}"
 
 
 class JobRecord:
@@ -515,8 +571,10 @@ class JobRegistry:
         terminal, the earliest-finished records are dropped.  A record calls
         its ``on_terminal`` attribute, outside its own lock, when it becomes
         terminal, so eviction reads no record's state and costs O(1)
-        amortised.  A DONE comparison's stored result stays in the
-        datastore — eviction only bounds the in-memory records.
+        amortised.  A record is a finished comparison's only in-memory
+        copy, so this bound is the bound on everything a comparison leaves
+        in memory; a DONE comparison's result file outlives it where the
+        datastore has a disk tier.
     """
 
     def __init__(self, *, max_finished_jobs: int = 256) -> None:

@@ -16,9 +16,12 @@ Placement and quorum
     prefer the primary and transparently fail over: a replica that raises
     or is marked down is skipped and the next successor (then the spill
     tier, then a full shard scan bridging in-flight migrations) answers
-    instead.  Result and log keys route by their own id; each backend owns
+    instead.  Result keys route by their own id; each backend owns
     its own result cache and compiled-artifact slot, reached through the
-    :class:`ReplicatedResultCache` view.
+    :class:`ReplicatedResultCache` view.  A result copy is a file: a shard
+    without a directory keeps none, so result routing, repair and
+    tombstones only ever move the copies on disk-backed shards, and R of
+    them keep an acked permalink through the loss of a shard.
 
 Sloppy placement under failure
     When a canonical replica is down, writes slide to the next live ring
@@ -468,7 +471,7 @@ class ReplicatedShardedDataStore:
             return sorted(self._backends)
 
     def shard_for(self, key: str) -> str:
-        """Return the id of the primary shard of ``key`` (a dataset/result/log id)."""
+        """Return the id of the primary shard of ``key`` (a dataset or result id)."""
         with self._lock:
             return self._ring.assign(key)
 
@@ -767,7 +770,7 @@ class ReplicatedShardedDataStore:
         tier, then every other shard (bridging in-flight migrations, which
         run outside the routing lock precisely so reads keep flowing).
         ``missed`` covers readers that signal absence with a value
-        (``has_*``, ``dataset_version``, ``get_logs``).
+        (``has_*``, ``dataset_version``).
 
         A ``versioned`` read — every dataset read surface, whose
         ``operation`` answers ``(payload, version)`` — opens with the
@@ -1035,14 +1038,6 @@ class ReplicatedShardedDataStore:
             missed=lambda found: not found,
         )
 
-    def get_logs(self, log_id: str) -> List[str]:
-        """Return the log lines of ``log_id``."""
-        return self._route_read(
-            log_id,
-            lambda backend: backend.get_logs(log_id),
-            missed=lambda lines: not lines,
-        )
-
     # ------------------------------------------------------------------ #
     # read-repair (single-key anti-entropy driven by failover reads)
     # ------------------------------------------------------------------ #
@@ -1296,8 +1291,8 @@ class ReplicatedShardedDataStore:
     def _replicated_write(self, key: str, operation) -> None:
         """Write to R live successors outside the lock, epoch-validated.
 
-        The optimistic scheme for IO-heavy writes (results may persist to
-        disk on file-backed shards): the plan is snapshotted under the lock,
+        The optimistic scheme for IO-heavy writes (a result is a file on
+        every shard with a directory): the plan is snapshotted under the lock,
         the writes run outside it, and if a topology change moved the key's
         replica set underneath, the write is repeated against the fresh
         owners (results are written once per id, so a duplicate send is
@@ -1342,25 +1337,6 @@ class ReplicatedShardedDataStore:
                     if current_owners <= {backend for _, backend in acked}:
                         return
 
-    def append_log(self, log_id: str, message: str) -> None:
-        """Append a log line on the first live successor that accepts it.
-
-        Log streams are single-copy diagnostics: the line lands on the
-        preferred live shard, failing over down the successor list.  When no
-        shard can take it the line is dropped — logging must never take
-        query serving down with a shard.
-        """
-        with self._lock:
-            live, down = self._placement_locked(log_id)
-            plan = [(sid, self._backends[sid]) for sid in live + down]
-        for shard_id, backend in plan:
-            try:
-                backend.append_log(log_id, message)
-                return
-            except Exception:
-                with self._lock:
-                    self._note_shard_error_locked(shard_id)
-
     # ------------------------------------------------------------------ #
     # tolerant fan-out surfaces
     # ------------------------------------------------------------------ #
@@ -1386,23 +1362,6 @@ class ReplicatedShardedDataStore:
     def list_results(self) -> List[str]:
         """Result ids across every shard and the spill tier (deduplicated)."""
         return self._tolerant_union(lambda backend: backend.list_results())
-
-    def list_logs(self) -> List[str]:
-        """Log stream ids across every shard and the spill tier (deduplicated)."""
-        return self._tolerant_union(lambda backend: backend.list_logs())
-
-    def _tolerant_drop(self, dropper) -> None:
-        for shard_id, backend in self.shard_stores().items():
-            try:
-                dropper(backend)
-            except Exception:
-                with self._lock:
-                    self._note_shard_error_locked(shard_id)
-        if self._spill is not None:
-            try:
-                dropper(self._spill)
-            except Exception:
-                pass
 
     def drop_dataset(self, dataset_id: str) -> None:
         """Delete a dataset everywhere by writing versioned tombstones.
@@ -1494,10 +1453,6 @@ class ReplicatedShardedDataStore:
                 self._spill.drop_result(result_id)
             except Exception:
                 pass
-
-    def drop_logs(self, log_id: str) -> None:
-        """Drop a log stream from every shard and the spill tier."""
-        self._tolerant_drop(lambda backend: backend.drop_logs(log_id))
 
     # ------------------------------------------------------------------ #
     # compiled-artifact counters and occupancy
@@ -2070,9 +2025,8 @@ class ReplicatedShardedDataStore:
         For every ring-resident dataset and result: ensure the R live
         successors hold a copy, then drop stray copies from shards outside
         the replica set (only once the replica set is fully populated, so a
-        partial repair never reduces the copy count).  Log streams merge
-        onto their primary.  Emits ``progress`` events and honours
-        cancellation exactly like :meth:`replicate`.
+        partial repair never reduces the copy count).  Emits ``progress``
+        events and honours cancellation exactly like :meth:`replicate`.
         """
         moved: List[str] = []
         with self._topology_lock:
@@ -2094,7 +2048,6 @@ class ReplicatedShardedDataStore:
                 self._rebalance_result(result_id)
                 done += 1
                 self._progress(job, "rebalance", result_id, done, total)
-            self._rebalance_log_streams()
             with self._lock:
                 self._rebalances += 1
                 self._datasets_migrated += len(moved)
@@ -2148,35 +2101,6 @@ class ReplicatedShardedDataStore:
                         backend.drop_result(result_id)
                     except Exception:
                         self._note_shard_error_locked(shard_id)
-
-    def _drain_logs(self, shard_id: str, backend: DataStore) -> None:
-        """Merge ``backend``'s misrouted log streams into their primaries'.
-
-        Called from :meth:`_rebalance_log_streams` and again by
-        :meth:`remove_shard` after the leaving backend is unlinked, to sweep
-        up lines that landed between the migration and the unlink.  Log
-        streams merge rather than overwrite: every line lives on exactly one
-        shard, so the two streams concatenate losslessly (a tolerable
-        reordering for diagnostics).
-        """
-        for log_id in backend.list_logs():
-            owner = self._ring.assign(log_id)
-            if owner != shard_id:
-                target = self._backends[owner]
-                for line in backend.get_logs(log_id):
-                    target.append_log(log_id, line)
-                backend.drop_logs(log_id)
-
-    def _rebalance_log_streams(self) -> None:
-        """Merge misrouted log streams onto their primaries (tolerantly)."""
-        with self._lock:
-            backends = dict(self._backends)
-        for shard_id, backend in backends.items():
-            try:
-                self._drain_logs(shard_id, backend)
-            except Exception:
-                with self._lock:
-                    self._note_shard_error_locked(shard_id)
 
     def remove_shard(self, shard_id: str) -> List[str]:
         """Remove a shard: take it off the ring, re-replicate, then unlink.
@@ -2232,10 +2156,6 @@ class ReplicatedShardedDataStore:
                 self._shard_errors.pop(shard_id, None)
                 self._epoch += 1
                 self._datasets_migrated += len(moved)
-            try:
-                self._drain_logs(shard_id, leaving)
-            except Exception:
-                pass  # a dead backend's log lines are unreachable already
             return moved
 
     def _stranded_on(self, shard_id: str, leaving: DataStore) -> List[str]:

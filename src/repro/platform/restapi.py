@@ -46,11 +46,16 @@ Endpoints
                                                 cancelled with ``DELETE /api/comparisons/<job id>``.
 ``GET    /api/comparisons/<id>/results?k=5``    the top-k comparison table; ``409`` with the current job
                                                 state while the comparison is not completed
-``GET    /api/comparisons/<id>/logs``           execution log lines
+``GET    /api/comparisons/<id>/logs``           execution log: ``{"lines": [...]}``, the comparison's events
+                                                rendered one per line (the CLI ``--follow`` lines); ``404``
+                                                for an unknown id and once the record is evicted
 ``DELETE /api/comparisons/<id>``                request cooperative cancellation of a running comparison
 ``GET    /api/stats``                           result-cache, batch-dispatch, compiled-artifact and
                                                 job-registry counters; on a sharded deployment also the
-                                                shard topology, per-shard health/occupancy and hit rates;
+                                                shard topology, per-shard health and hit rates, and
+                                                per-shard occupancy (``datasets``, ``results`` — result
+                                                files, 0 on in-memory shards —, ``compiled_artifacts``,
+                                                ``cached_rankings``);
                                                 the ``overload`` section reports deadline, admission
                                                 (shed/admitted) and storage-retry counters
                                                 plus the version-quorum read counters (``digest_reads``,
@@ -83,6 +88,7 @@ Example — submit without blocking, then follow the stream::
 from __future__ import annotations
 
 import json
+import logging
 import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -96,6 +102,9 @@ from .telemetry import trace_scope
 from .webui import WebUI
 
 __all__ = ["RestApiServer"]
+
+#: The access log: one DEBUG line per request, so it is quiet by default.
+_ACCESS_LOG = logging.getLogger(__name__)
 
 
 def _route_label(path: str) -> str:
@@ -138,11 +147,9 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
     # plumbing
     # ------------------------------------------------------------------ #
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
-        # Route access logs into the datastore instead of stderr so tests and
-        # the demo stay quiet; the log id mirrors the component name.
-        self.server_wrapper.gateway.datastore.append_log(
-            "restapi", f"{self.address_string()} {format % args}"
-        )
+        # The stdlib writes access lines to stderr; route them to the
+        # module's logger instead.
+        _ACCESS_LOG.debug("%s " + format, self.address_string(), *args)
 
     def _send_json(
         self,

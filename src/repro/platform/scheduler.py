@@ -8,8 +8,11 @@ computation is completed, results and logs are written to the datastore".
 The scheduler owns the job registry, which holds the one record per
 comparison (so the Status component and the gateway can look comparisons up
 by id), materialises datasets from the catalog into the datastore on first
-use and, when the last query finishes, serialises the rankings into the
-datastore under the comparison id.
+use and, when the last query finishes, hands the result payload to the
+datastore under the comparison id.  The record is the comparison's one
+in-memory copy: its rankings and its event log (which the Status component
+renders as the execution log) live there, and the datastore writes the
+payload to disk only when it has a directory.
 
 Dispatch is *batched and cached*: the queries of a comparison are grouped by
 ``(dataset, algorithm, parameters)``, queries whose ranking is already in the
@@ -75,7 +78,7 @@ class Scheduler:
     Parameters
     ----------
     datastore:
-        Destination for results and logs; also owns the platform-wide
+        Destination for result payloads; also owns the platform-wide
         :class:`~repro.platform.cache.ResultCache` consulted before any
         dispatch.  The scheduler works against the abstract store surface, so
         a :class:`~repro.platform.replication.ReplicatedShardedDataStore`
@@ -88,9 +91,9 @@ class Scheduler:
     max_finished_tasks:
         Retention bound of the job registry (``None``: the registry's
         default of 256).  Active comparisons stay; beyond the bound the
-        earliest-finished records are dropped at O(1) amortised cost, and a
-        DONE comparison's permalink keeps resolving through the result
-        payload persisted in the datastore.
+        earliest-finished records are dropped at O(1) amortised cost.  A
+        DONE comparison's permalink then resolves through its result file
+        where the datastore has a disk tier, and expires otherwise.
     """
 
     def __init__(
@@ -155,8 +158,9 @@ class Scheduler:
         """Return the persisted result payload of a comparison (permalink fallback).
 
         Raises :class:`TaskNotFoundError` when the datastore holds no result
-        under the id — evicted FAILED/CANCELLED comparisons never stored
-        one, so their permalinks genuinely expire with the record.
+        under the id: evicted FAILED/CANCELLED comparisons never stored one,
+        and a store without a disk tier keeps none, so those permalinks
+        expire with the record.
         """
         try:
             return self._datastore.get_result(task_id)
@@ -219,10 +223,6 @@ class Scheduler:
         component, :meth:`events_since` cursors) or :meth:`wait`.
         """
         groups = self._register(job)
-        self._datastore.append_log(
-            job.job_id,
-            f"[scheduler] task {job.job_id} accepted with {job.total_queries} queries",
-        )
         for (dataset_id, algorithm, _), members in groups.items():
             self._pool.submit_work(
                 self._run_group_async, job, dataset_id, algorithm, members
@@ -334,9 +334,6 @@ class Scheduler:
                 return False
             except Exception as exc:
                 message = f"cannot load dataset {dataset_id!r}: {exc}"
-                self._datastore.append_log(
-                    job.job_id, f"[scheduler] FAILED to load {dataset_id}: {exc}"
-                )
                 job.finish(JobState.FAILED, error=message)
                 return False
             hits: List[Tuple[int, Ranking]] = []
@@ -368,14 +365,8 @@ class Scheduler:
                     joined=sum(1 for _, _, was_joined in waiters if was_joined),
                     misses=len(to_compute),
                 )
-            if hits:
-                self._datastore.append_log(
-                    job.job_id,
-                    f"[scheduler] served {len(hits)} cached result(s) for "
-                    f"{algorithm} on {dataset_id}",
-                )
-                for index, ranking in hits:
-                    self._record_ranking(job, index, ranking, event="query_cached")
+            for index, ranking in hits:
+                self._record_ranking(job, index, ranking, event="query_cached")
             for _, index, joined in waiters:
                 payload: Dict[str, Any] = {
                     "query": index, "algorithm": algorithm, "dataset_id": dataset_id,
@@ -474,9 +465,7 @@ class Scheduler:
                     )
                 for key, query, _ in to_compute:
                     try:
-                        single = self._pool.submit_batch(
-                            [query], graph, log_id=job.job_id
-                        )
+                        single = self._pool.submit_batch([query], graph)
                     except Exception as exc:
                         self._settle_inflight([key], error=exc)
                         self._work_unit_done(job)
@@ -490,23 +479,16 @@ class Scheduler:
                 return
             self._note_batch(len(batch))
             try:
-                outcome = self._pool.execute_batch_sync(
-                    batch, graph, log_id=job.job_id
-                )
+                outcome = self._pool.execute_batch_sync(batch, graph)
             except Exception as exc:
                 if len(batch) == 1:
                     self._settle_inflight(keys, error=exc)
                     return
-                self._datastore.append_log(
-                    job.job_id,
-                    f"[scheduler] batch of {len(batch)} failed ({exc}); "
-                    "retrying queries individually",
-                )
+                # Retry the queries one by one, so one bad query cannot fail
+                # its siblings.
                 for key, query, _ in to_compute:
                     try:
-                        single = self._pool.execute_batch_sync(
-                            [query], graph, log_id=job.job_id
-                        )
+                        single = self._pool.execute_batch_sync([query], graph)
                     except Exception as single_exc:
                         self._settle_inflight([key], error=single_exc)
                         continue
@@ -569,9 +551,6 @@ class Scheduler:
             # the job when the outstanding work drains.
             return
         message = str(error)
-        self._datastore.append_log(
-            job.job_id, f"[scheduler] query {index} FAILED: {error}"
-        )
         job.append("query_failed", query=index, error=message)
         job.finish(JobState.FAILED, error=message)
 
@@ -614,9 +593,6 @@ class Scheduler:
             "store_results", rankings=len(rankings)
         ):
             self._datastore.put_result(job.job_id, payload)
-        self._datastore.append_log(
-            job.job_id, f"[scheduler] task {job.job_id} {state}; results stored"
-        )
 
     # ------------------------------------------------------------------ #
     # cancellation
@@ -640,9 +616,6 @@ class Scheduler:
             return job.request_cancel()
         if not job.request_cancel():
             return False
-        self._datastore.append_log(
-            task_id, f"[scheduler] cancellation requested for task {task_id}"
-        )
         with self._lock:
             outstanding = self._outstanding.get(task_id, 0)
         if outstanding == 0:
@@ -708,18 +681,9 @@ class Scheduler:
         if job.finish(JobState.FAILED, error=message):
             with self._lock:
                 self._deadlines_exceeded += 1
-            self._log_settled(job, "deadline expired")
 
     def _finalise_cancelled(self, job: JobRecord) -> None:
-        if job.finish(JobState.CANCELLED):
-            self._log_settled(job, "cancelled")
-
-    def _log_settled(self, job: JobRecord, outcome: str) -> None:
-        self._datastore.append_log(
-            job.job_id,
-            f"[scheduler] task {job.job_id} {outcome} with "
-            f"{job.completed_queries}/{job.total_queries} queries done",
-        )
+        job.finish(JobState.CANCELLED)
 
     # ------------------------------------------------------------------ #
     # observability
@@ -781,16 +745,16 @@ class Scheduler:
     def rankings_for(self, task_id: str) -> Dict[int, Ranking]:
         """Return the rankings computed so far for ``task_id``.
 
-        A record evicted from the registry (always a terminal one) falls
-        back to the stored result payload (the one reader of its rankings:
-        :class:`Ranking` objects, or dicts read from disk), so old
-        permalinks keep serving their rankings.
+        A live record serves its own rankings.  A record evicted from the
+        registry (always a terminal one) falls back to the result file, so
+        old permalinks keep serving their rankings wherever the datastore
+        has a disk tier.
         """
         try:
             return self.get_task(task_id).rankings()
         except TaskNotFoundError:
             payload = self.stored_result(task_id)
             return {
-                int(index): ranking if isinstance(ranking, Ranking) else Ranking.from_dict(ranking)
+                int(index): Ranking.from_dict(ranking)
                 for index, ranking in payload.get("rankings", {}).items()
             }

@@ -3,6 +3,9 @@
 Section III, step 3: "while the computation is running, the Status component
 polls the Executor node to monitor its progress"; step 4: "the Status
 component can access [results and logs] in response to user requests."
+The log is the record's event log rendered with
+:func:`~repro.platform.jobs.describe_event` (:meth:`StatusComponent.logs`),
+so it lives and expires with the record.
 
 The component busy-polls nothing: each submitted comparison has one
 record, a :class:`~repro.platform.jobs.JobRecord` whose append-only event
@@ -10,11 +13,11 @@ log decides its state, and :meth:`StatusComponent.poll` *projects* that
 record into a :class:`TaskProgress` snapshot in the
 :class:`~repro.platform.tasks.TaskState` vocabulary.  A record evicted from
 the bounded registry is always terminal, so the only fallback is one read
-of the stored result: a DONE permalink keeps resolving, a FAILED or
-CANCELLED one expires with its record.  :meth:`poll_until_done` blocks on
-the job's event cursor, and :meth:`events_since` exposes the raw cursor
-read that the REST long-poll/SSE endpoints and the CLI ``--follow``
-renderer consume.
+of the result file: a DONE permalink keeps resolving where the datastore
+has a disk tier, a FAILED or CANCELLED one expires with its record.
+:meth:`poll_until_done` blocks on the job's event cursor, and
+:meth:`events_since` exposes the raw cursor read that the REST
+long-poll/SSE endpoints and the CLI ``--follow`` renderer consume.
 
 The component also hosts pluggable *stats sections* via
 :meth:`StatusComponent.register_section`: the gateway registers its
@@ -30,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..exceptions import TaskError
 from .datastore import DataStore
-from .jobs import JobEvent, JobRecord, JobState
+from .jobs import JobEvent, JobRecord, JobState, describe_event
 from .scheduler import Scheduler
 from .tasks import TaskState
 
@@ -117,8 +120,8 @@ class StatusComponent:
         if job is not None:
             return self._project(job)
         # The record was evicted from the bounded registry, hence terminal:
-        # a completed comparison still has its result payload persisted in
-        # the datastore, so the permalink keeps resolving.
+        # a completed comparison's result file (on a store with a disk tier)
+        # keeps the permalink resolving.
         payload = self._scheduler.stored_result(task_id)
         rankings = payload.get("rankings", {})
         return TaskProgress(
@@ -168,8 +171,15 @@ class StatusComponent:
     # results and logs
     # ------------------------------------------------------------------ #
     def logs(self, task_id: str) -> List[str]:
-        """Return the log lines recorded for ``task_id``."""
-        return self._datastore.get_logs(task_id)
+        """Return the execution log of ``task_id``: its events, one line each.
+
+        Raises :class:`~repro.exceptions.TaskNotFoundError` when the job is
+        unknown or its record was evicted, like :meth:`events_since`.
+        """
+        return [
+            describe_event(event.as_dict())
+            for event in self._registry.get(task_id).events()
+        ]
 
     def platform_stats(self) -> Dict[str, Any]:
         """Return the platform-wide serving counters.

@@ -26,6 +26,7 @@ from __future__ import annotations
 import html
 from typing import List, Optional
 
+from ..exceptions import TaskNotFoundError
 from ..ranking.comparison import ComparisonTable
 from .gateway import ApiGateway
 from .tasks import QuerySet
@@ -111,7 +112,11 @@ class WebUI:
             lines.append("")
             lines.append("Execution log")
             lines.append("-------------")
-            lines.extend(self._gateway.get_logs(comparison_id))
+            try:
+                lines.extend(self._gateway.get_logs(comparison_id))
+            except TaskNotFoundError:
+                # A permalink served from its result file outlives its record.
+                lines.append("(expired with the comparison's job record)")
         return "\n".join(lines)
 
     # ------------------------------------------------------------------ #

@@ -63,6 +63,25 @@ def _sharded_default_datastore():
         gateway_module.DataStore = original
 
 
+@pytest.fixture(params=["directory", "file-backed-ring"])
+def disk_datastore(request, tmp_path):
+    """A datastore with a disk tier, where result payloads (permalinks) live.
+
+    ``directory`` is a single ``DataStore(tmp_path)``; ``file-backed-ring``
+    is a 4-shard ring of :class:`FileBackedDataStore` shards keeping two
+    copies of every result file.
+    """
+    from repro.platform.datastore import DataStore, FileBackedDataStore
+    from repro.platform.replication import ReplicatedShardedDataStore
+
+    if request.param == "directory":
+        return DataStore(tmp_path)
+    return ReplicatedShardedDataStore(
+        shards=[FileBackedDataStore(tmp_path / f"shard-{index}") for index in range(4)],
+        replicas=2,
+    )
+
+
 @pytest.fixture
 def triangle() -> DirectedGraph:
     """The directed triangle A -> B -> C -> A."""

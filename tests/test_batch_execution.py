@@ -22,7 +22,6 @@ from repro.algorithms.personalized_pagerank import (
 from repro.datasets.catalog import DatasetCatalog
 from repro.exceptions import ExecutorError
 from repro.graph.generators import preferential_attachment_graph
-from repro.platform.datastore import DataStore
 from repro.platform.executor import ExecutorNode
 from repro.platform.gateway import ApiGateway
 from repro.platform.jobs import JobState
@@ -163,8 +162,7 @@ class TestSchedulerBatching:
 
 class TestExecutorBatchValidation:
     def test_mixed_algorithm_batches_are_rejected(self, two_triangles):
-        datastore = DataStore()
-        node = ExecutorNode(datastore)
+        node = ExecutorNode()
         queries = [
             Query(dataset_id="toy", algorithm="personalized-pagerank", source="R"),
             Query(dataset_id="toy", algorithm="cyclerank", source="R"),
@@ -173,7 +171,7 @@ class TestExecutorBatchValidation:
             node.execute_batch(queries, two_triangles)
 
     def test_empty_batch_is_rejected(self, two_triangles):
-        node = ExecutorNode(DataStore())
+        node = ExecutorNode()
         with pytest.raises(ExecutorError):
             node.execute_batch([], two_triangles)
 
@@ -309,7 +307,7 @@ class TestMiscountingBatchKernel:
 
         algorithm_registry.register_algorithm(_Miscounting(), replace=True)
         try:
-            node = ExecutorNode(DataStore())
+            node = ExecutorNode()
             queries = [
                 Query(dataset_id="toy", algorithm="miscounting-batch", source="R"),
                 Query(dataset_id="toy", algorithm="miscounting-batch", source="A"),

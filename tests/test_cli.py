@@ -113,7 +113,8 @@ class TestCommands:
         assert "Cyclerank" in output
         assert "PageRank" in output
         assert "Freddie Mercury" in output
-        assert "[executor" in output or "scheduler" in output
+        assert "query 0 started: pagerank on enwiki-2018" in output
+        assert "comparison done (3/3 queries)" in output
 
     def test_cross_language_command(self, tiny_catalog, capsys):
         exit_code = main(

@@ -7,13 +7,15 @@ algorithm that always raises) and already-expired deadlines through
 Afterwards each comparison's one record must hold exactly one ``task_done``
 event, last in its log, in a state the sequence allows; and
 ``get_status``, the ``list_comparisons`` row, the ``task_done`` payload and
-(for DONE only) the stored result must report the same state, error and
-counts.  A record evicted by the bound must keep resolving if it was DONE
-and expire otherwise.
+(for DONE only, on a store with a directory) the stored result must report
+the same state, error and counts.  A record evicted by the bound must keep
+resolving if it was DONE and its store has a directory, and expire
+otherwise: a store without one keeps no result payload.
 """
 
 from __future__ import annotations
 
+import tempfile
 import time
 
 import pytest
@@ -25,6 +27,7 @@ from repro.algorithms.base import Algorithm, AlgorithmSpec
 from repro.datasets.catalog import DatasetCatalog
 from repro.exceptions import TaskNotFoundError
 from repro.graph.digraph import DirectedGraph
+from repro.platform.datastore import DataStore
 from repro.platform.gateway import ApiGateway
 from repro.platform.jobs import JobState
 from repro.platform.tasks import TaskBuilder, TaskState
@@ -111,12 +114,21 @@ def _two_triangles() -> DirectedGraph:
     return graph
 
 
-@given(bound=st.sampled_from([1, 3, 256]), program=steps)
+@given(bound=st.sampled_from([1, 3, 256]), disk=st.booleans(), program=steps)
 @settings(max_examples=40, deadline=None)
-def test_every_comparison_settles_once_and_every_surface_agrees(bound, program):
+def test_every_comparison_settles_once_and_every_surface_agrees(bound, disk, program):
+    with tempfile.TemporaryDirectory() as directory:
+        # Without a directory the gateway builds its default store (the ring
+        # under the CI topology axes), which keeps no result payload either.
+        _run_program(bound, DataStore(directory) if disk else None, disk, program)
+
+
+def _run_program(bound, datastore, disk, program):
     catalog = DatasetCatalog()
     catalog.register_graph("toy", _two_triangles(), description="two triangles")
-    with ApiGateway(catalog=catalog, num_workers=1, max_finished_tasks=bound) as gateway:
+    with ApiGateway(
+        catalog=catalog, datastore=datastore, num_workers=1, max_finished_tasks=bound
+    ) as gateway:
         gateway.task_builder = _ExpiringBuilder(catalog)
         records = {}
         register = gateway.scheduler.jobs.register
@@ -166,7 +178,7 @@ def test_every_comparison_settles_once_and_every_surface_agrees(bound, program):
                 assert error == "deadline expired before execution (deadline_ms=1)"
             counts = (final["completed_queries"], final["total_queries"])
             assert counts == (record.completed_queries, record.total_queries)
-            if state is JobState.DONE:
+            if state is JobState.DONE and disk:
                 stored = gateway.scheduler.stored_result(comparison_id)
                 assert stored["state"] == TaskState.COMPLETED.value
                 assert counts == (len(stored["rankings"]), len(stored["queries"]))
@@ -176,7 +188,7 @@ def test_every_comparison_settles_once_and_every_surface_agrees(bound, program):
                     gateway.scheduler.stored_result(comparison_id)
 
             retained = gateway.scheduler.jobs.find(comparison_id) is record
-            if not retained and state is not JobState.DONE:
+            if not retained and (state is not JobState.DONE or not disk):
                 with pytest.raises(TaskNotFoundError):
                     gateway.get_status(comparison_id)
                 continue

@@ -53,7 +53,7 @@ class TestFullLifecycle:
             assert progress.state is TaskState.COMPLETED
             assert progress.completed_queries == 3
 
-            # Step 4: results and logs are in the datastore (and on disk).
+            # Step 4: the results are on disk; the log is the record's events.
             stored = datastore.get_result(comparison_id)
             assert stored["state"] == "completed"
             assert (tmp_path / "results" / f"{comparison_id}.json").exists()

@@ -285,15 +285,22 @@ class TestSchedulerEvents:
         assert events[-1]["state"] == "failed"
         assert toy_gateway.get_status(comparison).state is TaskState.FAILED
 
-    def test_task_done_is_emitted_after_results_are_stored(self, toy_gateway):
-        query = [{"dataset_id": "toy", "algorithm": "pagerank"}]
-        comparison = toy_gateway.run_queries(query, synchronous=False)
-        # Block directly on the cursor until task_done, then read the result:
-        # the ordering contract says it must already be persisted.
-        for event in toy_gateway.stream_events(comparison):
-            if event["type"] == "task_done":
-                assert toy_gateway.datastore.has_result(comparison)
-        assert toy_gateway.status.stored_result(comparison)["state"] == "completed"
+    def test_task_done_is_emitted_after_results_are_stored(
+        self, two_triangles, disk_datastore
+    ):
+        catalog = DatasetCatalog()
+        catalog.register_graph("toy", two_triangles, description="two triangles")
+        with ApiGateway(
+            catalog=catalog, datastore=disk_datastore, num_workers=2
+        ) as toy_gateway:
+            query = [{"dataset_id": "toy", "algorithm": "pagerank"}]
+            comparison = toy_gateway.run_queries(query, synchronous=False)
+            # Block directly on the cursor until task_done, then read the
+            # result: the ordering contract says it must already be persisted.
+            for event in toy_gateway.stream_events(comparison):
+                if event["type"] == "task_done":
+                    assert toy_gateway.datastore.has_result(comparison)
+            assert toy_gateway.status.stored_result(comparison)["state"] == "completed"
 
     def test_list_comparisons_reports_jobs(self, toy_gateway):
         assert toy_gateway.list_comparisons() == []

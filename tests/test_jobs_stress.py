@@ -442,8 +442,17 @@ class TestTerminalJobSkipsQueuedGroups:
 
 class TestSynchronousJoinPersistence:
     def test_sync_run_joining_an_async_twin_returns_with_results_stored(
-        self, toy_gateway, gated_algorithm
+        self, community_graph, disk_datastore, gated_algorithm
     ):
+        catalog = DatasetCatalog()
+        catalog.register_graph("stress", community_graph, description="planted communities")
+        with ApiGateway(
+            catalog=catalog, datastore=disk_datastore, num_workers=2
+        ) as toy_gateway:
+            self._join_and_check(toy_gateway, gated_algorithm)
+
+    @staticmethod
+    def _join_and_check(toy_gateway, gated_algorithm):
         started, release = gated_algorithm
         query = [{"dataset_id": "stress", "algorithm": "gated-ppr", "source": "c2-n2"}]
         async_id = toy_gateway.run_queries(query, synchronous=False)

@@ -346,6 +346,7 @@ class TestRestShedding:
             assert error.code == 429
             assert int(error.headers["Retry-After"]) >= 1
             body = json.loads(error.read().decode("utf-8"))
+            error.close()
             assert body["shed"] is True
             assert body["retry_after"] > 0
             # The accepted job's long-poll cursor still answers while the
@@ -410,6 +411,7 @@ class TestRestShedding:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(bad, timeout=30)
             assert excinfo.value.code == 400
+            excinfo.value.close()
         gateway.shutdown()
 
 

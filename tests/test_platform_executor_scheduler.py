@@ -16,6 +16,7 @@ from repro.platform.scheduler import Scheduler
 from repro.platform.status import StatusComponent
 from repro.platform.jobs import JobRecord, JobState
 from repro.platform.tasks import Query, QuerySet, TaskBuilder, TaskState
+from repro.ranking.result import Ranking
 
 
 @pytest.fixture
@@ -28,9 +29,9 @@ def catalog(triangle, community_graph, two_triangles) -> DatasetCatalog:
 
 
 @pytest.fixture
-def platform(catalog):
-    datastore = DataStore()
-    pool = ExecutorPool(datastore, num_workers=2)
+def platform(catalog, tmp_path):
+    datastore = DataStore(tmp_path)
+    pool = ExecutorPool(num_workers=2)
     scheduler = Scheduler(datastore, catalog, pool)
     status = StatusComponent(scheduler, datastore)
     builder = TaskBuilder(catalog)
@@ -48,34 +49,27 @@ def make_task(builder, *specs) -> JobRecord:
 
 
 class TestExecutorNode:
-    def test_execute_produces_ranking_and_logs(self, triangle):
-        datastore = DataStore()
-        node = ExecutorNode(datastore, name="executor-7")
+    def test_execute_produces_ranking(self, triangle):
+        node = ExecutorNode(name="executor-7")
         outcome = node.execute(
-            Query("triangle", "pagerank", parameters={"alpha": 0.5}), triangle, log_id="t"
+            Query("triangle", "pagerank", parameters={"alpha": 0.5}), triangle
         )
         assert outcome.ranking.algorithm == "PageRank"
         assert outcome.elapsed_seconds >= 0
         assert outcome.executor_name == "executor-7"
         assert node.executed_queries == 1
-        logs = datastore.get_logs("t")
-        assert any("start" in line for line in logs)
-        assert any("done" in line for line in logs)
 
-    def test_execute_failure_raises_and_logs(self, triangle):
-        datastore = DataStore()
-        node = ExecutorNode(datastore)
+    def test_execute_failure_raises(self, triangle):
+        node = ExecutorNode()
         bad_query = Query("triangle", "cyclerank", source="not-a-node", parameters={"k": 3})
-        with pytest.raises(ExecutorError):
-            node.execute(bad_query, triangle, log_id="t")
-        assert any("FAILED" in line for line in datastore.get_logs("t"))
+        with pytest.raises(ExecutorError, match="not-a-node"):
+            node.execute(bad_query, triangle)
         assert node.executed_queries == 0
 
 
 class TestExecutorPool:
     def test_submit_and_result(self, triangle):
-        datastore = DataStore()
-        pool = ExecutorPool(datastore, num_workers=2)
+        pool = ExecutorPool(num_workers=2)
         try:
             future = pool.submit(Query("triangle", "pagerank"), triangle)
             outcome = future.result(timeout=30)
@@ -85,8 +79,7 @@ class TestExecutorPool:
             pool.shutdown()
 
     def test_scale_to_changes_worker_count(self, triangle):
-        datastore = DataStore()
-        pool = ExecutorPool(datastore, num_workers=1)
+        pool = ExecutorPool(num_workers=1)
         try:
             assert pool.num_workers == 1
             pool.scale_to(3)
@@ -97,10 +90,9 @@ class TestExecutorPool:
             pool.shutdown()
 
     def test_invalid_worker_count(self):
-        datastore = DataStore()
         with pytest.raises(InvalidParameterError):
-            ExecutorPool(datastore, num_workers=0)
-        pool = ExecutorPool(datastore, num_workers=1)
+            ExecutorPool(num_workers=0)
+        pool = ExecutorPool(num_workers=1)
         try:
             with pytest.raises(InvalidParameterError):
                 pool.scale_to(0)
@@ -108,8 +100,7 @@ class TestExecutorPool:
             pool.shutdown()
 
     def test_execute_sync(self, triangle):
-        datastore = DataStore()
-        pool = ExecutorPool(datastore, num_workers=1)
+        pool = ExecutorPool(num_workers=1)
         try:
             outcome = pool.execute_sync(Query("triangle", "pagerank"), triangle)
             assert outcome.ranking.algorithm == "PageRank"
@@ -134,7 +125,7 @@ def _six_node_graph() -> DirectedGraph:
 def six_node_pool():
     datastore = DataStore()
     datastore.store_dataset("toy", _six_node_graph())
-    pool = ExecutorPool(datastore, num_workers=2)
+    pool = ExecutorPool(num_workers=2)
     graph, _ = datastore.fetch_compiled_with_version("toy")
     yield pool, graph
     pool.shutdown()
@@ -149,7 +140,7 @@ class TestBitIdentity:
         for name in available_algorithms():
             source = "A" if name in personalized else None
             query = [Query(dataset_id="toy", algorithm=name, source=source, parameters={})]
-            via_pool = pool.execute_batch_sync(query, graph, log_id="t")
+            via_pool = pool.execute_batch_sync(query, graph)
             sequential = get_algorithm(name).run_batch(
                 graph, sources=[source], parameters={}
             )
@@ -166,7 +157,7 @@ class TestBitIdentity:
                   source=source, parameters={})
             for source in sources
         ]
-        via_pool = pool.execute_batch_sync(queries, graph, log_id="t")
+        via_pool = pool.execute_batch_sync(queries, graph)
         sequential = get_algorithm("personalized-pagerank").run_batch(
             graph, sources=sources, parameters={}
         )
@@ -221,15 +212,18 @@ class TestScheduler:
         assert stored["comparison_id"] == task.job_id
         assert stored["state"] == "completed"
         assert "0" in stored["rankings"]
-        assert any("scheduler" in line for line in status.logs(task.job_id))
+        logs = status.logs(task.job_id)
+        assert logs[0] == "submitted 1 queries"
+        assert logs[-1] == "comparison done (1/1 queries)"
 
     def test_stored_rankings_match_computed_ones(self, platform):
         datastore, _, scheduler, status, builder = platform
         task = make_task(builder, ("two-triangles", "cyclerank", "R", {"k": 3}))
         scheduler.run_synchronously(task)
-        stored = datastore.get_result(task.job_id)
-        # One copy per result: the stored payload holds the task's ranking.
-        assert stored["rankings"]["0"] is task.rankings()[0]
+        stored = Ranking.from_dict(datastore.get_result(task.job_id)["rankings"]["0"])
+        computed = task.rankings()[0]
+        assert list(stored) == list(computed)
+        assert np.array_equal(stored.scores, computed.scores)
 
     def test_synchronous_run(self, platform):
         _, _, scheduler, _, builder = platform

@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.catalog import DatasetCatalog
-from repro.exceptions import TaskError
+from repro.exceptions import TaskError, TaskNotFoundError
 from repro.graph.digraph import DirectedGraph
 from repro.graph.generators import preferential_attachment_graph
 from repro.io.edgelist import write_edgelist
 from repro.platform.gateway import ApiGateway
+from repro.platform.jobs import describe_event
 from repro.platform.tasks import TaskState
 from repro.platform.webui import WebUI
 
@@ -140,8 +141,23 @@ class TestComparisons:
             [{"dataset_id": "toy", "algorithm": "pagerank"}]
         )
         logs = gateway.get_logs(comparison)
-        assert any("scheduler" in line for line in logs)
-        assert any("done" in line for line in logs)
+        assert logs[0] == "submitted 1 queries"
+        assert "query 0 started: pagerank on toy" in logs
+        assert logs[-1] == "comparison done (1/1 queries)"
+
+    def test_logs_are_the_follow_rendering_of_the_events(self, gateway):
+        comparison = gateway.run_queries(
+            [
+                {"dataset_id": "toy", "algorithm": "pagerank"},
+                {"dataset_id": "toy", "algorithm": "personalized-pagerank", "source": "R"},
+            ]
+        )
+        events = gateway.get_events(comparison)
+        assert gateway.get_logs(comparison) == [describe_event(event) for event in events]
+
+    def test_logs_of_an_unknown_comparison_raise(self, gateway):
+        with pytest.raises(TaskNotFoundError):
+            gateway.get_logs("no-such-comparison")
 
     def test_empty_query_set_rejected(self, gateway):
         with pytest.raises(TaskError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import time
 import urllib.error
 import urllib.request
@@ -76,11 +77,13 @@ class TestDiscoveryEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(server, "/api/nonsense")
         assert excinfo.value.code == 404
+        excinfo.value.close()
 
     def test_unknown_dataset_summary_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(server, "/api/datasets/never-heard-of-it/summary")
         assert excinfo.value.code == 404
+        excinfo.value.close()
 
 
 class TestComparisonEndpoints:
@@ -143,6 +146,7 @@ class TestComparisonEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(server, "/api/comparisons/not-a-comparison/status")
         assert excinfo.value.code == 404
+        excinfo.value.close()
 
     def test_invalid_query_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -153,12 +157,14 @@ class TestComparisonEndpoints:
             )
         assert excinfo.value.code == 400
         body = json.loads(excinfo.value.read().decode("utf-8"))
+        excinfo.value.close()
         assert "error" in body
 
     def test_empty_queries_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             post_json(server, "/api/comparisons", {"queries": []})
         assert excinfo.value.code == 400
+        excinfo.value.close()
 
     def test_malformed_json_body_is_400(self, server):
         request = urllib.request.Request(
@@ -170,11 +176,13 @@ class TestComparisonEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+        excinfo.value.close()
 
     def test_post_to_unknown_path_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             post_json(server, "/api/not-a-thing", {})
         assert excinfo.value.code == 404
+        excinfo.value.close()
 
 
 class TestServerLifecycle:
@@ -197,9 +205,14 @@ class TestServerLifecycle:
     def test_start_twice_is_idempotent(self, server):
         assert server.start() == server.address
 
-    def test_access_log_recorded_in_datastore(self, server):
-        get_json(server, "/api/datasets")
-        assert server.gateway.datastore.get_logs("restapi")
+    def test_access_log_recorded(self, server, caplog):
+        with caplog.at_level(logging.DEBUG, logger="repro.platform.restapi"):
+            get_json(server, "/api/datasets")
+        assert any(
+            "GET /api/datasets" in record.getMessage()
+            for record in caplog.records
+            if record.name == "repro.platform.restapi"
+        )
 
 
 class TestStatsEndpoint:
@@ -310,6 +323,7 @@ class TestJobEndpoints:
             get_json(server, f"/api/comparisons/{queued_id}/results")
         assert excinfo.value.code == 409
         body = json.loads(excinfo.value.read().decode("utf-8"))
+        excinfo.value.close()
         assert body["state"] == "pending"
         assert body["completed_queries"] == 0
         assert body["total_queries"] == 1
@@ -318,6 +332,7 @@ class TestJobEndpoints:
             get_json(server, f"/api/comparisons/{running[0]}/results")
         assert excinfo.value.code == 409
         assert json.loads(excinfo.value.read().decode("utf-8"))["state"] == "running"
+        excinfo.value.close()
         release_a.set()
         release_b.set()
         for comparison_id in running + [queued_id]:
@@ -369,6 +384,7 @@ class TestJobEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(server, f"/api/comparisons/{comparison_id}/results")
         assert excinfo.value.code == 409
+        excinfo.value.close()
 
     def test_delete_of_finished_comparison_reports_not_cancelled(self, server):
         _, created = post_json(
@@ -391,6 +407,7 @@ class TestJobEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 404
+        excinfo.value.close()
 
     def test_long_poll_delivers_the_event_log(self, server):
         _, created = post_json(
@@ -446,6 +463,7 @@ class TestJobEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(server, "/api/comparisons/never-submitted/events?stream=sse")
         assert excinfo.value.code == 404
+        excinfo.value.close()
 
     def test_idle_sse_stream_emits_keepalive_pings_and_resumes(self, server):
         """An idle stream writes ``: ping`` comments; ``after=N`` resumes it.
@@ -528,6 +546,7 @@ class TestResultsOfTerminalFailures:
             get_json(server, f"/api/comparisons/{comparison_id}/results")
         assert excinfo.value.code == 409
         body = json.loads(excinfo.value.read().decode("utf-8"))
+        excinfo.value.close()
         assert body["state"] == "failed"
         assert "finished failed" in body["error"]
         assert body["task_error"]

@@ -25,8 +25,12 @@ from repro.platform.gateway import ApiGateway
 from repro.platform.replication import ReplicatedShardedDataStore
 
 
-def _build(num_shards=4, replicas=2, **kwargs):
-    backends = [FlakyStore(DataStore()) for _ in range(num_shards)]
+def _build(num_shards=4, replicas=2, directory=None, **kwargs):
+    """Fault-injectable shards; with ``directory`` they write result files."""
+    backends = [
+        FlakyStore(DataStore(directory / f"s{i}" if directory is not None else None))
+        for i in range(num_shards)
+    ]
     store = ReplicatedShardedDataStore(
         shards=backends, replicas=replicas, **kwargs
     )
@@ -83,8 +87,8 @@ class TestReadRepairQueue:
         assert stats["read_repairs"] >= 1
         assert stats["repair_queue"] == 0
 
-    def test_result_reads_enqueue_and_repair_too(self):
-        backends, store = _build()
+    def test_result_reads_enqueue_and_repair_too(self, tmp_path):
+        backends, store = _build(directory=tmp_path)
         store.put_result("res", {"value": 7})
         primary = store.replica_shards_for("res")[0]
         store.shard_stores()[primary].drop_result("res")

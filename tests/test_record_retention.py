@@ -6,12 +6,17 @@ against a two-list oracle, both directly and through the scheduler's
 registration path; a regression test checks that registering a record does
 not read the state of the records already retained.  The permalink tests
 check that an evicted DONE comparison keeps serving the same bytes from its
-stored result, and that a FAILED one expires with its record.
+result file on a store with a disk tier, that it expires with its record on
+an in-memory store, and that a FAILED one expires with its record.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
+import tracemalloc
+import urllib.error
 import urllib.request
 
 import pytest
@@ -24,9 +29,11 @@ from repro.platform.datastore import DataStore
 from repro.platform.executor import ExecutorPool
 from repro.platform.gateway import ApiGateway
 from repro.platform.jobs import JobRecord, JobRegistry, JobState
+from repro.platform.replication import ReplicatedShardedDataStore
 from repro.platform.restapi import RestApiServer
 from repro.platform.scheduler import Scheduler
 from repro.platform.tasks import Query, QuerySet, TaskBuilder
+from repro.platform.webui import WebUI
 
 
 class RegistryTable:
@@ -57,7 +64,7 @@ class SchedulerTable:
 
     def __init__(self, bound: int) -> None:
         datastore = DataStore()
-        self.pool = ExecutorPool(datastore, num_workers=1)
+        self.pool = ExecutorPool(num_workers=1)
         self.scheduler = Scheduler(
             datastore, DatasetCatalog(), self.pool, max_finished_tasks=bound
         )
@@ -171,18 +178,50 @@ def test_the_default_bound_is_the_registrys():
         assert "tasks" not in gateway.get_platform_stats()
 
 
-@pytest.fixture
-def evicting_gateway(two_triangles):
+@contextlib.contextmanager
+def _serving(graph, datastore):
     """A gateway that keeps one finished comparison, served over REST."""
     catalog = DatasetCatalog()
-    catalog.register_graph("toy", two_triangles, description="two triangles")
-    with ApiGateway(catalog=catalog, num_workers=1, max_finished_tasks=1) as gateway:
+    catalog.register_graph("toy", graph, description="two triangles")
+    with ApiGateway(
+        catalog=catalog, datastore=datastore, num_workers=1, max_finished_tasks=1
+    ) as gateway:
         server = RestApiServer(gateway)
         server.start()
         try:
             yield gateway, server.url
         finally:
             server.stop()
+
+
+@pytest.fixture
+def evicting_gateway(two_triangles, disk_datastore):
+    """The evicting gateway on a store with a disk tier."""
+    with _serving(two_triangles, disk_datastore) as served:
+        yield served
+
+
+@pytest.fixture
+def memory_evicting_gateway(two_triangles):
+    """The evicting gateway on its default, in-memory store."""
+    with _serving(two_triangles, None) as served:
+        yield served
+
+
+def _http_status(url: str) -> int:
+    try:
+        with urllib.request.urlopen(url, timeout=30) as response:
+            return response.status
+    except urllib.error.HTTPError as error:
+        error.close()
+        return error.code
+
+
+THREE_QUERIES = [
+    {"dataset_id": "toy", "algorithm": "cyclerank", "source": "R", "parameters": {"k": 3}},
+    {"dataset_id": "toy", "algorithm": "personalized-pagerank", "source": "R"},
+    {"dataset_id": "toy", "algorithm": "personalized-2drank", "source": "R"},
+]
 
 
 def _surfaces(gateway: ApiGateway, url: str, comparison_id: str) -> dict:
@@ -202,25 +241,36 @@ def _surfaces(gateway: ApiGateway, url: str, comparison_id: str) -> dict:
 
 def test_an_evicted_done_permalink_serves_the_same_bytes(evicting_gateway):
     gateway, url = evicting_gateway
-    done = gateway.run_queries(
-        [
-            {"dataset_id": "toy", "algorithm": "cyclerank", "source": "R",
-             "parameters": {"k": 3}},
-            {"dataset_id": "toy", "algorithm": "personalized-pagerank", "source": "R"},
-            {"dataset_id": "toy", "algorithm": "personalized-2drank", "source": "R"},
-        ],
-        synchronous=True,
-    )
+    done = gateway.run_queries(THREE_QUERIES, synchronous=True)
     before = _surfaces(gateway, url, done)
     gateway.run_queries([{"dataset_id": "toy", "algorithm": "pagerank"}])
     assert gateway.scheduler.jobs.find(done) is None, "the bound of 1 evicts it"
     with pytest.raises(TaskNotFoundError):
         gateway.get_task(done)
     assert _surfaces(gateway, url, done) == before
+    # The execution log is the record's events, so it leaves with the record.
+    with pytest.raises(TaskNotFoundError):
+        gateway.get_logs(done)
+    assert _http_status(f"{url}/api/comparisons/{done}/logs") == 404
+    view = WebUI(gateway).render_results(done, include_logs=True)
+    assert view.endswith("(expired with the comparison's job record)")
 
 
-def test_an_evicted_failed_permalink_expires(evicting_gateway):
-    gateway, _ = evicting_gateway
+def test_an_evicted_done_permalink_expires_on_an_in_memory_store(memory_evicting_gateway):
+    gateway, url = memory_evicting_gateway
+    done = gateway.run_queries(THREE_QUERIES, synchronous=True)
+    for resource in ("results", "status", "logs"):
+        assert _http_status(f"{url}/api/comparisons/{done}/{resource}") == 200
+    gateway.run_queries([{"dataset_id": "toy", "algorithm": "pagerank"}])
+    assert gateway.scheduler.jobs.find(done) is None, "the bound of 1 evicts it"
+    for resource in ("results", "status", "logs"):
+        assert _http_status(f"{url}/api/comparisons/{done}/{resource}") == 404, resource
+    with pytest.raises(TaskNotFoundError):
+        gateway.get_rankings(done)
+
+
+def test_an_evicted_failed_permalink_expires(memory_evicting_gateway):
+    gateway, _ = memory_evicting_gateway
     failed = gateway.run_queries(
         [{"dataset_id": "toy", "algorithm": "personalized-pagerank", "source": "ghost"}]
     )
@@ -230,3 +280,58 @@ def test_an_evicted_failed_permalink_expires(evicting_gateway):
         gateway.get_status(failed)
     with pytest.raises(TaskNotFoundError):
         gateway.wait_for(failed)
+
+
+#: The soak's traced-heap tolerance per comparison.  A comparison that left a
+#: result payload or a log stream behind cost about 2 KB here; the flat
+#: residue after every bound has filled is about 0.1 KB.
+SOAK_TOLERANCE_BYTES_PER_OP = 512
+
+
+@pytest.mark.parametrize("topology", ["memory", "ring-4x2"])
+def test_a_soak_past_every_bound_leaves_the_heap_flat(two_triangles, topology):
+    """After the bounds fill, more comparisons leave nothing behind.
+
+    The warm-up runs past the job bound (256) and the tracer's 256 traces,
+    and every query repeats one of ten cached ones, so neither the result
+    cache nor any other bounded table is still growing when the measured
+    comparisons run.
+    """
+    catalog = DatasetCatalog()
+    catalog.register_graph("toy", two_triangles, description="two triangles")
+    datastore = (
+        ReplicatedShardedDataStore(num_shards=4, replicas=2) if topology != "memory" else None
+    )
+    sources = ["R", "A", "B", "C", "D"]
+    warm, measured = 300, 300
+
+    def compare(count: int) -> None:
+        for index in range(count):
+            source = sources[index % len(sources)]
+            gateway.run_queries([
+                {"dataset_id": "toy", "algorithm": "cyclerank", "source": source,
+                 "parameters": {"k": 3}},
+                {"dataset_id": "toy", "algorithm": "personalized-pagerank",
+                 "source": source},
+            ])
+
+    with ApiGateway(
+        catalog=catalog, datastore=datastore, probe_interval_seconds=0
+    ) as gateway:
+        tracemalloc.start()
+        try:
+            compare(warm)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            compare(measured)
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        growth = (after - before) / measured
+        assert growth < SOAK_TOLERANCE_BYTES_PER_OP, f"{growth:.0f} B per comparison"
+        occupancy = gateway.datastore.occupancy()
+        assert occupancy["results"] == 0
+        assert "logs" not in occupancy
+        assert len(gateway.scheduler.jobs) == 256
+        assert occupancy["cached_rankings"] == 10

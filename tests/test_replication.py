@@ -8,7 +8,8 @@ contract, the :class:`~repro.platform.replication.ReplicatedShardedDataStore`
 surface (quorum writes, failover reads, spill, repair/rebalance as
 cancellable jobs) — exercised against fault-injected backends from the
 shared :class:`conftest.FlakyStore` harness — and the scheduler's bounded
-terminal task table with datastore-served permalinks.
+terminal task table with permalinks served from result files.  A result
+copy is a file, so every ring-result test runs on file-backed shards.
 """
 
 from __future__ import annotations
@@ -135,7 +136,6 @@ class TestFileBackedDataStore:
         compiled, _ = store.fetch_compiled_with_version("ds")
         csr = compiled.to_csr()
         store.put_result("result-1", {"rows": [1, 2, 3], "nested": {"a": "b"}})
-        store.append_log("log-1", "first line")
 
         recovered = FileBackedDataStore(tmp_path)
         graph_back, version = recovered.fetch_dataset_with_version("ds")
@@ -150,7 +150,6 @@ class TestFileBackedDataStore:
         assert recovered.get_result("result-1") == {
             "rows": [1, 2, 3], "nested": {"a": "b"}
         }
-        assert recovered.get_logs("log-1") == ["first line"]
         assert recovered.occupancy()["datasets"] == 1
 
     def test_versions_stay_monotonic_across_drop_and_restart(self, tmp_path):
@@ -225,8 +224,8 @@ class TestReplicatedWrites:
         assert primary not in holders
         assert store.replication_stats()["degraded_writes"] == 0
 
-    def test_result_survives_the_loss_of_any_single_holder(self):
-        backends = [FlakyStore(DataStore()) for _ in range(4)]
+    def test_result_survives_the_loss_of_any_single_holder(self, tmp_path):
+        backends = [FlakyStore(FileBackedDataStore(tmp_path / f"s{i}")) for i in range(4)]
         store = ReplicatedShardedDataStore(shards=backends, replicas=2)
         store.put_result("res", {"value": 42})
         holders = _result_holders(store, "res")
@@ -342,8 +341,8 @@ class TestSpillTier:
 
 
 class TestMaintenanceJobs:
-    def test_replicate_repairs_copies_after_an_outage(self):
-        backends = [DownShard(DataStore()) for _ in range(4)]
+    def test_replicate_repairs_copies_after_an_outage(self, tmp_path):
+        backends = [DownShard(FileBackedDataStore(tmp_path / f"s{i}")) for i in range(4)]
         store = ReplicatedShardedDataStore(shards=backends, replicas=2)
         graphs = {f"ds-{i}": cycle_graph(3 + i) for i in range(4)}
         for dataset_id, graph in graphs.items():
@@ -362,7 +361,7 @@ class TestMaintenanceJobs:
         # The shard comes back empty (a replaced node): a rebalance restores
         # canonical placement with R copies of everything.
         index = int(victim.split("-")[1])
-        backends[index] = DownShard(DataStore())
+        backends[index] = DownShard(FileBackedDataStore(tmp_path / "replacement"))
         store._backends[victim] = backends[index]  # swap in the replacement
         store.mark_up(victim)
         store.rebalance()
@@ -536,8 +535,12 @@ class TestBoundedTaskTable:
         catalog.register_graph("toy", community_graph, description="communities")
         return catalog
 
-    def test_terminal_tasks_age_out_and_permalinks_still_resolve(self, catalog):
-        with ApiGateway(catalog=catalog, max_finished_tasks=2) as gateway:
+    def test_terminal_tasks_age_out_and_permalinks_still_resolve(
+        self, catalog, disk_datastore
+    ):
+        with ApiGateway(
+            catalog=catalog, datastore=disk_datastore, max_finished_tasks=2
+        ) as gateway:
             comparisons = [
                 gateway.run_queries(
                     [

@@ -116,7 +116,12 @@ def _expected_rankings():
 class TestShardLossUnderConcurrentServing:
     def test_single_shard_loss_keeps_serving_bit_identical(self, tmp_path):
         expected = _expected_rankings()
-        backends = [FlakyStore(DataStore()) for _ in range(NUM_SHARDS - 1)]
+        # A result copy is a file: the memory shards keep theirs under a
+        # directory, so an acked permalink survives the loss of any one.
+        backends = [
+            FlakyStore(DataStore(tmp_path / f"shard-{index}"))
+            for index in range(NUM_SHARDS - 1)
+        ]
         file_shard_dir = tmp_path / "file-shard"
         backends.append(FlakyStore(FileBackedDataStore(file_shard_dir)))
         store = ReplicatedShardedDataStore(

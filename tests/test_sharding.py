@@ -6,7 +6,8 @@ minimal key movement on topology changes — plus the
 :class:`~repro.platform.replication.ReplicatedShardedDataStore` surface at
 one copy per key (``replicas=1``): keyed routing, fan-out listings,
 shard-local cache/artifact invalidation, rebalancing and shard add/remove
-migration.
+migration.  Result copies are files, so the result tests run on shards
+with a directory (:func:`disk_ring_store`).
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ def ring_store(shards=None, **kwargs) -> ReplicatedShardedDataStore:
     """The ring store with one copy per key (the unreplicated ring)."""
     kwargs.setdefault("replicas", 1)
     return ReplicatedShardedDataStore(shards, **kwargs)
+
+
+def disk_ring_store(directory, num_shards: int, **kwargs) -> ReplicatedShardedDataStore:
+    """The unreplicated ring over shards that write result files."""
+    return ring_store([DataStore(directory / f"shard-{i}") for i in range(num_shards)], **kwargs)
 
 
 def _ranking(n: int = 4) -> Ranking:
@@ -197,17 +203,15 @@ class TestShardedDataStoreRouting:
         assert not sharded_store.has_dataset("nope")
         sharded_store.drop_dataset("nope")  # no error, mirrors DataStore
 
-    def test_results_and_logs_route_by_their_own_id(self, sharded_store):
+    def test_results_route_by_their_own_id(self, tmp_path):
+        sharded_store = disk_ring_store(tmp_path, 4)
         for index in range(10):
             sharded_store.put_result(f"task-{index}", {"value": index})
-            sharded_store.append_log(f"task-{index}", f"line {index}")
         assert sharded_store.list_results() == sorted(f"task-{i}" for i in range(10))
-        assert sharded_store.list_logs() == sorted(f"task-{i}" for i in range(10))
         for index in range(10):
             result_id = f"task-{index}"
             assert sharded_store.has_result(result_id)
             assert sharded_store.get_result(result_id) == {"value": index}
-            assert sharded_store.get_logs(result_id) == [f"line {index}"]
             holders = [
                 shard_id
                 for shard_id, backend in sharded_store.shard_stores().items()
@@ -216,8 +220,6 @@ class TestShardedDataStoreRouting:
             assert holders == [sharded_store.shard_for(result_id)]
         sharded_store.drop_result("task-0")
         assert not sharded_store.has_result("task-0")
-        sharded_store.drop_logs("task-1")
-        assert sharded_store.get_logs("task-1") == []
 
     def test_compiled_artifacts_live_with_their_dataset(self, sharded_store):
         graph = star_graph(6, reciprocal=True)
@@ -366,17 +368,15 @@ class TestTopologyChanges:
             key = ResultCache.key_for(dataset_id, "pagerank", {}, None, version=1)
             assert store.result_cache.peek(key) is not None
 
-    def test_rebalance_migrates_results_and_logs(self):
-        store = ring_store(num_shards=4)
+    def test_rebalance_migrates_results(self, tmp_path):
+        store = disk_ring_store(tmp_path, 4)
         for index in range(32):
             store.put_result(f"res-{index}", {"index": index})
-            store.append_log(f"res-{index}", f"log {index}")
-        store.add_shard()
+        store.add_shard(DataStore(tmp_path / "shard-4"))
         store.rebalance()
         for index in range(32):
             result_id = f"res-{index}"
             assert store.get_result(result_id) == {"index": index}
-            assert store.get_logs(result_id) == [f"log {index}"]
             holders = [
                 shard_id
                 for shard_id, backend in store.shard_stores().items()
@@ -384,8 +384,8 @@ class TestTopologyChanges:
             ]
             assert holders == [store.shard_for(result_id)]
 
-    def test_remove_shard_migrates_everything_off_it(self):
-        store = ring_store(num_shards=4)
+    def test_remove_shard_migrates_everything_off_it(self, tmp_path):
+        store = disk_ring_store(tmp_path, 4)
         graph = cycle_graph(5)
         dataset_ids = [f"leave-{index}" for index in range(48)]
         for dataset_id in dataset_ids:
@@ -502,10 +502,10 @@ class TestTopologyChanges:
             with pytest.raises(StorageError):
                 store.fetch_dataset(f"del-{index}")
 
-    def test_drain_never_resurrects_a_superseded_copy(self):
+    def test_drain_never_resurrects_a_superseded_copy(self, tmp_path):
         """The owner's copy wins: a stray left by a raced write must not
         overwrite newer data when a later rebalance sweeps it up."""
-        store = ring_store(num_shards=4)
+        store = disk_ring_store(tmp_path, 4)
         old_graph = cycle_graph(3)
         new_graph = star_graph(4)
         dataset_id = "raced"

@@ -628,6 +628,7 @@ class TestMetricsEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(rest_server, "/api/comparisons/not-a-real-id/trace")
         assert excinfo.value.code == 404
+        excinfo.value.close()
 
     def test_stats_endpoint_includes_the_telemetry_section(self, rest_server):
         status, _, body = _get(rest_server, "/api/stats")

@@ -35,8 +35,14 @@ from repro.platform.replication import ReplicatedShardedDataStore
 TOPOLOGIES = [(4, 2), (3, 2)]
 
 
-def _build(num_shards: int, replicas: int, **kwargs):
-    backends = [FlakyStore(DataStore()) for _ in range(num_shards)]
+def _build(num_shards: int, replicas: int, directory=None, **kwargs):
+    """Fault-injectable shards; with ``directory`` they are file-backed."""
+    backends = [
+        FlakyStore(
+            FileBackedDataStore(directory / f"s{i}") if directory is not None else DataStore()
+        )
+        for i in range(num_shards)
+    ]
     store = ReplicatedShardedDataStore(
         shards=backends, replicas=replicas, **kwargs
     )
@@ -90,9 +96,10 @@ class TestTombstoneWrites:
             assert backend.dataset_tombstone("ds") == 0
         assert store.replication_stats()["tombstones_reaped"] >= 1
 
-    def test_result_drop_uses_tombstones_and_reaps(self, topology):
-        backends, store = _build(*topology)
+    def test_result_drop_uses_tombstones_and_reaps(self, topology, tmp_path):
+        backends, store = _build(*topology, directory=tmp_path)
         store.put_result("res", {"x": 1})
+        assert store.get_result("res") == {"x": 1}
         store.drop_result("res")
         with pytest.raises(StorageError):
             store.get_result("res")
