@@ -53,6 +53,7 @@ from .registry import (
     run_batch,
 )
 from .twodrank import (
+    combine_twodrank,
     personalized_twodrank,
     personalized_twodrank_batch,
     twodrank,
@@ -71,6 +72,7 @@ __all__ = [
     "personalized_twodrank",
     "personalized_twodrank_batch",
     "two_dimensional_order",
+    "combine_twodrank",
     "cyclerank",
     "cyclerank_batch",
     "CycleRankStatistics",

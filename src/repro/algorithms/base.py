@@ -102,13 +102,24 @@ class ParameterSpec:
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """Static description of an algorithm: name, personalization, parameters."""
+    """Static description of an algorithm: name, personalization, parameters.
+
+    ``inputs`` names the registered algorithms whose rankings this one is
+    built from (2DRank declares a PageRank and a CheiRank).  A derived
+    algorithm computes nothing of its own: it runs each input with its own
+    source and parameters, then :meth:`Algorithm.combine` turns the input
+    rankings into its ranking.  The platform resolves those inputs through
+    the result cache, so an input another query already computed is reused
+    and a computed input is cached for later queries.  Empty for every
+    algorithm with a kernel of its own.
+    """
 
     name: str
     display_name: str
     personalized: bool
     parameters: Tuple[ParameterSpec, ...] = field(default_factory=tuple)
     description: str = ""
+    inputs: Tuple[str, ...] = ()
 
     def parameter(self, name: str) -> ParameterSpec:
         """Return the spec of the parameter called ``name``."""
@@ -155,14 +166,18 @@ class Algorithm(ABC):
 
     @property
     def has_native_batch(self) -> bool:
-        """``True`` if the subclass provides a real batch kernel.
+        """``True`` if a batch runs in one call rather than a per-source loop.
 
-        The scheduler uses this to decide between one grouped dispatch
-        (amortised per-graph work) and per-query dispatch across the pool
-        (the fallback loop would otherwise serialise independent queries on
-        a single worker).
+        Global algorithms qualify (a batch computes once and shares), as do
+        subclasses overriding :meth:`_execute_batch`.  The scheduler uses
+        this to decide between one grouped dispatch (amortised per-graph
+        work) and per-query dispatch across the pool (the fallback loop
+        would otherwise serialise independent queries on a single worker).
         """
-        return type(self)._execute_batch is not Algorithm._execute_batch
+        return (
+            not self.is_personalized
+            or type(self)._execute_batch is not Algorithm._execute_batch
+        )
 
     def validate_parameters(self, parameters: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
         """Validate a raw parameter mapping against the spec.
@@ -267,6 +282,16 @@ class Algorithm(ABC):
             ranking = self._execute(graph, source=None, parameters=validated)
             return [ranking] * len(sources)
         return self._execute_batch(graph, sources=sources, parameters=validated)
+
+    def combine(self, input_rankings: Sequence[Ranking], parameters: Dict[str, Any]) -> Ranking:
+        """Build this algorithm's ranking from the rankings of its inputs.
+
+        ``input_rankings`` holds one ranking per name in ``spec.inputs``, in
+        that order, all for the same source and parameters; ``parameters``
+        are this algorithm's validated parameters.  Only algorithms that
+        declare inputs implement it.
+        """
+        raise NotImplementedError(f"algorithm {self.name!r} declares no inputs")
 
     # ------------------------------------------------------------------ #
     # to implement

@@ -20,11 +20,11 @@ from .cheirank import cheirank, personalized_cheirank, personalized_cheirank_bat
 from .cyclerank import cyclerank, cyclerank_batch
 from .hits import hits, personalized_hits, personalized_hits_batch
 from .katz import katz_centrality, personalized_katz, personalized_katz_batch
-from .pagerank import pagerank
+from .pagerank import DEFAULT_TOL, pagerank
 from .personalized_pagerank import personalized_pagerank, personalized_pagerank_batch
 from .ppr_montecarlo import ppr_montecarlo, ppr_montecarlo_batch
 from .ppr_push import ppr_push, ppr_push_batch
-from .twodrank import personalized_twodrank, personalized_twodrank_batch, twodrank
+from .twodrank import combine_twodrank
 
 __all__ = [
     "register_algorithm",
@@ -127,7 +127,28 @@ class _PersonalizedCheiRankAlgorithm(Algorithm):
         )
 
 
-class _TwoDRankAlgorithm(Algorithm):
+class _DerivedAlgorithm(Algorithm):
+    """An algorithm built from the rankings of its declared ``spec.inputs``.
+
+    A run runs each input's :meth:`~Algorithm.run_batch` with the same
+    sources and parameters, then hands each source's input rankings to
+    :meth:`combine`.  The platform takes the inputs from its result cache
+    instead, through the same ``combine``, so both paths agree bit for bit
+    (every input column is batch-invariant).
+    """
+
+    def _execute(self, graph: DirectedGraph, *, source, parameters) -> Ranking:
+        return self._execute_batch(graph, sources=[source], parameters=parameters)[0]
+
+    def _execute_batch(self, graph: DirectedGraph, *, sources, parameters) -> List[Ranking]:
+        columns = [
+            get_algorithm(name).run_batch(graph, sources=sources, parameters=parameters)
+            for name in self.spec.inputs
+        ]
+        return [self.combine(inputs, parameters) for inputs in zip(*columns)]
+
+
+class _TwoDRankAlgorithm(_DerivedAlgorithm):
     """Global 2DRank (registry name ``2drank``)."""
 
     spec = AlgorithmSpec(
@@ -136,13 +157,16 @@ class _TwoDRankAlgorithm(Algorithm):
         personalized=False,
         parameters=(_ALPHA_SPEC, _MAX_ITER_SPEC),
         description="Two-dimensional combination of PageRank and CheiRank (ranking only).",
+        inputs=("pagerank", "cheirank"),
     )
 
-    def _execute(self, graph: DirectedGraph, *, source, parameters) -> Ranking:
-        return twodrank(graph, alpha=parameters["alpha"], max_iter=parameters["max_iter"])
+    def combine(self, input_rankings, parameters) -> Ranking:
+        return combine_twodrank(
+            *input_rankings, algorithm="2DRank", parameters=_twodrank_parameters(parameters)
+        )
 
 
-class _PersonalizedTwoDRankAlgorithm(Algorithm):
+class _PersonalizedTwoDRankAlgorithm(_DerivedAlgorithm):
     """Personalized 2DRank (registry name ``personalized-2drank``)."""
 
     spec = AlgorithmSpec(
@@ -151,17 +175,24 @@ class _PersonalizedTwoDRankAlgorithm(Algorithm):
         personalized=True,
         parameters=(_ALPHA_SPEC, _MAX_ITER_SPEC),
         description="2DRank built from Personalized PageRank and Personalized CheiRank.",
+        inputs=("personalized-pagerank", "personalized-cheirank"),
     )
 
-    def _execute(self, graph: DirectedGraph, *, source, parameters) -> Ranking:
-        return personalized_twodrank(
-            graph, source, alpha=parameters["alpha"], max_iter=parameters["max_iter"]
+    def combine(self, input_rankings, parameters) -> Ranking:
+        return combine_twodrank(
+            *input_rankings,
+            algorithm="Personalized 2DRank",
+            parameters=_twodrank_parameters(parameters),
         )
 
-    def _execute_batch(self, graph: DirectedGraph, *, sources, parameters) -> List[Ranking]:
-        return personalized_twodrank_batch(
-            graph, sources, alpha=parameters["alpha"], max_iter=parameters["max_iter"]
-        )
+
+def _twodrank_parameters(parameters: Mapping[str, Any]) -> Dict[str, Any]:
+    """A 2DRank's recorded parameters: those its inputs ran with."""
+    return {
+        "alpha": parameters["alpha"],
+        "tol": DEFAULT_TOL,
+        "max_iter": parameters["max_iter"],
+    }
 
 
 class _CycleRankAlgorithm(Algorithm):
@@ -410,6 +441,13 @@ def register_algorithm(algorithm: Algorithm, *, replace: bool = False) -> Algori
 
     Set ``replace=True`` to overwrite an existing registration (useful in
     tests and when experimenting with variants).
+
+    An algorithm declaring ``spec.inputs`` is refused unless every input is
+    a registered algorithm with a native batch kernel, no inputs of its
+    own, the same personalization and the same parameter specs: an input
+    query reuses the derived query's source and parameters as given, and
+    the platform computes a missing input inline on the thread that needs
+    it, so an input must never wait on anything itself.
     """
     name = algorithm.name
     if not name:
@@ -418,8 +456,31 @@ def register_algorithm(algorithm: Algorithm, *, replace: bool = False) -> Algori
         raise InvalidParameterError(
             f"algorithm {name!r} is already registered; pass replace=True to overwrite"
         )
+    for input_name in algorithm.spec.inputs:
+        _check_input(algorithm, input_name)
     _REGISTRY[name] = algorithm
     return algorithm
+
+
+def _check_input(algorithm: Algorithm, input_name: str) -> None:
+    """Raise unless ``input_name`` can serve as an input of ``algorithm``."""
+    candidate = _REGISTRY.get(input_name)
+    problem = None
+    if candidate is None:
+        problem = "is not a registered algorithm"
+    elif candidate.spec.inputs:
+        problem = "declares inputs of its own"
+    elif not candidate.has_native_batch:
+        problem = "has no native batch kernel"
+    elif candidate.is_personalized != algorithm.is_personalized:
+        problem = "differs in personalization"
+    elif candidate.spec.parameters != algorithm.spec.parameters:
+        problem = "takes different parameters"
+    if problem is not None:
+        raise InvalidParameterError(
+            f"algorithm {algorithm.name!r} cannot use {input_name!r} as an input: "
+            f"it {problem}"
+        )
 
 
 def get_algorithm(name: str) -> Algorithm:

@@ -13,6 +13,15 @@ As the paper notes, 2DRank "does not assign a score to each node, but just
 produces a ranking"; the returned :class:`Ranking` therefore carries a
 synthetic score of ``1 / position`` purely so it can flow through the same
 comparison machinery as the score-based algorithms.
+
+2DRank is thus a function of two other rankings and computes nothing of its
+own.  :func:`combine_twodrank` is that function, and the only place a 2DRank
+ranking is built: the library calls below compute their PageRank and
+CheiRank and pass them to it, and the registry's ``2drank`` and
+``personalized-2drank`` declare those two rankings as their ``inputs`` and
+``combine`` them with it.  The platform resolves declared inputs through its
+result cache, so a comparison asking for PPR, CheiRank and 2DRank on one
+source runs each power iteration once.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ __all__ = [
     "personalized_twodrank",
     "personalized_twodrank_batch",
     "two_dimensional_order",
+    "combine_twodrank",
 ]
 
 
@@ -90,24 +100,29 @@ def two_dimensional_order(pagerank_ranking: Ranking, cheirank_ranking: Ranking) 
     return np.lexsort((node, offset, side, r)).tolist()
 
 
-def _ranking_from_order(
-    order: List[int],
-    template: Ranking,
+def combine_twodrank(
+    pagerank_ranking: Ranking,
+    cheirank_ranking: Ranking,
     *,
     algorithm: str,
     parameters: dict,
-    reference: str | None = None,
 ) -> Ranking:
-    """Build a Ranking whose scores encode only the position in ``order``."""
+    """Return the 2DRank of a PageRank and a CheiRank ranking of one graph.
+
+    The scores encode only the position in :func:`two_dimensional_order`
+    (``1 / position``); labels, graph name and reference come from the
+    PageRank ranking.
+    """
+    order = two_dimensional_order(pagerank_ranking, cheirank_ranking)
     scores = np.zeros(len(order), dtype=np.float64)
     scores[order] = 1.0 / np.arange(1, len(order) + 1)
     return Ranking(
         scores,
-        labels=template.labels,
+        labels=pagerank_ranking.labels,
         algorithm=algorithm,
         parameters=parameters,
-        graph_name=template.graph_name,
-        reference=reference,
+        graph_name=pagerank_ranking.graph_name,
+        reference=pagerank_ranking.reference,
     )
 
 
@@ -127,12 +142,9 @@ def twodrank(
         the same damping factor, as in the original 2DRank formulation).
     """
     compiled = compiled_of(graph)
-    pr = pagerank(compiled, alpha=alpha, tol=tol, max_iter=max_iter)
-    cr = cheirank(compiled, alpha=alpha, tol=tol, max_iter=max_iter)
-    order = two_dimensional_order(pr, cr)
-    return _ranking_from_order(
-        order,
-        pr,
+    return combine_twodrank(
+        pagerank(compiled, alpha=alpha, tol=tol, max_iter=max_iter),
+        cheirank(compiled, alpha=alpha, tol=tol, max_iter=max_iter),
         algorithm="2DRank",
         parameters={"alpha": alpha, "tol": tol, "max_iter": max_iter},
     )
@@ -181,16 +193,10 @@ def personalized_twodrank_batch(
     pcrs = personalized_cheirank_batch(
         graph, references, alpha=alpha, tol=tol, max_iter=max_iter
     )
-    results = []
-    for ppr, pcr in zip(pprs, pcrs):
-        order = two_dimensional_order(ppr, pcr)
-        results.append(
-            _ranking_from_order(
-                order,
-                ppr,
-                algorithm="Personalized 2DRank",
-                parameters={"alpha": alpha, "tol": tol, "max_iter": max_iter},
-                reference=ppr.reference,
-            )
+    parameters = {"alpha": alpha, "tol": tol, "max_iter": max_iter}
+    return [
+        combine_twodrank(
+            ppr, pcr, algorithm="Personalized 2DRank", parameters=parameters
         )
-    return results
+        for ppr, pcr in zip(pprs, pcrs)
+    ]

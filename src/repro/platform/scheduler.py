@@ -24,6 +24,16 @@ in flight — whether from the same comparison or from concurrently submitted on
 are deduplicated through a single-flight table, so the platform never
 computes the same ranking twice concurrently.
 
+A *derived* algorithm (one declaring ``inputs``, such as 2DRank built from a
+PPR and a CheiRank) computes nothing of its own.  Its groups run after every
+other group of the comparison, and each of its misses resolves each input as
+an ordinary query — same dataset, source and parameters — through the same
+cache keys and single-flight table: a cached input is used, an in-flight one
+is joined, and a missing one is computed on the group's own thread and
+cached under its own key before the algorithm's ``combine`` runs.  So a
+comparison asking for PPR, CheiRank and 2DRank on one source runs each power
+iteration once, and a later PPR query hits the ranking a 2DRank computed.
+
 Dispatch is also *event-driven*: every submission registers its
 :class:`~repro.platform.jobs.JobRecord` in the scheduler's
 :class:`~repro.platform.jobs.JobRegistry` and emits a typed event at every
@@ -51,6 +61,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from ..algorithms.registry import get_algorithm
 from ..datasets.catalog import DatasetCatalog
 from ..exceptions import (
+    AlgorithmNotFoundError,
     DeadlineExceededError,
     JobCancelledError,
     StorageError,
@@ -70,6 +81,14 @@ __all__ = ["Scheduler"]
 #: A group of same-(dataset, algorithm, parameters) queries: the group key
 #: plus the (query index, query) members in query-set order.
 GroupKey = Tuple[str, str, Tuple[Tuple[str, Any], ...]]
+
+
+def _inputs_of(algorithm: str) -> Tuple[str, ...]:
+    """Return the declared inputs of ``algorithm`` (none if it is unknown)."""
+    try:
+        return get_algorithm(algorithm).spec.inputs
+    except AlgorithmNotFoundError:
+        return ()
 
 
 class Scheduler:
@@ -190,7 +209,13 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _group_queries(query_set: QuerySet) -> "OrderedDict[GroupKey, List[Tuple[int, Query]]]":
-        """Group a query set by (dataset, algorithm, canonical parameters)."""
+        """Group a query set by (dataset, algorithm, canonical parameters).
+
+        Groups of derived algorithms (those declaring ``inputs``) come after
+        every other group, in a stable order, so that a synchronous run has
+        computed and cached the comparison's own inputs (its PPR and
+        CheiRank, say) by the time it combines them.
+        """
         groups: "OrderedDict[GroupKey, List[Tuple[int, Query]]]" = OrderedDict()
         for index, query in enumerate(query_set):
             group_key: GroupKey = (
@@ -199,6 +224,8 @@ class Scheduler:
                 _canonical_parameters(query.parameters),
             )
             groups.setdefault(group_key, []).append((index, query))
+        for group_key in [key for key in groups if _inputs_of(key[1])]:
+            groups.move_to_end(group_key)
         return groups
 
     def _register(self, job: JobRecord) -> "OrderedDict[GroupKey, List[Tuple[int, Query]]]":
@@ -390,7 +417,7 @@ class Scheduler:
                 if job.cancel_requested:
                     to_compute = self._abandon_exclusive_keys(job, to_compute)
                 if to_compute:
-                    self._execute_group(job, to_compute, graph, algorithm)
+                    self._execute_group(job, to_compute, graph, algorithm, version)
             if synchronous:
                 with child_span("singleflight_wait", waiters=len(waiters)):
                     for future, _, _ in waiters:
@@ -439,6 +466,7 @@ class Scheduler:
         to_compute: List[Tuple[CacheKey, Query, int]],
         graph,
         algorithm: str,
+        version: int,
     ) -> None:
         """Execute one group's cache misses and publish their rankings.
 
@@ -447,18 +475,26 @@ class Scheduler:
         a kernel) gain nothing from a grouped dispatch, so their queries
         spread across the pool as size-1 sub-batches instead.  A failed
         multi-query batch degrades to per-query execution so one bad query
-        cannot poison siblings joined by concurrent comparisons.
+        cannot poison siblings joined by concurrent comparisons.  A derived
+        algorithm combines its inputs' rankings (:meth:`_combine_group`).
         """
-        with child_span("batch_execute", algorithm=algorithm, batch=len(to_compute)):
-            keys = [key for key, _, _ in to_compute]
-            batch = [query for _, query, _ in to_compute]
+        with child_span(
+            "batch_execute", algorithm=algorithm, batch=len(to_compute)
+        ) as span:
             try:
-                native_batch = get_algorithm(algorithm).has_native_batch
+                spec_algorithm = get_algorithm(algorithm)
             except Exception:
                 # Let the executor's error machinery surface unknown algorithms
                 # through the normal failure path.
-                native_batch = True
-            if len(batch) > 1 and not native_batch:
+                spec_algorithm = None
+            if spec_algorithm is not None and spec_algorithm.spec.inputs:
+                self._combine_group(job, span, spec_algorithm, to_compute, graph, version)
+                return
+            if (
+                len(to_compute) > 1
+                and spec_algorithm is not None
+                and not spec_algorithm.has_native_batch
+            ):
                 with self._lock:
                     self._outstanding[job.job_id] = (
                         self._outstanding.get(job.job_id, 0) + len(to_compute)
@@ -477,27 +513,129 @@ class Scheduler:
                         )
                     )
                 return
-            self._note_batch(len(batch))
-            try:
-                outcome = self._pool.execute_batch_sync(batch, graph)
-            except Exception as exc:
-                if len(batch) == 1:
-                    self._settle_inflight(keys, error=exc)
-                    return
-                # Retry the queries one by one, so one bad query cannot fail
-                # its siblings.
-                for key, query, _ in to_compute:
-                    try:
-                        single = self._pool.execute_batch_sync([query], graph)
-                    except Exception as single_exc:
-                        self._settle_inflight([key], error=single_exc)
-                        continue
-                    self._cache.put(key, single.rankings[0])
-                    self._settle_inflight([key], rankings=[single.rankings[0]])
+            self._compute_inline([(key, query) for key, query, _ in to_compute], graph)
+
+    def _compute_inline(self, entries: List[Tuple[CacheKey, Query]], graph) -> None:
+        """Run one same-group batch on this thread; cache and settle every key.
+
+        Every key is settled whatever happens: with its ranking, or with the
+        error of its query (a failed multi-query batch is retried query by
+        query, so one bad query cannot fail its siblings).
+        """
+        keys = [key for key, _ in entries]
+        batch = [query for _, query in entries]
+        self._note_batch(len(batch))
+        try:
+            outcome = self._pool.execute_batch_sync(batch, graph)
+        except Exception as exc:
+            if len(batch) == 1:
+                self._settle_inflight(keys, error=exc)
                 return
-            for key, ranking in zip(keys, outcome.rankings):
-                self._cache.put(key, ranking)
-            self._settle_inflight(keys, rankings=outcome.rankings)
+            for key, query in entries:
+                try:
+                    single = self._pool.execute_batch_sync([query], graph)
+                except Exception as single_exc:
+                    self._settle_inflight([key], error=single_exc)
+                    continue
+                self._cache.put(key, single.rankings[0])
+                self._settle_inflight([key], rankings=[single.rankings[0]])
+            return
+        for key, ranking in zip(keys, outcome.rankings):
+            self._cache.put(key, ranking)
+        self._settle_inflight(keys, rankings=outcome.rankings)
+
+    def _combine_group(
+        self,
+        job: JobRecord,
+        span,
+        algorithm,
+        to_compute: List[Tuple[CacheKey, Query, int]],
+        graph,
+        version: int,
+    ) -> None:
+        """Build a derived group's rankings from its inputs' rankings.
+
+        Each input of each miss is one ordinary query (same dataset, source
+        and parameters, the input's algorithm) resolved through the result
+        cache and the single-flight table: a cached ranking is used as is,
+        an in-flight one is joined, and anything else is published here and
+        computed on this thread, batched per input algorithm, then cached
+        under its own key, so a later query for it is a cache hit.
+        """
+        rows: List[List[Any]] = []
+        owned: Dict[str, List[Tuple[CacheKey, Query]]] = {}
+        published: List[Tuple[CacheKey, "Future[Ranking]"]] = []
+        hit = joined = 0
+        with self._lock:
+            for _, query, _ in to_compute:
+                row: List[Any] = []
+                for name in algorithm.spec.inputs:
+                    key = ResultCache.key_for(
+                        query.dataset_id, name, query.parameters, query.source,
+                        version=version,
+                    )
+                    cached = self._cache.get(key)
+                    if cached is not None:
+                        hit += 1
+                        row.append(cached)
+                        continue
+                    future = self._inflight.get(key)
+                    if future is not None:
+                        # Joining cannot deadlock.  Inputs have native batch
+                        # kernels (register_algorithm checks), and an
+                        # in-flight future of a native-batch algorithm is
+                        # always owned by a thread computing it inline, which
+                        # waits on nothing: so waits are at most two deep (a
+                        # synchronous joiner of this group, then this group).
+                        # Registering the job keeps the owner's cancellation
+                        # from abandoning a key this group still needs.
+                        joined += 1
+                        self._inflight_jobs.setdefault(key, set()).add(job.job_id)
+                    else:
+                        future = Future()
+                        self._inflight[key] = future
+                        published.append((key, future))
+                        owned.setdefault(name, []).append((
+                            key,
+                            Query(
+                                dataset_id=query.dataset_id, algorithm=name,
+                                source=query.source, parameters=query.parameters,
+                            ),
+                        ))
+                    row.append(future)
+                rows.append(row)
+        span.annotate(
+            inputs_hit=hit, inputs_joined=joined, inputs_computed=len(published)
+        )
+        try:
+            # Every owned input is computed before any joined one is awaited,
+            # so two groups joining each other's inputs cannot deadlock.
+            for entries in owned.values():
+                self._compute_inline(entries, graph)
+            parameters = algorithm.validate_parameters(to_compute[0][1].parameters)
+        except BaseException as exc:
+            # Nothing may stay in flight: settle the inputs published here
+            # and this group's own keys with the error.
+            with self._lock:
+                stranded = [
+                    key for key, future in published if self._inflight.get(key) is future
+                ]
+            self._settle_inflight(
+                stranded + [key for key, _, _ in to_compute], error=exc
+            )
+            raise
+        self._note_batch(len(to_compute))
+        for (key, _, _), row in zip(to_compute, rows):
+            try:
+                inputs = [
+                    item if isinstance(item, Ranking) else item.result() for item in row
+                ]
+                ranking = algorithm.combine(inputs, parameters)
+            except Exception as exc:
+                self._settle_inflight([key], error=exc)
+                continue
+            self._cache.put(key, ranking)
+            self._settle_inflight([key], rankings=[ranking])
 
     def _resolve_sub_batch(self, job: JobRecord, key: CacheKey, future: Future) -> None:
         """Publish one finished size-1 sub-batch of a spread fallback group."""
