@@ -17,14 +17,18 @@ user-registered ones that know nothing about artifacts) runs unchanged while
 the ones on the hot path pick up the precompiled structures automatically.
 
 The platform caches one ``CompiledGraph`` per dataset version in the
-:class:`~repro.platform.datastore.DataStore`; mutating the source graph after
-compilation is not supported (take a new artifact instead, which is exactly
-what the datastore's version-keyed invalidation does).
+:class:`~repro.platform.datastore.DataStore` and keys cached rankings by the
+artifact's :meth:`~CompiledGraph.content_digest`, so a ranking is only ever
+served for the exact graph it was computed on.  Mutating the source graph
+after compilation is not supported: every upload gets a new artifact.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import threading
+import weakref
 from collections import OrderedDict
 from typing import List, Optional, Tuple
 
@@ -45,6 +49,14 @@ MAX_FOLDED_TRANSITIONS = 8
 #: Flat adjacency lists: (indptr, indices) for the forward graph followed by
 #: (indptr, indices) for the transpose, all as plain Python int lists.
 AdjacencyLists = Tuple[List[int], List[int], List[int], List[int]]
+
+#: Content digest -> the label array every artifact of that content shares,
+#: so the cached rankings of one graph pin one array however many uploads
+#: carried it.  Weak values: an array lives as long as a ranking holds it.
+_INTERNED_LABELS: "weakref.WeakValueDictionary[bytes, np.ndarray]" = (
+    weakref.WeakValueDictionary()
+)
+_INTERN_LOCK = threading.Lock()
 
 
 class CompiledGraph:
@@ -81,6 +93,7 @@ class CompiledGraph:
         self._scipy_transpose = None
         self._lists: Optional[AdjacencyLists] = None
         self._labels_array: Optional[np.ndarray] = None
+        self._content_digest: Optional[bytes] = None
         #: (alpha, reverse) -> folded matrix ``[alpha * P^T ; alpha * nd]``;
         #: the power iteration fetches these instead of rebuilding per
         #: query group.  Bounded LRU: each entry is an |E|-sized matrix and
@@ -217,17 +230,45 @@ class CompiledGraph:
                 self._folded_transitions.popitem(last=False)
             return existing
 
+    def content_digest(self) -> bytes:
+        """Return a BLAKE2b digest of the graph's name, raw labels and CSR.
+
+        Two artifacts share a digest exactly when they hold the same graph:
+        the same name, the same stored label (or none) on every node id, and
+        the same successors of every node.  Edge insertion order does not
+        matter (CSR rows are sorted).  The result cache keys rankings by it.
+        """
+        if self._content_digest is None:
+            csr = self.to_csr()
+            with self._build_lock:
+                if self._content_digest is None:
+                    hasher = hashlib.blake2b(digest_size=16)
+                    hasher.update(
+                        json.dumps([self._graph.name, self._graph.raw_labels()]).encode()
+                    )
+                    hasher.update(csr.indptr.tobytes())
+                    hasher.update(csr.indices.tobytes())
+                    self._content_digest = hasher.digest()
+        return self._content_digest
+
     def labels_array(self) -> np.ndarray:
         """Return the node labels as a (cached, read-only) NumPy string array.
 
         Batch kernels attach this one shared array to every
         :class:`~repro.ranking.result.Ranking` they produce (views, no copies).
+        The array is interned per :meth:`content_digest`, so artifacts of
+        equal content (re-uploads of one graph) hand out the same array.
         """
         if self._labels_array is None:
-            labels = np.asarray(self._graph.labels(), dtype=str)
-            labels.setflags(write=False)
+            digest = self.content_digest()
             with self._build_lock:
                 if self._labels_array is None:
+                    with _INTERN_LOCK:
+                        labels = _INTERNED_LABELS.get(digest)
+                        if labels is None:
+                            labels = np.asarray(self._graph.labels(), dtype=str)
+                            labels.setflags(write=False)
+                            _INTERNED_LABELS[digest] = labels
                     self._labels_array = labels
         return self._labels_array
 

@@ -207,6 +207,10 @@ class DirectedGraph:
         self._check_id(node_id)
         return self._labels[node_id]
 
+    def raw_labels(self) -> List[Optional[str]]:
+        """Return the stored labels of all nodes (``None`` where unlabelled)."""
+        return list(self._labels)
+
     def set_label(self, node_id: int, label: str) -> None:
         """Assign or replace the label of an existing node."""
         self._check_id(node_id)

@@ -4,43 +4,41 @@ The dominant production workload (Tables I and II of the paper) is *many
 queries against the same dataset with the same parameters* — exactly the
 access pattern a result cache thrives on.  :class:`ResultCache` memoises
 finished :class:`~repro.ranking.result.Ranking` objects under a canonical
-``(dataset, algorithm, parameters, source)`` key, so a repeated query is
-served without dispatching an executor at all.
+``(dataset, algorithm, parameters, source, content digest)`` key, so a
+repeated query is served without dispatching an executor at all.
 
-The cache is size-bounded (least-recently-used eviction), thread-safe, keeps
-hit/miss/eviction/invalidation counters for observability, and supports
-explicit per-dataset invalidation — the datastore calls it whenever a dataset
-is re-uploaded or dropped, so no stale ranking can outlive its graph.
+Keys are content-addressed: the last element is the
+:meth:`~repro.graph.compiled.CompiledGraph.content_digest` of the graph the
+ranking was computed on.  A ranking can therefore only be served for the
+exact graph it describes, and nothing has to be invalidated when a dataset
+is re-uploaded or dropped: a changed graph simply looks up different keys,
+a re-upload of content already ranked keeps hitting, and entries of graphs
+nobody reads any more age out of the LRU.
 
-Two optional policies harden it for production traffic:
-
-* **Time-based expiry** (``ttl_seconds``): entries older than the TTL are
-  treated as misses and dropped lazily, for deployments where datasets
-  mutate outside the gateway's invalidation path.
-* **Admit on second miss** (``admit_on_second_miss``): a ranking is only
-  admitted once its key has been seen before, so a one-off scan over
-  thousands of distinct queries cannot evict the hot working set.
+The cache is size-bounded (least-recently-used eviction), thread-safe and
+keeps hit/miss/eviction counters for observability.  One optional policy
+hardens it for scan traffic: with ``admit_on_second_miss`` a ranking is
+only admitted once its key has been seen before, so a one-off scan over
+thousands of distinct queries cannot evict the hot working set.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from .._validation import require_positive_int
-from ..exceptions import InvalidParameterError
 from ..ranking.result import Ranking
 
 __all__ = ["CacheKey", "ResultCache"]
 
 #: The canonical cache key: (dataset id, algorithm name, sorted parameter
-#: items, source label or None, dataset version).  The version ties a cached
-#: ranking to the exact upload of the dataset it was computed on, so results
-#: of computations that were already in flight when a dataset was re-uploaded
-#: can never be served against the new graph.
-CacheKey = Tuple[str, str, Tuple[Tuple[str, Any], ...], Optional[str], int]
+#: items, source label or None, content digest of the graph).  The digest ties
+#: a cached ranking to the exact graph it was computed on, so a computation
+#: still in flight when its dataset was re-uploaded can never be served
+#: against different content, and equal content shares its entries.
+CacheKey = Tuple[str, str, Tuple[Tuple[str, Any], ...], Optional[str], bytes]
 
 DEFAULT_CAPACITY = 1024
 
@@ -58,38 +56,23 @@ class ResultCache:
     capacity:
         Maximum number of rankings retained; the least recently used entry is
         evicted when the bound is exceeded.
-    ttl_seconds:
-        Optional time-to-live: entries older than this count as misses and
-        are dropped (counted under ``expirations``).  ``None`` (the default)
-        disables expiry.
     admit_on_second_miss:
         When ``True``, the first :meth:`put` for a never-seen key is deferred
         (counted under ``admissions_deferred``); only a key whose first put
         was already witnessed is admitted.  Protects the LRU from one-off
         scan workloads.  Defaults to ``False`` (admit everything).
-    clock:
-        Monotonic time source; injectable for tests.
     """
 
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
         *,
-        ttl_seconds: Optional[float] = None,
         admit_on_second_miss: bool = False,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         require_positive_int(capacity, "capacity")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise InvalidParameterError(
-                f"ttl_seconds must be positive (or None to disable), got {ttl_seconds!r}"
-            )
         self._capacity = capacity
-        self._ttl_seconds = ttl_seconds
         self._admit_on_second_miss = admit_on_second_miss
-        self._clock = clock
-        #: key -> (ranking, insertion timestamp)
-        self._entries: "OrderedDict[CacheKey, Tuple[Ranking, float]]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, Ranking]" = OrderedDict()
         #: Keys whose first put was deferred by the admission policy, kept in
         #: a bounded FIFO so the ghost list cannot itself grow unboundedly.
         self._seen_once: "OrderedDict[CacheKey, None]" = OrderedDict()
@@ -98,7 +81,6 @@ class ResultCache:
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
-        self._expirations = 0
         self._admissions_deferred = 0
 
     # ------------------------------------------------------------------ #
@@ -111,17 +93,17 @@ class ResultCache:
         parameters: Mapping[str, Any],
         source: Optional[str] = None,
         *,
-        version: int = 0,
+        digest: bytes = b"",
     ) -> CacheKey:
         """Build the canonical cache key of one query.
 
         Parameter order does not matter; two queries with the same dataset,
         algorithm, parameter values and source always map to the same key.
-        ``version`` is the datastore's upload counter for the dataset, so a
-        re-uploaded dataset starts from a fresh key space even if a stale
-        computation finishes (and caches its result) afterwards.
+        ``digest`` is the content digest of the graph the query runs on, so
+        a re-upload of different content starts from a fresh key space even
+        if a stale computation finishes (and caches its result) afterwards.
         """
-        return (dataset_id, algorithm, _canonical_parameters(parameters), source, version)
+        return (dataset_id, algorithm, _canonical_parameters(parameters), source, digest)
 
     # ------------------------------------------------------------------ #
     # lookup / insertion
@@ -131,35 +113,15 @@ class ResultCache:
         """Return the maximum number of retained rankings."""
         return self._capacity
 
-    @property
-    def ttl_seconds(self) -> Optional[float]:
-        """Return the configured time-to-live (``None`` when disabled)."""
-        return self._ttl_seconds
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def _expired(self, inserted_at: float) -> bool:
-        return (
-            self._ttl_seconds is not None
-            and self._clock() - inserted_at > self._ttl_seconds
-        )
-
     def get(self, key: CacheKey) -> Optional[Ranking]:
-        """Return the cached ranking for ``key`` (marking it recently used).
-
-        An entry older than the TTL is dropped and reported as a miss.
-        """
+        """Return the cached ranking for ``key`` (marking it recently used)."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            ranking, inserted_at = entry
-            if self._expired(inserted_at):
-                del self._entries[key]
-                self._expirations += 1
+            ranking = self._entries.get(key)
+            if ranking is None:
                 self._misses += 1
                 return None
             self._entries.move_to_end(key)
@@ -169,10 +131,7 @@ class ResultCache:
     def peek(self, key: CacheKey) -> Optional[Ranking]:
         """Return the cached ranking without touching counters or LRU order."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or self._expired(entry[1]):
-                return None
-            return entry[0]
+            return self._entries.get(key)
 
     def put(self, key: CacheKey, ranking: Ranking) -> bool:
         """Store a finished ranking, evicting the least recently used if full.
@@ -190,32 +149,12 @@ class ResultCache:
                     self._admissions_deferred += 1
                     return False
                 del self._seen_once[key]
-            self._entries[key] = (ranking, self._clock())
+            self._entries[key] = ranking
             self._entries.move_to_end(key)
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
                 self._evictions += 1
             return True
-
-    # ------------------------------------------------------------------ #
-    # invalidation
-    # ------------------------------------------------------------------ #
-    def invalidate_dataset(self, dataset_id: str) -> int:
-        """Drop every cached ranking computed on ``dataset_id``.
-
-        Called on dataset re-upload so results can never outlive the graph
-        they were computed on.  Returns the number of entries dropped.  The
-        admission ghost list is purged alongside so a re-uploaded dataset
-        starts its admission accounting afresh.
-        """
-        with self._lock:
-            stale = [key for key in self._entries if key[0] == dataset_id]
-            for key in stale:
-                del self._entries[key]
-            for key in [key for key in self._seen_once if key[0] == dataset_id]:
-                del self._seen_once[key]
-            self._invalidations += len(stale)
-            return len(stale)
 
     def clear(self) -> None:
         """Drop every cached ranking (counters are preserved)."""
@@ -239,8 +178,6 @@ class ResultCache:
                 "hit_rate": (self._hits / total) if total else 0.0,
                 "evictions": self._evictions,
                 "invalidations": self._invalidations,
-                "ttl_seconds": self._ttl_seconds,
-                "expirations": self._expirations,
                 "admit_on_second_miss": self._admit_on_second_miss,
                 "admissions_deferred": self._admissions_deferred,
             }

@@ -21,15 +21,17 @@ Alongside each dataset graph the datastore caches one
 :class:`~repro.graph.compiled.CompiledGraph` — the frozen CSR adjacency, its
 transpose, out-degrees, folded transition matrices and flat adjacency lists
 that every executor dispatch would otherwise rebuild from the mutable
-:class:`DirectedGraph`.  The invalidation contract mirrors the result
-cache's: the artifact is keyed by the dataset's *upload version*, the entry
-is dropped whenever :meth:`DataStore.store_dataset` replaces or
-:meth:`DataStore.drop_dataset` removes the dataset, and
+:class:`DirectedGraph`.  The artifact is keyed by the dataset's *upload
+version*: the entry is dropped whenever :meth:`DataStore.store_dataset`
+replaces or :meth:`DataStore.drop_dataset` removes the dataset, and
 :meth:`fetch_compiled_with_version` re-checks the version under the lock
 before serving — so a stale CSR can never be served for a re-uploaded graph,
-even if a compilation was racing the upload.  Hit/miss/invalidation counters
-are exposed through :meth:`artifact_stats` (and from there through
-``platform_stats()``, ``GET /api/stats`` and the CLI's ``--stats``).
+even if a compilation was racing the upload.  Cached *rankings* need no such
+contract: the result cache keys them by the artifact's content digest (see
+:mod:`repro.platform.cache`), so a re-upload never has to touch them.
+Hit/miss/invalidation counters are exposed through :meth:`artifact_stats`
+(and from there through ``platform_stats()``, ``GET /api/stats`` and the
+CLI's ``--stats``).
 """
 
 from __future__ import annotations
@@ -77,13 +79,13 @@ class DataStore:
     result_cache:
         The platform-wide ranking cache; a fresh default-capacity
         :class:`~repro.platform.cache.ResultCache` is created when omitted.
-        The datastore owns the cache so dataset replacement and removal can
-        invalidate the affected entries atomically with the dataset change.
-    cache_ttl_seconds, cache_admit_on_second_miss:
-        Policy knobs forwarded to the internally-built
-        :class:`~repro.platform.cache.ResultCache` (time-based expiry and
-        scan-resistant admission); only valid when ``result_cache`` is
-        omitted — a caller providing its own cache configures it directly.
+        Its keys carry the content digest of the graph each ranking was
+        computed on, so storing or dropping a dataset never touches it.
+    cache_admit_on_second_miss:
+        Scan-resistant admission for the internally-built
+        :class:`~repro.platform.cache.ResultCache`; only valid when
+        ``result_cache`` is omitted — a caller providing its own cache
+        configures it directly.
     """
 
     def __init__(
@@ -91,7 +93,6 @@ class DataStore:
         directory: Optional[str | Path] = None,
         *,
         result_cache: Optional[ResultCache] = None,
-        cache_ttl_seconds: Optional[float] = None,
         cache_admit_on_second_miss: bool = False,
     ) -> None:
         self._lock = threading.RLock()
@@ -113,17 +114,15 @@ class DataStore:
         #: version counter, so presence of the id is the whole tombstone).
         self._result_tombstones: Set[str] = set()
         if result_cache is not None:
-            if cache_ttl_seconds is not None or cache_admit_on_second_miss:
+            if cache_admit_on_second_miss:
                 raise InvalidParameterError(
-                    "cache_ttl_seconds / cache_admit_on_second_miss apply to the "
-                    "internally-built cache; configure the provided result_cache "
-                    "directly instead"
+                    "cache_admit_on_second_miss applies to the internally-built "
+                    "cache; configure the provided result_cache directly instead"
                 )
             self.result_cache = result_cache
         else:
             self.result_cache = ResultCache(
-                ttl_seconds=cache_ttl_seconds,
-                admit_on_second_miss=cache_admit_on_second_miss,
+                admit_on_second_miss=cache_admit_on_second_miss
             )
         #: dataset id -> (upload version the artifact was compiled from, artifact)
         self._compiled: Dict[str, Tuple[int, CompiledGraph]] = {}
@@ -150,13 +149,15 @@ class DataStore:
     ) -> bool:
         """Store (or replace) a dataset graph under ``dataset_id``.
 
-        Replacing an existing dataset invalidates every cached ranking that
-        was computed on the previous graph.  ``version_floor`` lets the
-        sharded store keep the upload counter monotonic across shard
-        boundaries: the new version always exceeds both this store's own
-        counter and the floor, so a cache key minted against any earlier
-        copy of the dataset — on any shard — can never collide with a later
-        upload's version.
+        Replacing an existing dataset drops its compiled artifact; cached
+        rankings stay, keyed by the content digest of the graph they were
+        computed on, so those of the previous graph are never served for
+        different content and a re-upload of equal content keeps hitting.
+        ``version_floor`` lets the sharded store keep the upload counter
+        monotonic across shard boundaries: the new version always exceeds
+        both this store's own counter and the floor, so a version minted
+        against any earlier copy of the dataset — on any shard — is never
+        reissued for a later upload.
 
         ``supersede_below`` makes the write conditional, atomically under
         the store lock: when the current copy's version is already at or
@@ -170,7 +171,6 @@ class DataStore:
             current = self._dataset_versions.get(dataset_id, 0)
             if supersede_below is not None and current >= supersede_below:
                 return False
-            replacing = dataset_id in self._datasets
             self._datasets[dataset_id] = graph
             self._dataset_versions[dataset_id] = max(current, version_floor) + 1
             # The new version strictly exceeds any tombstone (the tombstone
@@ -181,8 +181,6 @@ class DataStore:
             self._dataset_bytes[dataset_id] = self._estimate_graph_bytes(graph)
             if self._compiled.pop(dataset_id, None) is not None:
                 self._artifact_invalidations += 1
-        if replacing:
-            self.result_cache.invalidate_dataset(dataset_id)
         return True
 
     def fetch_dataset(self, dataset_id: str) -> DirectedGraph:
@@ -198,9 +196,9 @@ class DataStore:
     def fetch_dataset_with_version(self, dataset_id: str) -> tuple[DirectedGraph, int]:
         """Return ``(graph, version)`` as one consistent snapshot.
 
-        The version counts uploads of the dataset (1 for the first store);
-        cache keys embed it so a ranking can never outlive the exact graph it
-        was computed on, even across concurrent re-uploads.
+        The version counts uploads of the dataset (1 for the first store).
+        It keys the compiled artifact and orders replica copies; cached
+        rankings are keyed by the artifact's content digest instead.
         """
         with self._lock:
             graph = self._datasets.get(dataset_id)
@@ -238,7 +236,9 @@ class DataStore:
     def drop_dataset(self, dataset_id: str) -> None:
         """Remove a stored dataset (no error if absent).
 
-        Cached rankings computed on the dataset are invalidated alongside.
+        Its compiled artifact goes with it.  Cached rankings stay until the
+        LRU evicts them: they are keyed by content, so they can only ever be
+        served for a graph equal to the one they were computed on.
         """
         with self._lock:
             self._datasets.pop(dataset_id, None)
@@ -247,7 +247,6 @@ class DataStore:
             self._dataset_versions[dataset_id] = self._dataset_versions.get(dataset_id, 0) + 1
             if self._compiled.pop(dataset_id, None) is not None:
                 self._artifact_invalidations += 1
-        self.result_cache.invalidate_dataset(dataset_id)
 
     # ------------------------------------------------------------------ #
     # deletion tombstones
@@ -261,8 +260,8 @@ class DataStore:
         authoritative: any replica holding a copy at a version ``<=`` the
         tombstone's must drop it rather than re-spread it.  The upload
         counter is raised to at least the tombstone version, so the next
-        upload's version strictly exceeds it and version-keyed cache entries
-        minted before the delete can never be served again.
+        upload's version strictly exceeds it and no artifact compiled before
+        the delete can be served again.
 
         Returns ``False`` (and changes nothing) when this store holds a copy
         *newer* than the tombstone — the deletion was already superseded by
@@ -285,7 +284,6 @@ class DataStore:
             )
             if self._compiled.pop(dataset_id, None) is not None:
                 self._artifact_invalidations += 1
-        self.result_cache.invalidate_dataset(dataset_id)
         return True
 
     def dataset_tombstone(self, dataset_id: str) -> int:
@@ -363,7 +361,7 @@ class DataStore:
         adjacency lists) are shared by every executor dispatch.  On re-upload
         the entry is dropped and the version re-checked before a fresh
         artifact is published, so a stale CSR is never served (see the module
-        docstring for the full invalidation contract).
+        docstring).
         """
         with self._lock:
             graph = self._datasets.get(dataset_id)
@@ -505,8 +503,8 @@ class FileBackedDataStore(DataStore):
       after a restart instead of reconverting the graph;
     * upload counters in ``dataset_versions.json`` at the directory root —
       outside ``datasets/``, so no user-chosen dataset id can collide with
-      it — keeping version-keyed cache entries safe across drop/re-upload
-      cycles spanning restarts.
+      it — keeping versions (and the version-checked artifacts) monotonic
+      across drop/re-upload cycles spanning restarts.
 
     A fresh instance pointed at an existing directory recovers the previous
     instance's state (:meth:`fetch_dataset` returns graphs equal to what was
@@ -636,7 +634,7 @@ class FileBackedDataStore(DataStore):
             {
                 "version": version,
                 "name": graph.name,
-                "nodes": [graph.raw_label_of(node) for node in graph.nodes()],
+                "nodes": graph.raw_labels(),
                 "edges": graph.edge_list(),
             }
         )
@@ -682,7 +680,6 @@ class FileBackedDataStore(DataStore):
             current = self._dataset_versions.get(dataset_id, 0)
             if supersede_below is not None and current >= supersede_below:
                 return False
-            replacing = dataset_id in self._stored
             version = max(current, version_floor) + 1
             path = self._dataset_path(dataset_id)
             tmp = path.with_suffix(".tmp")
@@ -704,8 +701,6 @@ class FileBackedDataStore(DataStore):
                 self._artifact_path(dataset_id).unlink(missing_ok=True)
             except OSError:
                 pass  # a stale artifact is harmless: it is version-checked on load
-        if replacing:
-            self.result_cache.invalidate_dataset(dataset_id)
         return True
 
     def fetch_dataset(self, dataset_id: str) -> DirectedGraph:
@@ -744,7 +739,6 @@ class FileBackedDataStore(DataStore):
                 self._artifact_path(dataset_id).unlink(missing_ok=True)
             except OSError as exc:
                 raise StorageError(f"cannot remove dataset {dataset_id!r}: {exc}") from exc
-        self.result_cache.invalidate_dataset(dataset_id)
 
     # ------------------------------------------------------------------ #
     # deletion tombstones (persisted alongside the upload counters)
@@ -774,7 +768,6 @@ class FileBackedDataStore(DataStore):
                 self._artifact_path(dataset_id).unlink(missing_ok=True)
             except OSError:
                 pass  # _recover() re-applies the persisted tombstone
-        self.result_cache.invalidate_dataset(dataset_id)
         return True
 
     def clear_dataset_tombstone(self, dataset_id: str) -> None:

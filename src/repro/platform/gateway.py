@@ -366,8 +366,11 @@ class ApiGateway:
         """Register a user-provided dataset (an in-memory graph or a file path).
 
         Re-uploading (``replace=True``) drops the previously materialised
-        graph from the datastore and invalidates every cached ranking for the
-        dataset, so subsequent queries always run against the new upload.
+        graph from the datastore, so subsequent queries always run against
+        the new upload.  Cached rankings are keyed by the content digest of
+        the graph they were computed on: those of different content are never
+        served for the new upload, and an upload of content already ranked
+        keeps hitting them.
         """
         if isinstance(source, DirectedGraph):
             self.catalog.register_graph(

@@ -29,8 +29,10 @@ Sloppy placement under failure
     copies*; :meth:`ReplicatedShardedDataStore.replicate` later repairs
     canonical placement and copy counts.  Version counters stay consistent
     across replicas because every copy of one write stores with the same
-    global ``version_floor`` — all replicas agree on the dataset version, so
-    the version-keyed result cache behaves exactly as on a single store.
+    global ``version_floor`` — all replicas agree on the dataset version, and
+    the version-quorum read never serves a copy below the acked floor.  The
+    result cache is keyed by the content digest of the copy a read returned,
+    so it behaves exactly as on a single store.
 
 Spill tier
     With ``spill_dir=...`` (or an explicit ``spill_store``) the store gains a
@@ -142,8 +144,9 @@ class ReplicatedResultCache:
     failover reads prefer), and every operation is best-effort: a raising
     backend makes ``get`` report a miss and ``put`` decline the entry instead
     of failing the query — the cache must never take serving down with a
-    shard.  Invalidation fans out to every shard (replica copies mean derived
-    entries can exist anywhere).  :meth:`stats` aggregates the per-shard
+    shard.  Nothing is ever invalidated: keys carry the content digest of the
+    graph a ranking was computed on, so an entry on any shard can only serve
+    a read of that exact graph.  :meth:`stats` aggregates the per-shard
     counters and keeps the per-shard breakdown under ``"shards"``.
     """
 
@@ -158,7 +161,6 @@ class ReplicatedResultCache:
         "misses",
         "evictions",
         "invalidations",
-        "expirations",
         "admissions_deferred",
     )
 
@@ -188,16 +190,6 @@ class ReplicatedResultCache:
             return self._cache_for(key[0]).put(key, ranking)
         except Exception:
             return False
-
-    def invalidate_dataset(self, dataset_id: str) -> int:
-        """Drop the dataset's cached rankings on every reachable shard."""
-        dropped = 0
-        for backend in self._store.shard_stores().values():
-            try:
-                dropped += backend.result_cache.invalidate_dataset(dataset_id)
-            except Exception:
-                continue
-        return dropped
 
     def clear(self) -> None:
         """Drop every cached ranking on every reachable shard."""
@@ -235,10 +227,9 @@ class ReplicatedResultCache:
         }
         total = aggregated["hits"] + aggregated["misses"]
         aggregated["hit_rate"] = (aggregated["hits"] / total) if total else 0.0
-        # Policy knobs are uniform across internally-built shards; report the
-        # first shard's so the stats shape matches the single-store cache.
+        # The policy knob is uniform across internally-built shards; report
+        # the first shard's so the stats shape matches the single-store cache.
         first = next(iter(healthy), {})
-        aggregated["ttl_seconds"] = first.get("ttl_seconds")
         aggregated["admit_on_second_miss"] = first.get("admit_on_second_miss", False)
         aggregated["shards"] = per_shard
         return aggregated
@@ -274,9 +265,10 @@ class ReplicatedShardedDataStore:
         keeps every acked write on at least two shards.
     virtual_nodes:
         Ring points per shard (see :class:`~repro.platform.sharding.HashRing`).
-    cache_ttl_seconds, cache_admit_on_second_miss:
-        Cache policy knobs applied to every internally-built backend (invalid
-        together with ``shards``, whose caches are already configured).
+    cache_admit_on_second_miss:
+        Cache admission policy applied to every internally-built backend
+        (invalid together with ``shards``, whose caches are already
+        configured).
     spill_dir, spill_store:
         Configure the cold file tier (mutually exclusive; ``spill_dir``
         builds a :class:`FileBackedDataStore` under the directory).
@@ -315,7 +307,6 @@ class ReplicatedShardedDataStore:
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         spill_dir: Optional[str] = None,
         spill_store: Optional[DataStore] = None,
-        cache_ttl_seconds: Optional[float] = None,
         cache_admit_on_second_miss: bool = False,
         probe_failure_threshold: int = 3,
         probe_transition_interval_seconds: float = 1.0,
@@ -339,10 +330,10 @@ class ReplicatedShardedDataStore:
                 "provide exactly one of `shards` (backing stores) or `num_shards`"
             )
         if shards is not None:
-            if cache_ttl_seconds is not None or cache_admit_on_second_miss:
+            if cache_admit_on_second_miss:
                 raise InvalidParameterError(
-                    "cache_ttl_seconds / cache_admit_on_second_miss apply to "
-                    "internally-built shards; configure the provided stores directly"
+                    "cache_admit_on_second_miss applies to internally-built "
+                    "shards; configure the provided stores directly"
                 )
             backends = list(shards)
             if not backends:
@@ -350,10 +341,7 @@ class ReplicatedShardedDataStore:
         else:
             require_positive_int(num_shards, "num_shards")
             backends = [
-                DataStore(
-                    cache_ttl_seconds=cache_ttl_seconds,
-                    cache_admit_on_second_miss=cache_admit_on_second_miss,
-                )
+                DataStore(cache_admit_on_second_miss=cache_admit_on_second_miss)
                 for _ in range(num_shards)
             ]
         self._lock = threading.RLock()
@@ -363,7 +351,6 @@ class ReplicatedShardedDataStore:
         self._topology_lock = threading.Lock()
         #: Cache policy for internally-built backends, reapplied by
         #: :meth:`add_shard` so a grown topology keeps one uniform policy.
-        self._cache_ttl_seconds = cache_ttl_seconds
         self._cache_admit_on_second_miss = cache_admit_on_second_miss
         self._backends: Dict[str, DataStore] = {
             f"shard-{index}": backend for index, backend in enumerate(backends)
@@ -511,8 +498,7 @@ class ReplicatedShardedDataStore:
                 raise InvalidParameterError(f"shard {shard_id!r} already exists")
             if backend is None:
                 backend = DataStore(
-                    cache_ttl_seconds=self._cache_ttl_seconds,
-                    cache_admit_on_second_miss=self._cache_admit_on_second_miss,
+                    cache_admit_on_second_miss=self._cache_admit_on_second_miss
                 )
             self._ring.add_shard(shard_id)
             self._backends[shard_id] = backend
@@ -1178,14 +1164,12 @@ class ReplicatedShardedDataStore:
                     if len(acked) == self._replicas:
                         break
                     def _store_one(backend=backend):
-                        owner_had_dataset = backend.has_dataset(dataset_id)
-                        stored = backend.store_dataset(
+                        return backend.store_dataset(
                             dataset_id,
                             graph,
                             version_floor=floor,
                             supersede_below=minted,
                         )
-                        return owner_had_dataset, stored
 
                     try:
                         # The in-memory/file backends validate before mutating, so
@@ -1198,11 +1182,7 @@ class ReplicatedShardedDataStore:
                         # newer copy also satisfies this write's durability, so
                         # the refusal still counts as an ack.
                         with child_span("replica_write", shard=shard_id):
-                            owner_had_dataset, stored = self._retry_policy.run(
-                                _store_one
-                            )
-                        if stored and not owner_had_dataset:
-                            backend.result_cache.invalidate_dataset(dataset_id)
+                            self._retry_policy.run(_store_one)
                         acked.append((shard_id, backend))
                     except Exception:
                         with self._lock:
@@ -1601,10 +1581,10 @@ class ReplicatedShardedDataStore:
         tombstones are cleared and normal copy repair proceeds.
 
         Every repaired copy must land at the *same* version as its siblings
-        (the all-replicas-agree invariant the cache depends on).  A target
-        whose own counter is still below the authoritative version stores
-        with ``version_floor = version - 1`` and lands exactly on it; a
-        target whose counter already moved past it (drops of stray copies
+        (the all-replicas-agree invariant version-quorum reads depend on).
+        A target whose own counter is still below the authoritative version
+        stores with ``version_floor = version - 1`` and lands exactly on it;
+        a target whose counter already moved past it (drops of stray copies
         bump counters without a global write) would land *above* — so when
         that happens the achieved version becomes the new target and the
         other replicas are re-stored up to it, converging in a second pass
@@ -1695,7 +1675,6 @@ class ReplicatedShardedDataStore:
                         backend.store_dataset(
                             dataset_id, graph, version_floor=version - 1
                         )
-                        backend.result_cache.invalidate_dataset(dataset_id)
                         achieved = backend.dataset_version(dataset_id)
                         holders[shard_id] = achieved
                         repaired += 1
@@ -1919,9 +1898,9 @@ class ReplicatedShardedDataStore:
         spills coldest-first until the estimated resident graph bytes fit
         the budget (the policy behind ``ApiGateway(spill_budget_bytes=…)``),
         or ``dataset_ids`` names the victims explicitly.  A spilled dataset
-        keeps its upload version (so nothing about the caching contract
-        changes), loses its ring copies and derived caches, and is served
-        through read failover until a re-upload promotes it back.  Returns
+        keeps its upload version and its content (so its cached rankings
+        still hit), loses its ring copies and compiled artifacts, and is
+        served through read failover until a re-upload promotes it back.  Returns
         the spilled ids.
         """
         if self._spill is None:

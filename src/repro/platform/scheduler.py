@@ -156,7 +156,7 @@ class Scheduler:
         self._maintenance_hooks: List[Callable[[], None]] = []
         # Serialises first-use dataset materialisation so concurrent cold
         # starts don't double-store (store_dataset treats a re-store as a
-        # re-upload and would needlessly invalidate fresh cache entries).
+        # re-upload and would needlessly drop a freshly compiled artifact).
         self._materialise_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -190,19 +190,22 @@ class Scheduler:
     # dataset materialisation
     # ------------------------------------------------------------------ #
     def _fetch_dataset(self, dataset_id: str):
-        """Return ``(compiled graph, version)``, materialising on first use.
+        """Return the compiled graph of ``dataset_id``, materialising on first use.
 
         Executors receive the datastore's cached
         :class:`~repro.graph.compiled.CompiledGraph` artifact rather than the
         raw :class:`DirectedGraph`, so the CSR/transpose/dangling structures
         are compiled once per dataset version instead of once per dispatch.
+        On a ring store the artifact is the one the version-quorum read
+        returned, so its content digest — the cache key's last element — is
+        that of a copy at or above the acked version floor.
         """
         if not self._datastore.has_dataset(dataset_id):
             with self._materialise_lock:
                 if not self._datastore.has_dataset(dataset_id):
                     graph = self._catalog.load(dataset_id)
                     self._datastore.store_dataset(dataset_id, graph)
-        return self._datastore.fetch_compiled_with_version(dataset_id)
+        return self._datastore.fetch_compiled_with_version(dataset_id)[0]
 
     # ------------------------------------------------------------------ #
     # grouping
@@ -352,7 +355,7 @@ class Scheduler:
                 return False
             try:
                 with child_span("dataset_fetch", dataset=dataset_id):
-                    graph, version = self._fetch_dataset(dataset_id)
+                    graph = self._fetch_dataset(dataset_id)
             except DeadlineExceededError:
                 # The deadline ran out mid-storage-IO (the replicated store
                 # checks it between failover sources): settle typed, not as
@@ -369,11 +372,14 @@ class Scheduler:
             with child_span(
                 "cache_lookup", dataset=dataset_id, algorithm=algorithm
             ) as lookup:
+                # Content-addressed keys: a hit (or a single-flight join) can
+                # only serve a ranking of exactly the graph this read resolved.
+                digest = graph.content_digest()
                 with self._lock:
                     for index, query in members:
                         key = ResultCache.key_for(
                             query.dataset_id, query.algorithm, query.parameters,
-                            query.source, version=version,
+                            query.source, digest=digest,
                         )
                         cached = self._cache.get(key)
                         if cached is not None:
@@ -417,7 +423,7 @@ class Scheduler:
                 if job.cancel_requested:
                     to_compute = self._abandon_exclusive_keys(job, to_compute)
                 if to_compute:
-                    self._execute_group(job, to_compute, graph, algorithm, version)
+                    self._execute_group(job, to_compute, graph, algorithm, digest)
             if synchronous:
                 with child_span("singleflight_wait", waiters=len(waiters)):
                     for future, _, _ in waiters:
@@ -466,7 +472,7 @@ class Scheduler:
         to_compute: List[Tuple[CacheKey, Query, int]],
         graph,
         algorithm: str,
-        version: int,
+        digest: bytes,
     ) -> None:
         """Execute one group's cache misses and publish their rankings.
 
@@ -488,7 +494,7 @@ class Scheduler:
                 # through the normal failure path.
                 spec_algorithm = None
             if spec_algorithm is not None and spec_algorithm.spec.inputs:
-                self._combine_group(job, span, spec_algorithm, to_compute, graph, version)
+                self._combine_group(job, span, spec_algorithm, to_compute, graph, digest)
                 return
             if (
                 len(to_compute) > 1
@@ -551,7 +557,7 @@ class Scheduler:
         algorithm,
         to_compute: List[Tuple[CacheKey, Query, int]],
         graph,
-        version: int,
+        digest: bytes,
     ) -> None:
         """Build a derived group's rankings from its inputs' rankings.
 
@@ -572,7 +578,7 @@ class Scheduler:
                 for name in algorithm.spec.inputs:
                     key = ResultCache.key_for(
                         query.dataset_id, name, query.parameters, query.source,
-                        version=version,
+                        digest=digest,
                     )
                     cached = self._cache.get(key)
                     if cached is not None:
@@ -742,7 +748,10 @@ class Scheduler:
         live).  Groups not yet dispatched are skipped at their next
         boundary check; batches already executing run to completion (their
         results still populate the cache), and the job is finished with
-        state ``CANCELLED`` once the outstanding work has drained.
+        state ``CANCELLED`` once the outstanding work has drained.  A
+        ``True`` answer does not promise that end state: when the job's last
+        group is already executing, its rankings complete every query first
+        and the job finishes ``DONE``.
 
         Registry jobs without a query set — the storage maintenance jobs
         (replicate/spill/rebalance) the gateway runs on this registry — are

@@ -197,8 +197,6 @@ class TestDataStoreArtifactCache:
         from repro.platform.cache import ResultCache
 
         with pytest.raises(InvalidParameterError):
-            DataStore(result_cache=ResultCache(), cache_ttl_seconds=5.0)
-        with pytest.raises(InvalidParameterError):
             DataStore(result_cache=ResultCache(), cache_admit_on_second_miss=True)
 
 

@@ -479,7 +479,7 @@ class TestRetryBudget:
 
         store.store_dataset("ds", cycle_graph(4))
         primary = store.replica_shards_for("ds")[0]
-        store.shard_stores()[primary].fail_on("has_dataset", times=1)
+        store.shard_stores()[primary].fail_on("store_dataset", times=1)
         # The one-shot fault is absorbed by the in-place retry: the write
         # still lands on all R replicas.
         store.store_dataset("ds", cycle_graph(5))

@@ -1,4 +1,10 @@
-"""Cache semantics: counters, LRU eviction order, and dataset invalidation."""
+"""Cache semantics: counters, LRU eviction order, and content-addressed keys.
+
+Nothing is invalidated on a re-upload: keys carry the content digest of the
+graph a ranking was computed on.  The tests that used to pin the sweep now
+pin what it protected — after a re-upload of different content the next
+read is a miss and ranks the new graph.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +14,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.algorithms.registry import run_batch
 from repro.datasets.catalog import DatasetCatalog
 from repro.exceptions import InvalidParameterError
 from repro.graph.digraph import DirectedGraph
@@ -26,6 +33,44 @@ def _key(dataset: str = "ds", source: str = "a", **parameters) -> tuple:
     return ResultCache.key_for(dataset, "algo", parameters or {"alpha": 0.85}, source)
 
 
+PPR = "personalized-pagerank"
+
+
+def _two_cycle(name: str = "uploaded") -> DirectedGraph:
+    graph = DirectedGraph(name=name)
+    graph.add_edge("x", "y")
+    graph.add_edge("y", "x")
+    return graph
+
+
+def _routed_through_z(name: str = "uploaded") -> DirectedGraph:
+    """``_two_cycle`` with all of y's mass routed through a new node z."""
+    graph = DirectedGraph(name=name)
+    graph.add_edge("x", "y")
+    graph.add_edge("y", "z")
+    graph.add_edge("z", "x")
+    return graph
+
+
+def _read(gateway: ApiGateway, dataset_id: str, source: str = "x"):
+    """Serve one PPR query; return ``(ranking, served from the cache)``."""
+    comparison_id = gateway.run_queries(
+        [{"dataset_id": dataset_id, "algorithm": PPR, "source": source}],
+        synchronous=True,
+    )
+    cached = any(
+        event.type == "query_cached"
+        for event in gateway.get_task(comparison_id).events()
+    )
+    return gateway.get_rankings(comparison_id)[0], cached
+
+
+def _assert_ranks(ranking: Ranking, graph: DirectedGraph, source: str = "x") -> None:
+    [expected] = run_batch(PPR, graph, sources=[source])
+    assert np.array_equal(ranking.scores, expected.scores)
+    assert list(ranking) == list(expected)
+
+
 class TestCounters:
     def test_fresh_cache_is_empty_with_zeroed_counters(self):
         cache = ResultCache(capacity=4)
@@ -39,8 +84,6 @@ class TestCounters:
             "hit_rate": 0.0,
             "evictions": 0,
             "invalidations": 0,
-            "ttl_seconds": None,
-            "expirations": 0,
             "admit_on_second_miss": False,
             "admissions_deferred": 0,
         }
@@ -117,16 +160,21 @@ class TestLruEviction:
 
 
 class TestInvalidation:
-    def test_invalidate_dataset_drops_only_that_dataset(self):
-        cache = ResultCache(capacity=8)
-        cache.put(_key(dataset="one", source="a"), _ranking())
-        cache.put(_key(dataset="one", source="b"), _ranking())
-        cache.put(_key(dataset="two", source="a"), _ranking())
-        dropped = cache.invalidate_dataset("one")
-        assert dropped == 2
-        assert cache.peek(_key(dataset="one", source="a")) is None
-        assert cache.peek(_key(dataset="two", source="a")) is not None
-        assert cache.stats()["invalidations"] == 2
+    def test_new_content_misses_only_on_its_own_dataset(self):
+        catalog = DatasetCatalog()
+        with ApiGateway(catalog=catalog, num_workers=1) as gateway:
+            gateway.upload_dataset("one", _two_cycle())
+            gateway.upload_dataset("two", _two_cycle())
+            for dataset_id in ("one", "two"):
+                assert _read(gateway, dataset_id)[1] is False
+            gateway.upload_dataset("one", _routed_through_z(), replace=True)
+            ranking, cached = _read(gateway, "one")
+            assert cached is False
+            _assert_ranks(ranking, _routed_through_z())
+            ranking, cached = _read(gateway, "two")
+            assert cached is True
+            _assert_ranks(ranking, _two_cycle())
+            assert gateway.datastore.result_cache.stats()["invalidations"] == 0
 
     def test_clear_empties_the_cache(self):
         cache = ResultCache(capacity=8)
@@ -140,14 +188,16 @@ class TestDataStoreWiring:
     def test_datastore_owns_a_default_cache(self):
         assert isinstance(DataStore().result_cache, ResultCache)
 
-    def test_replacing_a_dataset_invalidates_its_entries(self, triangle):
+    def test_replacing_a_dataset_with_new_content_misses(self):
+        catalog = DatasetCatalog()
+        catalog.register_graph("toy", _two_cycle())
         datastore = DataStore()
-        datastore.store_dataset("toy", triangle)
-        datastore.result_cache.put(_key(dataset="toy"), _ranking())
-        datastore.result_cache.put(_key(dataset="other"), _ranking())
-        datastore.store_dataset("toy", triangle.copy())
-        assert datastore.result_cache.peek(_key(dataset="toy")) is None
-        assert datastore.result_cache.peek(_key(dataset="other")) is not None
+        with ApiGateway(catalog=catalog, datastore=datastore, num_workers=1) as gateway:
+            _read(gateway, "toy")
+            datastore.store_dataset("toy", _routed_through_z())
+            ranking, cached = _read(gateway, "toy")
+            assert cached is False
+            _assert_ranks(ranking, _routed_through_z())
 
     def test_first_store_does_not_invalidate(self, triangle):
         datastore = DataStore()
@@ -156,12 +206,17 @@ class TestDataStoreWiring:
         # A first materialisation is not a re-upload; the entry survives.
         assert datastore.result_cache.peek(_key(dataset="toy")) is not None
 
-    def test_drop_dataset_invalidates(self, triangle):
+    def test_drop_then_store_of_new_content_misses(self):
+        catalog = DatasetCatalog()
+        catalog.register_graph("toy", _two_cycle())
         datastore = DataStore()
-        datastore.store_dataset("toy", triangle)
-        datastore.result_cache.put(_key(dataset="toy"), _ranking())
-        datastore.drop_dataset("toy")
-        assert datastore.result_cache.peek(_key(dataset="toy")) is None
+        with ApiGateway(catalog=catalog, datastore=datastore, num_workers=1) as gateway:
+            _read(gateway, "toy")
+            datastore.drop_dataset("toy")
+            datastore.store_dataset("toy", _routed_through_z())
+            ranking, cached = _read(gateway, "toy")
+            assert cached is False
+            _assert_ranks(ranking, _routed_through_z())
 
 
 class TestGatewayReupload:
@@ -178,7 +233,7 @@ class TestGatewayReupload:
             graph.add_edge("z", "x")
         return graph
 
-    def test_reupload_through_gateway_invalidates_and_recomputes(self):
+    def test_reupload_through_gateway_recomputes_new_content(self):
         catalog = DatasetCatalog()
         with ApiGateway(catalog=catalog, num_workers=1) as gateway:
             gateway.upload_dataset("uploaded", self._uploaded_graph(with_z=False))
@@ -200,21 +255,18 @@ class TestGatewayReupload:
             assert gateway.datastore.result_cache.stats()["hits"] == hits_before + 1
             assert np.array_equal(gateway.get_rankings(repeat)[0].scores, first_scores)
 
-            # Re-uploading the dataset invalidates the entry; the same query
-            # now recomputes against the new graph and yields new scores.
-            invalidations_before = gateway.datastore.result_cache.stats()["invalidations"]
-            gateway.upload_dataset(
-                "uploaded", self._uploaded_graph(with_z=True), replace=True
-            )
-            assert (
-                gateway.datastore.result_cache.stats()["invalidations"]
-                > invalidations_before
-            )
+            # Re-uploading different content makes the same query a miss: it
+            # recomputes against the new graph and yields new scores.
+            misses_before = gateway.datastore.result_cache.stats()["misses"]
+            new_graph = self._uploaded_graph(with_z=True)
+            gateway.upload_dataset("uploaded", new_graph, replace=True)
             second = gateway.run_queries(query, synchronous=True)
-            second_scores = gateway.get_rankings(second)[0].scores
+            second_ranking = gateway.get_rankings(second)[0]
+            assert gateway.datastore.result_cache.stats()["misses"] == misses_before + 1
             assert gateway.executor_pool.total_executed() == executed + 1
-            assert second_scores.size == 3  # the new upload's z node is ranked
-            assert not np.allclose(first_scores, second_scores[:2])
+            _assert_ranks(second_ranking, new_graph)
+            assert second_ranking.scores.size == 3  # the new upload's z node is ranked
+            assert not np.allclose(first_scores, second_ranking.scores[:2])
 
 
 class TestCacheStateDoesNotChangeResults:
@@ -296,80 +348,22 @@ class TestDatasetVersioning:
         assert graph is triangle
         assert version == 1
 
-    def test_keys_from_different_versions_do_not_collide(self):
-        # A stale in-flight computation caches under the old version, so a
-        # re-uploaded dataset can never be served rankings of the old graph.
-        old = ResultCache.key_for("ds", "algo", {"alpha": 0.85}, "a", version=1)
-        new = ResultCache.key_for("ds", "algo", {"alpha": 0.85}, "a", version=2)
+    def test_keys_from_different_content_do_not_collide(self, triangle):
+        # A stale in-flight computation caches under the old graph's digest,
+        # so a re-upload of different content is never served its rankings.
+        datastore = DataStore()
+        datastore.store_dataset("ds", triangle)
+        old_digest = datastore.fetch_compiled("ds").content_digest()
+        changed = triangle.copy()
+        changed.add_edge("A", "C")
+        datastore.store_dataset("ds", changed)
+        new_digest = datastore.fetch_compiled("ds").content_digest()
+        old = ResultCache.key_for("ds", "algo", {"alpha": 0.85}, "a", digest=old_digest)
+        new = ResultCache.key_for("ds", "algo", {"alpha": 0.85}, "a", digest=new_digest)
         assert old != new
         cache = ResultCache(capacity=4)
         cache.put(old, _ranking())
         assert cache.peek(new) is None
-        assert cache.invalidate_dataset("ds") == 1
-
-
-class _FakeClock:
-    """Injectable monotonic clock for deterministic TTL tests."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-class TestTimeToLive:
-    def test_entries_expire_after_the_ttl(self):
-        clock = _FakeClock()
-        cache = ResultCache(capacity=4, ttl_seconds=10.0, clock=clock)
-        key = _key()
-        cache.put(key, _ranking())
-        clock.advance(9.0)
-        assert cache.get(key) is not None
-        clock.advance(2.0)  # 11s since insertion
-        assert cache.get(key) is None
-        stats = cache.stats()
-        assert stats["expirations"] == 1
-        assert stats["misses"] == 1
-        assert stats["size"] == 0
-
-    def test_put_refreshes_the_clock(self):
-        clock = _FakeClock()
-        cache = ResultCache(capacity=4, ttl_seconds=10.0, clock=clock)
-        key = _key()
-        cache.put(key, _ranking())
-        clock.advance(8.0)
-        cache.put(key, _ranking(0.5))  # re-insert restarts the TTL
-        clock.advance(8.0)
-        assert cache.get(key) is not None
-
-    def test_peek_does_not_serve_expired_entries(self):
-        clock = _FakeClock()
-        cache = ResultCache(capacity=4, ttl_seconds=1.0, clock=clock)
-        key = _key()
-        cache.put(key, _ranking())
-        clock.advance(2.0)
-        assert cache.peek(key) is None
-        # peek never touches the counters.
-        assert cache.stats()["expirations"] == 0
-        assert cache.stats()["misses"] == 0
-
-    def test_no_ttl_means_no_expiry(self):
-        clock = _FakeClock()
-        cache = ResultCache(capacity=4, clock=clock)
-        key = _key()
-        cache.put(key, _ranking())
-        clock.advance(1e9)
-        assert cache.get(key) is not None
-
-    def test_invalid_ttl_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            ResultCache(capacity=4, ttl_seconds=0.0)
-        with pytest.raises(InvalidParameterError):
-            ResultCache(capacity=4, ttl_seconds=-1.0)
 
 
 class TestAdmitOnSecondMiss:
@@ -407,14 +401,22 @@ class TestAdmitOnSecondMiss:
         assert cache.put(key, _ranking(0.25)) is True
         assert cache.get(key).scores[0] == 0.25
 
-    def test_invalidation_purges_the_ghost_list(self):
-        cache = ResultCache(capacity=4, admit_on_second_miss=True)
-        key = _key(dataset="ds")
-        cache.put(key, _ranking())  # deferred; key sits in the ghost list
-        cache.invalidate_dataset("ds")
-        # After invalidation the admission accounting restarts: the next put
-        # is a first sighting again.
-        assert cache.put(key, _ranking()) is False
+    def test_new_content_starts_its_own_admission_accounting(self):
+        catalog = DatasetCatalog()
+        catalog.register_graph("toy", _two_cycle())
+        datastore = DataStore(cache_admit_on_second_miss=True)
+        with ApiGateway(catalog=catalog, datastore=datastore, num_workers=1) as gateway:
+            _read(gateway, "toy")  # deferred; the key sits in the ghost list
+            datastore.store_dataset("toy", _routed_through_z())
+            # The new content's key is a first sighting: deferred, not admitted.
+            ranking, cached = _read(gateway, "toy")
+            assert cached is False
+            _assert_ranks(ranking, _routed_through_z())
+            assert len(datastore.result_cache) == 0
+            ranking, cached = _read(gateway, "toy")
+            assert cached is False
+            _assert_ranks(ranking, _routed_through_z())
+            assert len(datastore.result_cache) == 1
 
     def test_default_policy_admits_immediately(self):
         cache = ResultCache(capacity=4)
@@ -425,13 +427,9 @@ class TestAdmitOnSecondMiss:
 
 class TestDataStoreCacheKnobs:
     def test_knobs_configure_the_internal_cache(self):
-        datastore = DataStore(cache_ttl_seconds=30.0, cache_admit_on_second_miss=True)
-        stats = datastore.result_cache.stats()
-        assert stats["ttl_seconds"] == 30.0
-        assert stats["admit_on_second_miss"] is True
+        datastore = DataStore(cache_admit_on_second_miss=True)
+        assert datastore.result_cache.stats()["admit_on_second_miss"] is True
 
     def test_defaults_preserve_seed_behaviour(self):
         datastore = DataStore()
-        stats = datastore.result_cache.stats()
-        assert stats["ttl_seconds"] is None
-        assert stats["admit_on_second_miss"] is False
+        assert datastore.result_cache.stats()["admit_on_second_miss"] is False

@@ -18,11 +18,13 @@ import string
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faults import DownShard, FlakyStore, stale_primary
+from repro.algorithms.registry import run_batch
 from repro.datasets.catalog import DatasetCatalog
 from repro.exceptions import (
     DeadlineExceededError,
@@ -179,7 +181,7 @@ class TestFileBackedDataStore:
             assert version == 1
             assert restored.edge_list() == graph.edge_list()
 
-    def test_replace_invalidates_and_bumps(self, tmp_path):
+    def test_replace_misses_and_bumps(self, tmp_path):
         store = FileBackedDataStore(tmp_path)
         store.store_dataset("ds", cycle_graph(4))
         first, v1 = store.fetch_compiled_with_version("ds")
@@ -187,6 +189,23 @@ class TestFileBackedDataStore:
         second, v2 = store.fetch_compiled_with_version("ds")
         assert v2 == v1 + 1
         assert second.to_csr().number_of_nodes() == star_graph(5).number_of_nodes()
+        assert second.content_digest() != first.content_digest()
+        # The cache half: after the replacement the next read misses and
+        # ranks the new graph.
+        catalog = DatasetCatalog()
+        catalog.register_graph("ds", cycle_graph(4))
+        query = [{"dataset_id": "ds", "algorithm": "personalized-pagerank", "source": "#0"}]
+        with ApiGateway(catalog=catalog, datastore=store, num_workers=1) as gateway:
+            gateway.run_queries(query, synchronous=True)
+            replacement = star_graph(6)
+            store.store_dataset("ds", replacement)
+            comparison_id = gateway.run_queries(query, synchronous=True)
+            events = [event.type for event in gateway.get_task(comparison_id).events()]
+            [served] = gateway.get_rankings(comparison_id)
+        assert "query_cached" not in events
+        [expected] = run_batch("personalized-pagerank", replacement, sources=["#0"])
+        assert np.array_equal(served.scores, expected.scores)
+        assert list(served) == list(expected)
 
 
 class TestReplicatedWrites:

@@ -3,7 +3,7 @@
 The acceptance scenario of the sharding subsystem: eight datasets uploaded
 into a 4-shard gateway, mixed comparisons whose results must be bit-identical
 to the single-store gateway, dataset spread over at least three shards,
-re-upload invalidation confined to the owning shard, and a minimal-movement
+a re-upload of new content missing on the owning shard only, and a minimal-movement
 rebalance after a shard joins — with every query still answering afterwards.
 """
 
@@ -15,6 +15,7 @@ from urllib.request import urlopen
 import numpy as np
 import pytest
 
+from repro.algorithms.registry import run_batch
 from repro.datasets.catalog import DatasetCatalog
 from repro.graph.generators import reciprocal_communities_graph
 from repro.platform.gateway import ApiGateway
@@ -111,7 +112,9 @@ class TestShardedGatewayEndToEnd:
             ]
             assert holders == [store.shard_for(dataset_id)]
 
-    def test_reupload_invalidates_only_the_owning_shard(self, sharded_gateway):
+    def test_reupload_of_new_content_misses_on_the_owning_shard_only(
+        self, sharded_gateway
+    ):
         _run_workload(sharded_gateway)
         store: ReplicatedShardedDataStore = sharded_gateway.datastore
         target = _dataset_ids()[0]
@@ -125,26 +128,37 @@ class TestShardedGatewayEndToEnd:
         }
         assert owner_cache_before["size"] > 0
 
+        replacement = reciprocal_communities_graph(2, 5, seed=99)
         sharded_gateway.upload_dataset(
-            target,
-            reciprocal_communities_graph(2, 5, seed=99),
-            description="replacement upload",
-            replace=True,
+            target, replacement, description="replacement upload", replace=True
         )
-
+        # Queries against the replacement miss on the owner's cache and
+        # rank the new graph.
+        query = {
+            "dataset_id": target,
+            "algorithm": "personalized-pagerank",
+            "source": _reference_for(0),
+        }
+        comparison_id = sharded_gateway.run_queries([query], synchronous=True)
+        assert sharded_gateway.get_status(comparison_id).error is None
+        event_types = [
+            event.type for event in sharded_gateway.get_task(comparison_id).events()
+        ]
+        assert "query_cached" not in event_types
         owner_cache_after = store.shard_store(owner).result_cache.stats()
+        assert owner_cache_after["misses"] == owner_cache_before["misses"] + 1
+        [served] = sharded_gateway.get_rankings(comparison_id)
+        [expected] = run_batch(
+            query["algorithm"], replacement, sources=[query["source"]]
+        )
+        assert np.array_equal(served.scores, expected.scores)
+        assert list(served) == list(expected)
+
         owner_artifacts_after = store.shard_store(owner).artifact_stats()
-        assert owner_cache_after["invalidations"] > owner_cache_before["invalidations"]
         assert owner_artifacts_after["invalidations"] > owner_artifacts_before["invalidations"]
         for shard_id, (cache_before, artifacts_before) in others_before.items():
             assert store.shard_store(shard_id).result_cache.stats() == cache_before
             assert store.shard_store(shard_id).artifact_stats() == artifacts_before
-
-        # Queries against the replacement run against the new graph.
-        comparison_id = sharded_gateway.run_queries(
-            [{"dataset_id": target, "algorithm": "pagerank"}], synchronous=True
-        )
-        assert sharded_gateway.get_status(comparison_id).error is None
 
     def test_rebalance_after_join_moves_minimal_keys_and_queries_still_succeed(
         self, sharded_gateway

@@ -5,8 +5,8 @@ storage layer is built on — deterministic routing, near-uniform spread, and
 minimal key movement on topology changes — plus the
 :class:`~repro.platform.replication.ReplicatedShardedDataStore` surface at
 one copy per key (``replicas=1``): keyed routing, fan-out listings,
-shard-local cache/artifact invalidation, rebalancing and shard add/remove
-migration.  Result copies are files, so the result tests run on shards
+shard-local caches and artifact invalidation, rebalancing and shard
+add/remove migration.  Result copies are files, so the result tests run on shards
 with a directory (:func:`disk_ring_store`).
 """
 
@@ -17,10 +17,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.algorithms.registry import run_batch
+from repro.datasets.catalog import DatasetCatalog
 from repro.exceptions import InvalidParameterError, StorageError
 from repro.graph.generators import cycle_graph, star_graph
 from repro.platform.cache import ResultCache
 from repro.platform.datastore import DataStore
+from repro.platform.gateway import ApiGateway
 from repro.platform.replication import ReplicatedShardedDataStore
 from repro.platform.sharding import HashRing
 from repro.ranking.result import Ranking
@@ -154,11 +157,11 @@ class TestShardedDataStoreConstruction:
             ring_store([])
 
     def test_cache_policy_applies_to_internal_shards_only(self):
-        store = ring_store(num_shards=2, cache_ttl_seconds=60.0)
+        store = ring_store(num_shards=2, cache_admit_on_second_miss=True)
         for backend in store.shard_stores().values():
-            assert backend.result_cache.ttl_seconds == 60.0
+            assert backend.result_cache.stats()["admit_on_second_miss"] is True
         with pytest.raises(InvalidParameterError):
-            ring_store([DataStore()], cache_ttl_seconds=60.0)
+            ring_store([DataStore()], cache_admit_on_second_miss=True)
 
     def test_provided_backends_are_used(self):
         backends = [DataStore(), DataStore(), DataStore()]
@@ -241,7 +244,7 @@ class TestShardedResultCache:
     def test_entries_live_on_the_owning_shard(self, sharded_store):
         graph = cycle_graph(4)
         sharded_store.store_dataset("cached", graph)
-        key = ResultCache.key_for("cached", "pagerank", {"alpha": 0.85}, None, version=1)
+        key = ResultCache.key_for("cached", "pagerank", {"alpha": 0.85}, None)
         ranking = _ranking()
         assert sharded_store.result_cache.put(key, ranking)
         assert sharded_store.result_cache.get(key) is ranking
@@ -251,34 +254,50 @@ class TestShardedResultCache:
             assert len(backend.result_cache) == (1 if shard_id == owner else 0)
         assert len(sharded_store.result_cache) == 1
 
-    def test_invalidation_stays_shard_local(self, sharded_store):
-        graph = cycle_graph(4)
-        ranking = _ranking()
+    def test_new_content_misses_on_the_owning_shard_only(self, sharded_store):
+        catalog = DatasetCatalog()
         for index in range(8):
-            dataset_id = f"inv-{index}"
-            sharded_store.store_dataset(dataset_id, graph)
-            key = ResultCache.key_for(dataset_id, "pagerank", {}, None, version=1)
-            sharded_store.result_cache.put(key, ranking)
-        target = "inv-0"
-        owner = sharded_store.shard_for(target)
-        others_before = {
-            shard_id: backend.result_cache.stats()
-            for shard_id, backend in sharded_store.shard_stores().items()
-            if shard_id != owner
-        }
-        # Re-upload: the owning shard must invalidate, siblings must not see
-        # any counter move at all.
-        sharded_store.store_dataset(target, cycle_graph(4))
-        key = ResultCache.key_for(target, "pagerank", {}, None, version=1)
-        assert sharded_store.result_cache.peek(key) is None
-        assert sharded_store.shard_store(owner).result_cache.stats()["invalidations"] >= 1
+            catalog.register_graph(f"inv-{index}", cycle_graph(4))
+
+        def query(dataset_id):
+            return [{
+                "dataset_id": dataset_id,
+                "algorithm": "personalized-pagerank",
+                "source": "#0",
+            }]
+
+        with ApiGateway(
+            catalog=catalog, datastore=sharded_store, num_workers=1
+        ) as gateway:
+            for index in range(8):
+                gateway.run_queries(query(f"inv-{index}"), synchronous=True)
+            target = "inv-0"
+            owner = sharded_store.shard_for(target)
+            owner_before = sharded_store.shard_store(owner).result_cache.stats()
+            others_before = {
+                shard_id: backend.result_cache.stats()
+                for shard_id, backend in sharded_store.shard_stores().items()
+                if shard_id != owner
+            }
+            # Re-upload of new content: the next read misses on the owning
+            # shard and ranks the new graph; siblings see no counter move.
+            replacement = cycle_graph(5)
+            sharded_store.store_dataset(target, replacement)
+            comparison_id = gateway.run_queries(query(target), synchronous=True)
+            [served] = gateway.get_rankings(comparison_id)
+        [expected] = run_batch("personalized-pagerank", replacement, sources=["#0"])
+        assert np.array_equal(served.scores, expected.scores)
+        assert list(served) == list(expected)
+        owner_after = sharded_store.shard_store(owner).result_cache.stats()
+        assert owner_after["misses"] == owner_before["misses"] + 1
+        assert owner_after["hits"] == owner_before["hits"]
         for shard_id, before in others_before.items():
             assert sharded_store.shard_store(shard_id).result_cache.stats() == before
 
     def test_stats_aggregate_and_break_down(self, sharded_store):
         graph = cycle_graph(4)
         sharded_store.store_dataset("stat", graph)
-        key = ResultCache.key_for("stat", "pagerank", {}, None, version=1)
+        key = ResultCache.key_for("stat", "pagerank", {}, None)
         assert sharded_store.result_cache.get(key) is None  # one miss
         sharded_store.result_cache.put(key, _ranking())
         assert sharded_store.result_cache.get(key) is not None  # one hit
@@ -294,8 +313,8 @@ class TestShardedResultCache:
 
     def test_key_for_matches_result_cache(self):
         store = ring_store(num_shards=2)
-        assert store.result_cache.key_for("d", "a", {"x": 1}, "s", version=3) == (
-            ResultCache.key_for("d", "a", {"x": 1}, "s", version=3)
+        assert store.result_cache.key_for("d", "a", {"x": 1}, "s", digest=b"3") == (
+            ResultCache.key_for("d", "a", {"x": 1}, "s", digest=b"3")
         )
 
 
@@ -341,22 +360,21 @@ class TestTopologyChanges:
         dataset_ids = [f"derived-{index}" for index in range(64)]
         for dataset_id in dataset_ids:
             store.store_dataset(dataset_id, graph)
-            store.fetch_compiled(dataset_id)
-            key = ResultCache.key_for(dataset_id, "pagerank", {}, None, version=1)
+            digest = store.fetch_compiled(dataset_id).content_digest()
+            key = ResultCache.key_for(dataset_id, "pagerank", {}, None, digest=digest)
             store.result_cache.put(key, _ranking())
         store.add_shard()
         moved = store.rebalance()
         assert moved, "expected at least one dataset to relocate"
         for dataset_id in moved:
             # The new owner has no derived state yet; a fresh artifact is
-            # compiled on demand and the old ranking is gone.
-            key = ResultCache.key_for(dataset_id, "pagerank", {}, None, version=1)
+            # compiled on demand and the old ranking is not reachable.
+            digest = store.fetch_compiled(dataset_id).content_digest()
+            key = ResultCache.key_for(dataset_id, "pagerank", {}, None, digest=digest)
             assert store.result_cache.peek(key) is None
             compiled, version = store.fetch_compiled_with_version(dataset_id)
             # A move keeps the upload's version: every copy of one upload
-            # carries the same version on every holder, which is what the
-            # version-keyed cache relies on.  The cache purge above, not a
-            # version bump, is what keeps a stale ranking from surviving.
+            # carries the same version on every holder.
             assert version == 1
             holder_versions = {
                 backend.dataset_version(dataset_id)
@@ -365,7 +383,8 @@ class TestTopologyChanges:
             }
             assert holder_versions == {1}
         for dataset_id in set(dataset_ids) - set(moved):
-            key = ResultCache.key_for(dataset_id, "pagerank", {}, None, version=1)
+            digest = store.fetch_compiled(dataset_id).content_digest()
+            key = ResultCache.key_for(dataset_id, "pagerank", {}, None, digest=digest)
             assert store.result_cache.peek(key) is not None
 
     def test_rebalance_migrates_results(self, tmp_path):
@@ -433,13 +452,12 @@ class TestTopologyChanges:
         store.remove_shard(store.shard_for(dataset_id))
         assert store.fetch_dataset(dataset_id) is new_graph
 
-    def test_reupload_purges_stale_cache_on_a_first_gain_owner(self):
-        """Version collision guard: before a rebalance, cache entries route
-        to the ring owner while the dataset still lives on its previous
-        shard.  A re-upload that gives the owner the dataset for the first
-        time restarts its version counter at 1 — the same version those
-        stale entries were keyed with — so the owner's cache must be purged
-        even though the store was not a replacement there."""
+    def test_reupload_never_serves_stale_cache_on_a_first_gain_owner(self):
+        """Before a rebalance, cache entries route to the ring owner while
+        the dataset still lives on its previous shard.  A re-upload that
+        gives the owner the dataset for the first time must not be served
+        the entries keyed for the previous content: keys carry the digest
+        of the content, so the new graph's key cannot match them."""
         store = ring_store(num_shards=2)
         probe = ring_store(num_shards=2)
         probe.add_shard()
@@ -451,24 +469,23 @@ class TestTopologyChanges:
         new_shard = store.add_shard()
         assert store.shard_for(dataset_id) == new_shard
         # A query served from the previous owner's copy caches under the
-        # current ring owner with the previous owner's version (1).
-        version = store.dataset_version(dataset_id)
-        key = ResultCache.key_for(dataset_id, "pagerank", {}, None, version=version)
+        # current ring owner, keyed by that copy's digest.
+        digest = store.fetch_compiled(dataset_id).content_digest()
+        key = ResultCache.key_for(dataset_id, "pagerank", {}, None, digest=digest)
         store.result_cache.put(key, _ranking())
         assert store.result_cache.peek(key) is not None
-        # Re-upload: the new owner gains the dataset for the first time with
-        # version 1 — the stale entry's key would match if it survived.
+        # Re-upload: the new owner gains the dataset for the first time.
         store.store_dataset(dataset_id, star_graph(4))
-        fresh_version = store.dataset_version(dataset_id)
+        fresh_digest = store.fetch_compiled(dataset_id).content_digest()
         fresh_key = ResultCache.key_for(
-            dataset_id, "pagerank", {}, None, version=fresh_version
+            dataset_id, "pagerank", {}, None, digest=fresh_digest
         )
         assert store.result_cache.peek(fresh_key) is None
 
     def test_dataset_versions_stay_monotonic_across_shard_moves(self):
         """A version observed on any shard is never reissued by a later
-        upload elsewhere — the guard against a slow in-flight cache put
-        (keyed with a previous owner's version) matching a future graph."""
+        upload elsewhere — replicas order their copies by it, so a reissued
+        version could let an old copy pass for a newer one."""
         store = ring_store(num_shards=2)
         probe = ring_store(num_shards=2)
         probe.add_shard()

@@ -205,8 +205,8 @@ class TestTombstonePersistence:
 class TestCacheNeverResurrects:
     def test_reupload_version_strictly_exceeds_the_tombstone(self):
         """Regression: after a tombstoned dataset is re-uploaded, the new
-        version counter must strictly exceed the tombstone's version, so a
-        cache key minted before the deletion can never be re-served."""
+        version counter must strictly exceed the tombstone's version, so no
+        copy or artifact from before the deletion can pass for the new one."""
         store = DataStore()
         store.store_dataset("ds", cycle_graph(4))  # version 1
         # A tombstone that arrived from a peer whose counter ran ahead.
@@ -221,7 +221,8 @@ class TestCacheNeverResurrects:
         graph = cycle_graph(4)
         store.store_dataset("ds", graph)
         old_version = max(b.dataset_version("ds") for b in backends)
-        old_key = ResultCache.key_for("ds", "pagerank", {}, version=old_version)
+        old_digest = store.fetch_compiled("ds").content_digest()
+        old_key = ResultCache.key_for("ds", "pagerank", {}, digest=old_digest)
         assert store.result_cache.put(old_key, {"minted_at": old_version})
         assert store.result_cache.peek(old_key) is not None
 
@@ -235,9 +236,10 @@ class TestCacheNeverResurrects:
         tombstone = max(b.dataset_tombstone("ds") for b in backends)
         assert new_version > old_version
         assert tombstone == 0 or new_version > tombstone
-        # The scheduler keys lookups by the current version: the entry
-        # minted before the deletion cannot be hit again.
-        new_key = ResultCache.key_for("ds", "pagerank", {}, version=new_version)
+        # The scheduler keys lookups by the content it read: the entry
+        # minted before the deletion cannot be hit for the new graph.
+        new_digest = store.fetch_compiled("ds").content_digest()
+        new_key = ResultCache.key_for("ds", "pagerank", {}, digest=new_digest)
         assert new_key != old_key
         assert store.result_cache.get(new_key) is None
 
